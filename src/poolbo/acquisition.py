@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gp import Posterior
-from .pareto import ParetoFront, hvi_many, hypervolume, strictly_dominated_mask
+from .pareto import ParetoFront, hvi_many, strictly_dominated_mask
 from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -204,85 +204,6 @@ def select_batch(result: AcquisitionResult, q: int) -> list:
     return selected
 
 
-def _insert_staircase(xs: np.ndarray, ys: np.ndarray, x: float, y: float, ref: np.ndarray):
-    """Fold one point into a sorted 2-d front (xs ascending, ys descending)."""
-    if not (x > ref[0] and y > ref[1]):
-        return xs, ys
-    # the leftmost member with xs >= x carries the best ys among potential
-    # dominators; equality counts as weak domination and rejects the point
-    j = np.searchsorted(xs, x, side="left")
-    if j < xs.size and ys[j] >= y:
-        return xs, ys
-    # drop members dominated by (x, y): those with xs <= x and ys <= y
-    start = ys.size - np.searchsorted(ys[::-1], y, side="right")
-    hi = np.searchsorted(xs, x, side="right")
-    cut = min(start, hi)
-    xs = np.concatenate([xs[:cut], [x], xs[hi:]])
-    ys = np.concatenate([ys[:cut], [y], ys[hi:]])
-    return xs, ys
-
-
-def _staircase_hvi(xs: np.ndarray, ys: np.ndarray, ref: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    left = np.concatenate(([ref[0]], xs))
-    right = np.concatenate((xs, [np.inf]))
-    height = np.concatenate((ys, [ref[1]]))
-    width = np.clip(np.minimum(pts[:, 0, None], right[None, :]) - left[None, :], 0.0, None)
-    gain = np.clip(pts[:, 1, None] - height[None, :], 0.0, None)
-    return (width * gain).sum(axis=1)
-
-
-class _SampleFronts:
-    """Per-draw augmented fronts used by the greedy joint-improvement baselines."""
-
-    def __init__(self, front: ParetoFront, n_fronts: int):
-        self.ref = front.ref
-        self.m = front.m
-        if self.m == 2:
-            order = np.argsort(front.points[:, 0]) if front.size else np.zeros(0, dtype=int)
-            xs = front.points[order, 0] if front.size else np.zeros(0)
-            ys = front.points[order, 1] if front.size else np.zeros(0)
-            self.stairs = [(xs, ys) for _ in range(n_fronts)]
-        else:
-            self.points = [front.points for _ in range(n_fronts)]
-
-    def current_points(self, ell: int) -> np.ndarray:
-        if self.m == 2:
-            xs, ys = self.stairs[ell]
-            return np.stack([xs, ys], axis=1)
-        return self.points[ell]
-
-    def gains(self, values: np.ndarray, ell: int) -> np.ndarray:
-        """Hypervolume improvement of each row of values against front ell."""
-        if self.m == 2:
-            xs, ys = self.stairs[ell]
-            return _staircase_hvi(xs, ys, self.ref, values)
-        pts = self.points[ell]
-        out = np.empty(values.shape[0])
-        for i, y in enumerate(values):
-            if not np.all(y > self.ref):
-                out[i] = 0.0
-                continue
-            if pts.shape[0] and np.any(np.all(pts >= y, axis=1)):
-                out[i] = 0.0
-                continue
-            clipped = np.minimum(pts, y) if pts.shape[0] else np.empty((0, self.m))
-            out[i] = np.prod(y - self.ref) - hypervolume(clipped, self.ref)
-        return out
-
-    def insert(self, ell: int, y: np.ndarray) -> None:
-        if self.m == 2:
-            xs, ys = self.stairs[ell]
-            self.stairs[ell] = _insert_staircase(xs, ys, float(y[0]), float(y[1]), self.ref)
-        else:
-            if not np.all(y > self.ref):
-                return
-            pts = self.points[ell]
-            if pts.shape[0] and np.any(np.all(pts >= y, axis=1)):
-                return
-            keep = ~np.all(y >= pts, axis=1) if pts.shape[0] else np.zeros(0, dtype=bool)
-            self.points[ell] = np.vstack([pts[keep], y[None, :]]) if pts.shape[0] else y[None, :]
-
-
 def qehvi_mc(post: Posterior, front: ParetoFront, q: int, n_samples: int, seed: int) -> list:
     """Greedy batch maximizing Monte Carlo expected joint hypervolume improvement.
 
@@ -300,7 +221,8 @@ def qehvi_mc(post: Posterior, front: ParetoFront, q: int, n_samples: int, seed: 
         logger.warning("batch size %d exceeds pool size %d; truncating", q, n)
         q = n
     samples = post.sample(n_samples, seed)
-    fronts = _SampleFronts(front, n_samples)
+    # one index per draw; a draw's index is replaced as its batch grows
+    fronts = [front.index] * n_samples
     flat = samples.reshape(-1, post.m)
     gains = hvi_many(flat, front).reshape(n_samples, n).mean(axis=0)
     heap = [(-gains[i], i) for i in range(n)]
@@ -314,12 +236,12 @@ def qehvi_mc(post: Posterior, front: ParetoFront, q: int, n_samples: int, seed: 
                 selected.append(int(i))
                 break
             fresh = float(np.mean([
-                fronts.gains(samples[ell, i][None, :], ell)[0] for ell in range(n_samples)
+                fronts[ell].gains(samples[ell, i][None, :])[0] for ell in range(n_samples)
             ]))
             stamp[i] = step - 1
             heapq.heappush(heap, (-fresh, i))
         for ell in range(n_samples):
-            fronts.insert(ell, samples[ell, selected[-1]])
+            fronts[ell] = fronts[ell].insert(samples[ell, selected[-1]])
     return selected
 
 
@@ -339,17 +261,17 @@ def thompson_hvi(post: Posterior, front: ParetoFront, q: int, seed: int) -> list
         logger.warning("batch size %d exceeds pool size %d; truncating", q, n)
         q = n
     samples = post.sample(q, seed)
-    fronts = _SampleFronts(front, 1)
+    index = front.index
     taken = np.zeros(n, dtype=bool)
     selected: list = []
     for j in range(q):
         values = samples[j]
-        deltas = fronts.gains(values, 0)
+        deltas = index.gains(values)
         deltas[taken] = -np.inf
         if deltas.max() > 0:
             pick = int(np.argmax(deltas))
         else:
-            pts = fronts.current_points(0)
+            pts = index.points
             if pts.shape[0]:
                 margins = (values[:, None, :] - pts[None, :, :]).max(axis=2).min(axis=1)
             else:
@@ -358,7 +280,7 @@ def thompson_hvi(post: Posterior, front: ParetoFront, q: int, seed: int) -> list
             pick = int(np.argmax(margins))
         selected.append(pick)
         taken[pick] = True
-        fronts.insert(0, values[pick])
+        index = index.insert(values[pick])
     return selected
 
 

@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .gp import Dataset, GpModel, posterior
-from .pareto import ParetoFront, hvi_many, non_dominated_mask, update_front
+from .pareto import build_front, hvi_many, non_dominated_mask
 from .seeds import child_rng
 
 logger = logging.getLogger(__name__)
@@ -282,10 +282,7 @@ def _parent_weights(data: Dataset, model: GpModel | None, cfg: GeneratorConfig) 
     lo = data.objectives.min(axis=0)
     spread = data.objectives.max(axis=0) - lo
     ref = lo - np.where(spread > 0, 1e-9 * spread, 1.0)
-    front = ParetoFront.empty(ref)
-    for i in range(n):
-        front = update_front(front, data.objectives[i], data.ids[i])
-    gains = hvi_many(post_mean, front)
+    gains = hvi_many(post_mean, build_front(data.objectives, data.ids, ref))
     std = gains.std()
     z = (gains - gains.mean()) / std if std > 1e-12 else np.zeros(n)
     w = np.exp(z)

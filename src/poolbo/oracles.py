@@ -132,7 +132,8 @@ class ExternalOracle:
 
     One process per batch: requests {"id", "genome", "features"} go to stdin,
     responses {"id", "objectives"} come back on stdout in any order, and the
-    process must exit 0.
+    process must exit 0. Every requested id must come back exactly once with
+    finite objectives; any other id is an error.
     """
 
     def __init__(self, command, m: int, timeout: float = DEFAULT_TIMEOUT):
@@ -170,6 +171,7 @@ class ExternalOracle:
                 f"external oracle exited with status {proc.returncode}",
                 raw_output=proc.stdout + proc.stderr,
             )
+        requested = {c.id for c in candidates}
         responses = {}
         for line in proc.stdout.splitlines():
             if not line.strip():
@@ -178,10 +180,23 @@ class ExternalOracle:
                 obj = json.loads(line)
                 cid = obj["id"]
                 values = np.asarray(obj["objectives"], dtype=float)
+                known = cid in requested
             except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                 raise OracleError(
                     f"malformed oracle response line: {line!r}", raw_output=proc.stdout
                 ) from None
+            if not known:
+                raise OracleError(
+                    f"external oracle returned unrequested id {cid!r}", raw_output=proc.stdout
+                )
+            if cid in responses:
+                raise OracleError(
+                    f"external oracle returned duplicate id {cid!r}", raw_output=proc.stdout
+                )
+            if not np.all(np.isfinite(values)):
+                raise OracleError(
+                    f"oracle returned non-finite objectives for {cid!r}", raw_output=proc.stdout
+                )
             responses[cid] = values
         out = np.empty((len(candidates), self.m))
         for i, cand in enumerate(candidates):

@@ -10,6 +10,7 @@ import csv
 import json
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -112,6 +113,23 @@ class ParetoFront:
     def hypervolume(self) -> float:
         return hypervolume(self.points, self.ref)
 
+    @cached_property
+    def index(self) -> "FrontIndex":
+        """Box decomposition behind hvi and hvi_many, built on first use."""
+        return FrontIndex(self.points, self.ref)
+
+
+def _admitted(points: np.ndarray, y: np.ndarray, ref: np.ndarray):
+    """Mask of the incumbents that survive y's entry, or None if y is rejected.
+
+    y enters only if it strictly dominates ref and no incumbent weakly
+    dominates it, so equal duplicates are rejected; incumbents y weakly
+    dominates drop out.
+    """
+    if not (y > ref).all() or (points >= y).all(axis=1).any():
+        return None
+    return ~(y >= points).all(axis=1)
+
 
 def update_front(front: ParetoFront, values, point_id=None) -> ParetoFront:
     """Fold one point into a front, returning a new front.
@@ -123,15 +141,11 @@ def update_front(front: ParetoFront, values, point_id=None) -> ParetoFront:
     y = _as_vector(values)
     if y.size != front.m:
         raise ValueError(f"objective dimensions must match: {y.size} vs {front.m}")
-    if not np.all(y > front.ref):
+    keep = _admitted(front.points, y, front.ref)
+    if keep is None:
         return front
-    pts = front.points
-    if pts.shape[0] and np.any(np.all(pts >= y, axis=1)):
-        return front
-    keep = ~np.all(y >= pts, axis=1) if pts.shape[0] else np.zeros(0, dtype=bool)
-    new_points = np.vstack([pts[keep], y[None, :]]) if pts.shape[0] else y[None, :]
     new_ids = tuple(i for i, k in zip(front.ids, keep) if k) + (point_id,)
-    return ParetoFront(points=new_points, ids=new_ids, ref=front.ref)
+    return ParetoFront(points=np.vstack([front.points[keep], y[None, :]]), ids=new_ids, ref=front.ref)
 
 
 def build_front(points, ids, ref) -> ParetoFront:
@@ -206,44 +220,89 @@ def hypervolume(points, ref) -> float:
     return _hv_recursive(pts, r)
 
 
-def _staircase(front: ParetoFront):
-    """Segment decomposition of a 2-d front: left edges, right edges, covered heights."""
-    pts = front.points
-    order = np.argsort(pts[:, 0]) if pts.shape[0] else np.zeros(0, dtype=int)
-    xs = pts[order, 0] if pts.shape[0] else np.zeros(0)
-    ys = pts[order, 1] if pts.shape[0] else np.zeros(0)
-    left = np.concatenate(([front.ref[0]], xs))
-    right = np.concatenate((xs, [np.inf]))
-    height = np.concatenate((ys, [front.ref[1]]))
-    return left, right, height
+def _boxes(points: np.ndarray, ref: np.ndarray):
+    """Disjoint boxes lo <= z < hi tiling the part of {z >= ref} that no point
+    weakly dominates, as (m, boxes) arrays; hi may be +inf.
+
+    Points must be mutually non-dominated. One objective gives the single box
+    above the best point; two give the staircase, one segment per gap between
+    consecutive points in ascending first objective. Above two, each slab
+    between consecutive distinct levels of the last objective holds the
+    (m-1)-objective boxes of the points reaching over the slab.
+    """
+    m = ref.size
+    if m == 1:
+        best = points[:, 0].max() if points.shape[0] else ref[0]
+        return np.array([[best]]), np.array([[np.inf]])
+    if m == 2:
+        # segment k spans [x_(k-1), x_k) above y_k, where x_(-1) = ref_0,
+        # x_F = +inf and y_F = ref_1
+        order = np.argsort(points[:, 0])
+        xs, ys = points[order, 0], points[order, 1]
+        lo = np.concatenate((ref[:1], xs, ys, ref[1:])).reshape(2, -1)
+        hi = np.concatenate((xs, np.full(xs.size + 2, np.inf))).reshape(2, -1)
+        return lo, hi
+    levels = np.unique(points[:, -1])[::-1]
+    los, his = [], []
+    for top, bottom in zip(np.concatenate(([np.inf], levels)), np.concatenate((levels, ref[-1:]))):
+        reach = np.unique(points[points[:, -1] >= top, :-1], axis=0)
+        lo, hi = _boxes(reach[non_dominated_mask(reach)], ref[:-1])
+        los.append(np.vstack((lo, np.full((1, lo.shape[1]), bottom))))
+        his.append(np.vstack((hi, np.full((1, hi.shape[1]), top))))
+    return np.hstack(los), np.hstack(his)
+
+
+class FrontIndex:
+    """The region a front leaves undominated, as disjoint boxes.
+
+    The hypervolume improvement of y is the part of the box [ref, y] inside
+    that region: the sum over boxes of prod_j clip(min(y_j, hi_j) - lo_j, 0).
+    Every box starts at front or reference coordinates, so points weakly
+    dominated by the front or not strictly above ref score exactly zero.
+    """
+
+    def __init__(self, points: np.ndarray, ref: np.ndarray):
+        self.points = points
+        self.ref = ref
+        self.lo, self.hi = _boxes(points, ref)
+
+    def gains(self, points) -> np.ndarray:
+        """Hypervolume improvement of each row of points.
+
+        The product builds one objective at a time in a (rows, boxes) buffer
+        of about 2**16 elements, so memory stays flat in the point count.
+        """
+        pts = np.asarray(points, dtype=float)
+        n, boxes = pts.shape[0], self.lo.shape[1]
+        rows = max(1, 2 ** 16 // boxes)
+        acc = np.empty((min(rows, n), boxes))
+        side = np.empty_like(acc)
+        out = np.empty(n)
+        for start in range(0, n, rows):
+            block = pts[start:start + rows]
+            a, s = acc[:block.shape[0]], side[:block.shape[0]]
+            for j in range(self.ref.size):
+                f = s if j else a
+                np.minimum(block[:, j, None], self.hi[j], out=f)
+                f -= self.lo[j]
+                np.maximum(f, 0.0, out=f)
+                if j:
+                    a *= s
+            out[start:start + block.shape[0]] = a.sum(axis=1)
+        return out
+
+    def insert(self, values) -> "FrontIndex":
+        """Index of the front with one point folded in by update_front's rules."""
+        y = np.asarray(values, dtype=float)
+        keep = _admitted(self.points, y, self.ref)
+        if keep is None:
+            return self
+        return FrontIndex(np.vstack([self.points[keep], y[None, :]]), self.ref)
 
 
 def hvi_many(points, front: ParetoFront) -> np.ndarray:
-    """Hypervolume improvement of each point against a fixed front.
-
-    Vectorized for two objectives; falls back to per-point evaluation
-    otherwise.
-    """
-    pts = _as_matrix(points, m=front.m)
-    n = pts.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    if front.m == 1:
-        base = front.points[:, 0].max() if front.size else front.ref[0]
-        return np.maximum(0.0, pts[:, 0] - base)
-    if front.m == 2:
-        left, right, height = _staircase(front)
-        out = np.empty(n)
-        # chunked so the (rows, segments) intermediates stay small
-        chunk = max(1, int(2 ** 21) // max(1, left.size))
-        for start in range(0, n, chunk):
-            u = pts[start:start + chunk, 0, None]
-            v = pts[start:start + chunk, 1, None]
-            width = np.clip(np.minimum(u, right[None, :]) - left[None, :], 0.0, None)
-            gain = np.clip(v - height[None, :], 0.0, None)
-            out[start:start + chunk] = (width * gain).sum(axis=1)
-        return out
-    return np.array([hvi(p, front) for p in pts])
+    """Hypervolume improvement of each point against a fixed front."""
+    return front.index.gains(_as_matrix(points, m=front.m))
 
 
 def hvi(values, front: ParetoFront) -> float:
@@ -251,18 +310,7 @@ def hvi(values, front: ParetoFront) -> float:
     y = _as_vector(values)
     if y.size != front.m:
         raise ValueError(f"objective dimensions must match: {y.size} vs {front.m}")
-    if not np.all(y > front.ref):
-        return 0.0
-    if front.m in (1, 2):
-        return float(hvi_many(y[None, :], front)[0])
-    if front.size == 0:
-        return float(np.prod(y - front.ref))
-    if np.any(np.all(front.points >= y, axis=1)):
-        return 0.0
-    # exclusive volume: box under y minus the covered part, computed from the
-    # front clipped underneath y
-    clipped = np.minimum(front.points, y)
-    return float(np.prod(y - front.ref) - hypervolume(clipped, front.ref))
+    return float(front.index.gains(y[None, :])[0])
 
 
 def strictly_dominated_mask(points, front: ParetoFront) -> np.ndarray:

@@ -18,7 +18,7 @@ from poolbo.acquisition import (
 )
 from poolbo.gp import Posterior
 from poolbo.pareto import build_front, hvi_many
-from refimpl import DiscretePosterior, best_subset_sum
+from refimpl import DiscretePosterior, best_subset_sum, greedy_joint_ehvi_trace
 
 REF = np.array([0.0, 0.0])
 FRONT_PTS = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -333,6 +333,20 @@ class TestQehvi:
             atom_probs=[[0.7, 0.3], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5], [1.0]],
         )
         assert qehvi_mc(post, make_front(), q=3, n_samples=2000, seed=3) == [0, 1, 2]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_three_objectives_match_exact_greedy(self, seed):
+        """Zero-variance draws make the trace the exact greedy one, and
+        Thompson's fantasy updates follow it while every step improves."""
+        rng = np.random.default_rng(seed)
+        ref = np.zeros(3)
+        front_pts = rng.uniform(0.5, 2.0, size=(4, 3))
+        front = build_front(front_pts, range(4), ref)
+        mean = rng.uniform(0.8, 2.4, size=(7, 3))
+        atoms = DiscretePosterior([row[None, :] for row in mean], [[1.0]] * 7)
+        expected = greedy_joint_ehvi_trace(atoms, 3, front.points, ref)
+        assert qehvi_mc(deterministic(mean), front, q=3, n_samples=2, seed=seed) == expected
+        assert thompson_hvi(deterministic(mean), front, q=3, seed=seed) == expected
 
     def test_zero_variance_single_pick_is_best_mean(self):
         mean = np.array([[1.5, 2.5], [2.6, 2.6], [0.2, 0.2]])

@@ -230,6 +230,47 @@ class TestExternalOracle:
         with pytest.raises(OracleError, match="expected 2"):
             ExternalOracle(command, m=2, timeout=30).evaluate(batch("01"))
 
+    def test_duplicate_id_raises(self, tmp_path):
+        command = write_script(
+            tmp_path,
+            """\
+            import json, sys
+            for line in sys.stdin:
+                req = json.loads(line)
+                for value in (0.0, 1.0):
+                    print(json.dumps({"id": req["id"], "objectives": [value, value]}))
+            """,
+        )
+        with pytest.raises(OracleError, match="duplicate id 'c0'"):
+            ExternalOracle(command, m=2, timeout=30).evaluate(batch("01"))
+
+    def test_unrequested_id_raises(self, tmp_path):
+        command = write_script(
+            tmp_path,
+            """\
+            import json, sys
+            for line in sys.stdin:
+                req = json.loads(line)
+                print(json.dumps({"id": req["id"], "objectives": [0.0, 0.0]}))
+            print(json.dumps({"id": "stranger", "objectives": [0.0, 0.0]}))
+            """,
+        )
+        with pytest.raises(OracleError, match="unrequested id 'stranger'"):
+            ExternalOracle(command, m=2, timeout=30).evaluate(batch("01"))
+
+    def test_non_finite_objective_raises(self, tmp_path):
+        command = write_script(
+            tmp_path,
+            """\
+            import json, sys
+            for line in sys.stdin:
+                req = json.loads(line)
+                print(json.dumps({"id": req["id"], "objectives": [float("nan"), 1.0]}))
+            """,
+        )
+        with pytest.raises(OracleError, match="non-finite"):
+            ExternalOracle(command, m=2, timeout=30).evaluate(batch("01"))
+
     def test_timeout_raises(self, tmp_path):
         command = write_script(
             tmp_path,

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from poolbo.pareto import (
+    FrontIndex,
     MetricRecord,
     ParetoFront,
     build_front,
@@ -29,6 +32,14 @@ coord = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False, allow_infinity
 
 def point_lists(m, max_points=8):
     return st.lists(st.tuples(*([coord] * m)), min_size=0, max_size=max_points)
+
+
+unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
+
+
+def unit_arrays(m, max_points, min_points=0):
+    rows = st.lists(st.tuples(*([unit] * m)), min_size=min_points, max_size=max_points)
+    return rows.map(lambda r: np.asarray(r, dtype=float).reshape(len(r), m))
 
 
 class TestDominates:
@@ -275,6 +286,105 @@ class TestHvi:
             weakly_dominated = bool(np.any(np.all(front.points >= y, axis=1)))
             expect_zero = weakly_dominated or not np.all(y > front.ref)
             assert (value == 0.0) == expect_zero
+
+
+def staircase_gains(front, pts):
+    """Two-objective improvement exactly as the staircase formula computed it
+    before the box engine: one product per segment, summed over segments."""
+    order = np.argsort(front.points[:, 0])
+    xs, ys = front.points[order, 0], front.points[order, 1]
+    left = np.concatenate(([front.ref[0]], xs))
+    right = np.concatenate((xs, [np.inf]))
+    height = np.concatenate((ys, [front.ref[1]]))
+    width = np.clip(np.minimum(pts[:, 0, None], right[None, :]) - left[None, :], 0.0, None)
+    gain = np.clip(pts[:, 1, None] - height[None, :], 0.0, None)
+    return (width * gain).sum(axis=1)
+
+
+class TestFrontIndex:
+    @given(point_lists(2, max_points=10), st.lists(st.tuples(coord, coord), max_size=30))
+    def test_two_objectives_bitwise_equal_to_staircase(self, pts, queries):
+        front = build_front(pts, range(len(pts)), (-9.0, -9.0))
+        queries = np.asarray(queries, dtype=float).reshape(len(queries), 2)
+        assert np.array_equal(FrontIndex(front.points, front.ref).gains(queries),
+                              staircase_gains(front, queries))
+
+    def test_two_objectives_bitwise_across_chunks(self):
+        rng = np.random.default_rng(12)
+        x = rng.uniform(0.0, 1.0, 300)
+        front = build_front(np.c_[x, 1.0 - x ** 2], range(300), (0.0, 0.0))
+        queries = rng.uniform(-0.1, 1.1, size=(5000, 2))
+        index = FrontIndex(front.points, front.ref)
+        assert 5000 * index.lo.shape[1] > 2 ** 17
+        assert np.array_equal(index.gains(queries), staircase_gains(front, queries))
+        assert np.array_equal(hvi_many(queries, front), staircase_gains(front, queries))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_gains_match_inclusion_exclusion(self, m, data):
+        pts = data.draw(unit_arrays(m, 5))
+        front = build_front(pts, range(len(pts)), np.zeros(m))
+        queries = data.draw(unit_arrays(m, 6))
+        got = FrontIndex(front.points, front.ref).gains(queries)
+        for y, value in zip(queries, got):
+            assert value == pytest.approx(
+                hvi_by_inclusion_exclusion(y, front.points, front.ref), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_inserts_match_folded_front(self, m, data):
+        pts = data.draw(unit_arrays(m, 8))
+        queries = data.draw(unit_arrays(m, 10))
+        ref = np.zeros(m)
+        index = FrontIndex(np.empty((0, m)), ref)
+        for y in pts:
+            index = index.insert(y)
+        built = FrontIndex(build_front(pts, range(len(pts)), ref).points, ref)
+        assert np.array_equal(index.points, built.points)
+        assert np.array_equal(index.lo, built.lo) and np.array_equal(index.hi, built.hi)
+        assert np.array_equal(index.gains(queries), built.gains(queries))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_boundary_dominated_and_duplicate_points_score_zero(self, m, data):
+        pts = data.draw(unit_arrays(m, 5))
+        front = build_front(pts, range(len(pts)), np.zeros(m))
+        shrink = data.draw(unit_arrays(m, front.size, min_points=front.size))
+        boundary = data.draw(unit_arrays(m, 4))
+        boundary[:, 0] = 0.0
+        below = boundary.copy()
+        below[:, -1] = -0.5
+        queries = np.vstack([front.points, front.points - shrink, boundary, below])
+        assert np.all(FrontIndex(front.points, front.ref).gains(queries) == 0.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_empty_front_gives_box_volume(self, m):
+        rng = np.random.default_rng(m)
+        ref = rng.uniform(-1.0, 0.0, m)
+        queries = rng.uniform(0.0, 2.0, size=(20, m))
+        got = FrontIndex(np.empty((0, m)), ref).gains(queries)
+        assert got.tolist() == [math.prod(y - ref) for y in queries]
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_zero_iff_weakly_dominated_or_not_above_ref(self, m):
+        rng = np.random.default_rng(30 + m)
+        front = build_front(rng.uniform(0, 3, size=(8, m)), range(8), np.zeros(m))
+        queries = rng.uniform(-0.5, 3.5, size=(400, m))
+        got = hvi_many(queries, front)
+        weakly = np.array([bool(np.any(np.all(front.points >= y, axis=1))) for y in queries])
+        below = ~np.all(queries > front.ref, axis=1)
+        assert np.array_equal(got == 0.0, weakly | below)
+        assert np.all(got >= 0.0)
+
+    def test_front_builds_its_index_once(self):
+        front = build_front([(1.0, 2.0, 3.0), (3.0, 2.0, 1.0)], ["a", "b"], (0.0, 0.0, 0.0))
+        assert front.index is front.index
+        assert front.index.insert((0.5, 0.5, 0.5)) is front.index
+        grown = front.index.insert((2.0, 2.5, 2.0))
+        assert grown is not front.index and front.index.points.shape == (2, 3)
 
 
 class TestStrictlyDominatedMask:
