@@ -11,7 +11,6 @@ import dataclasses
 import hashlib
 import json
 import logging
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +23,7 @@ from .acquisition import (
     select_batch,
     thompson_hvi,
 )
+from .files import atomic_write
 from .generation import Candidate, GeneratorConfig, load_pool, make_featurizer, propose_pool
 from .gp import Dataset, GpConfig, fit, pool_posterior
 from .pareto import (
@@ -445,10 +445,8 @@ def save_checkpoint(path, state: CampaignState, cfg: CampaignConfig) -> None:
             for rec in state.history
         ],
     }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh)
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> tuple:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .bench import BenchSpec, run_bench
 from .campaign import (
+    _STAGE_ACQUISITION,
     CampaignConfig,
     _select_indices,
     build_initial_data,
@@ -137,7 +138,7 @@ def cmd_select(args) -> int:
         generator=None, pool_path=args.pool,
     )
     # the same seed substream the next campaign iteration would draw
-    acq_seed = derive_seed(derive_seed(cfg.seed, state.iteration + 1), 2)
+    acq_seed = derive_seed(derive_seed(cfg.seed, state.iteration + 1), _STAGE_ACQUISITION)
     post = None
     if cfg.acquisition != "random":
         model = fit(state.dataset, cfg.gp)

@@ -7,8 +7,9 @@ RBF for dense real features, Tanimoto for binary features.
 """
 from __future__ import annotations
 
+import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -23,6 +24,8 @@ SIGNAL_VARIANCE_BOUNDS = (1e-3, 1e3)
 BASE_NUGGET = 1e-6
 MAX_NUGGET = 1e-2
 JITTER_LADDER = (1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
+# draws per zero-padded block that Posterior.sample multiplies by a factor
+SAMPLE_BLOCK = 64
 N_STARTS = 8
 
 
@@ -144,21 +147,30 @@ def tanimoto_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     na = (a * a).sum(axis=1)
     nb = (b * b).sum(axis=1)
     denom = na[:, None] + nb[None, :] - dots
-    out = np.ones_like(dots, dtype=float)
-    nz = denom != 0
-    out[nz] = dots[nz] / denom[nz]
-    return out
+    return np.divide(dots, denom, out=np.ones_like(dots, dtype=float), where=denom != 0)
+
+
+def _jittered_cholesky(a: np.ndarray, ladder, error=NumericalError):
+    """Factor a + jitter*I for the first jitter on `ladder` that factorizes.
+
+    Returns (factor, jitter). Every rung jitters the original diagonal, so the
+    factored matrix is exactly a + jitter*I; `a` is overwritten with it.
+    """
+    diag = a.diagonal().copy()
+    for jitter in ladder:
+        np.fill_diagonal(a, diag + jitter)
+        try:
+            return np.linalg.cholesky(a), jitter
+        except np.linalg.LinAlgError:
+            continue
+    raise error(f"matrix singular: not positive definite with jitter up to {ladder[-1]:.0e}")
 
 
 def _escalated_cholesky(base: np.ndarray, start_nugget: float):
     """Cholesky of base + nugget*I, doubling the nugget until it succeeds."""
-    nugget = start_nugget
-    while nugget <= MAX_NUGGET:
-        try:
-            return np.linalg.cholesky(base + nugget * np.eye(base.shape[0])), nugget
-        except np.linalg.LinAlgError:
-            nugget *= 2.0
-    raise FitError(f"kernel matrix singular even with nugget {MAX_NUGGET:.0e}")
+    doubling = (start_nugget * 2.0 ** k for k in itertools.count())
+    ladder = list(itertools.takewhile(lambda nugget: nugget <= MAX_NUGGET, doubling))
+    return _jittered_cholesky(base.copy(), ladder, FitError)
 
 
 @dataclass
@@ -278,31 +290,15 @@ def fit(data: Dataset, config: GpConfig = GpConfig()) -> GpModel:
     return GpModel(data=data, parts=parts)
 
 
-def _safe_cholesky(cov: np.ndarray) -> np.ndarray:
-    if cov.shape[0] == 0:
-        return np.zeros_like(cov)
-    if not cov.any():
-        # exactly-degenerate posterior: a zero factor reproduces the mean
-        return np.zeros_like(cov)
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        pass
-    for jitter in JITTER_LADDER:
-        try:
-            return np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
-        except np.linalg.LinAlgError:
-            continue
-    raise NumericalError(f"covariance not positive definite with jitter up to {JITTER_LADDER[-1]:.0e}")
-
-
 @dataclass
 class Posterior:
     """Joint posterior over a candidate pool.
 
     `cov` holds one block per objective over the stochastic subset of the
     pool; `stochastic_idx` of None means the full pool is stochastic. Rows
-    outside the subset are deterministic at `mean`.
+    outside the subset are deterministic at `mean`. `chol` holds one lower
+    factor per block and `jitter` the diagonal jitter each block needed
+    to factorize; both are computed on first use when not given.
     """
 
     ids: tuple | None
@@ -310,6 +306,7 @@ class Posterior:
     cov: np.ndarray
     stochastic_idx: np.ndarray | None = None
     chol: np.ndarray | None = field(default=None, repr=False)
+    jitter: np.ndarray | None = None
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
@@ -337,15 +334,21 @@ class Posterior:
 
     def _factors(self) -> np.ndarray:
         if self.chol is None:
-            self.chol = np.stack([_safe_cholesky(self.cov[j]) for j in range(self.m)])
+            self.chol, self.jitter = np.zeros_like(self.cov), np.zeros(self.m)
+            # an exactly-degenerate block keeps a zero factor, which reproduces the mean
+            for j in np.flatnonzero(self.cov.any(axis=(1, 2))):
+                self.chol[j], self.jitter[j] = _jittered_cholesky(
+                    self.cov[j].copy(), (0.0,) + JITTER_LADDER)
         return self.chol
 
     def sample(self, n_samples: int, seed: int) -> np.ndarray:
         """Draw joint samples, shape (n_samples, n, m).
 
-        Sample ell is generated from a stream derived from (seed, ell), so any
-        single draw is reproducible in isolation and results do not depend on
-        batching.
+        Sample ell is generated from a stream derived from (seed, ell) and
+        multiplied by each factor as column ell % SAMPLE_BLOCK of a
+        zero-padded block of SAMPLE_BLOCK columns. Every draw thus meets a
+        product of the same shape in the same column whatever n_samples is,
+        so any single draw is bitwise reproducible in isolation.
         """
         if n_samples < 1:
             raise ValueError("n_samples must be at least 1")
@@ -355,10 +358,13 @@ class Posterior:
         out = np.repeat(self.mean[None, :, :], n_samples, axis=0)
         if u == 0:
             return out
-        for ell in range(n_samples):
-            zs = child_rng(seed, ell).standard_normal((u, self.m))
+        for start in range(0, n_samples, SAMPLE_BLOCK):
+            stop = min(start + SAMPLE_BLOCK, n_samples)
+            zs = np.zeros((self.m, u, SAMPLE_BLOCK))
+            for ell in range(start, stop):
+                zs[:, :, ell - start] = child_rng(seed, ell).standard_normal((u, self.m)).T
             for j in range(self.m):
-                out[ell, idx, j] += factors[j] @ zs[:, j]
+                out[start:stop, idx, j] += (factors[j] @ zs[j])[:, :stop - start].T
         return out
 
 
@@ -392,39 +398,35 @@ def posterior(model: GpModel, features, ids=None) -> Posterior:
     """Exact joint posterior over query features, one covariance block per objective.
 
     Covariances are symmetrized and diagonally jittered (1e-8, escalating
-    tenfold to at most 1e-4) until they factorize.
+    tenfold to at most 1e-4) until they factorize. Objectives that share a
+    kernel, lengthscale and nugget share one training factor, so their
+    normalized covariance is solved for once.
     """
     Xq = np.asarray(features, dtype=float)
     if Xq.ndim != 2 or Xq.shape[1] != model.data.d:
         raise ValueError(f"query features must be (n, {model.data.d}), got {Xq.shape}")
     shared = _cross_kernels(model, Xq)
-    means, covs, chols = [], [], []
-    for part in model.parts:
-        rq, rqq = _objective_blocks(part, shared)
-        mean_z = rq @ part.alpha
-        v = solve_triangular(part.chol, rq.T, lower=True)
-        cov_z = part.sigma2 * (rqq - v.T @ v)
-        cov = part.out_std ** 2 * cov_z
-        cov = 0.5 * (cov + cov.T)
-        for jitter in JITTER_LADDER:
-            try:
-                chol = np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
-                cov = cov + jitter * np.eye(cov.shape[0])
-                break
-            except np.linalg.LinAlgError:
-                continue
-        else:
-            raise NumericalError(
-                f"posterior covariance not positive definite with jitter up to {JITTER_LADDER[-1]:.0e}")
-        means.append(part.out_mean + part.out_std * mean_z)
-        covs.append(cov)
-        chols.append(chol)
-    return Posterior(
-        ids=None if ids is None else tuple(ids),
-        mean=np.stack(means, axis=1),
-        cov=np.stack(covs),
-        chol=np.stack(chols),
-    )
+    u = Xq.shape[0]
+    mean, jitter = np.empty((u, model.m)), np.empty(model.m)
+    cov, chol, scaled = np.empty((model.m, u, u)), np.empty((model.m, u, u)), np.empty((u, u))
+    groups: dict = {}
+    for j, part in enumerate(model.parts):
+        groups.setdefault((part.kernel, part.lengthscale, part.nugget), []).append(j)
+    for members in groups.values():
+        rq, rqq = _objective_blocks(model.parts[members[0]], shared)
+        v = solve_triangular(model.parts[members[0]].chol, rq.T, lower=True)
+        # rqq - v^T v: the normalized covariance every member scales
+        base = v.T @ v
+        np.subtract(rqq, base, out=base)
+        for j in members:
+            part = model.parts[j]
+            mean[:, j] = part.out_mean + part.out_std * (rq @ part.alpha)
+            np.multiply(part.sigma2, base, out=scaled)
+            np.multiply(part.out_std ** 2, scaled, out=scaled)
+            np.add(scaled, scaled.T, out=cov[j])
+            cov[j] *= 0.5
+            chol[j], jitter[j] = _jittered_cholesky(cov[j], JITTER_LADDER)
+    return Posterior(None if ids is None else tuple(ids), mean, cov, chol=chol, jitter=jitter)
 
 
 def pool_posterior(model: GpModel, features, known_idx, known_values, ids=None) -> Posterior:
@@ -444,10 +446,4 @@ def pool_posterior(model: GpModel, features, known_idx, known_values, ids=None) 
     mean = np.empty((Xq.shape[0], model.m))
     mean[open_idx] = sub.mean
     mean[known_idx] = known_values
-    return Posterior(
-        ids=None if ids is None else tuple(ids),
-        mean=mean,
-        cov=sub.cov,
-        stochastic_idx=open_idx,
-        chol=sub.chol,
-    )
+    return replace(sub, ids=None if ids is None else tuple(ids), mean=mean, stochastic_idx=open_idx)

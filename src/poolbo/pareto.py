@@ -15,6 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .files import atomic_write
+
 logger = logging.getLogger(__name__)
 
 MAX_HV_DIM = 6
@@ -379,7 +381,7 @@ def front_from_dict(payload: dict) -> ParetoFront:
 
 
 def save_front(front: ParetoFront, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(front_to_dict(front), fh, indent=2)
         fh.write("\n")
 
@@ -414,7 +416,7 @@ def _format_float(value) -> str:
 
 
 def write_metrics_csv(path, records: Sequence[MetricRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_HEADER)
         for rec in records:

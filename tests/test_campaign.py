@@ -1,6 +1,8 @@
 """Campaign loop behavior: config handling, init, the iteration cycle,
 metrics, and checkpoint/resume."""
+import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from poolbo.campaign import (
 from poolbo.generation import GeneratorConfig, make_featurizer
 from poolbo.gp import Dataset, Posterior
 from poolbo.oracles import LookupOracle, OracleError
-from poolbo.pareto import METRICS_HEADER, hvi_many, read_metrics_csv
+from poolbo.files import atomic_write
+from poolbo.pareto import METRICS_HEADER, hvi_many, read_metrics_csv, save_front, write_metrics_csv
 
 FEAT = make_featurizer("identity")
 
@@ -560,3 +563,49 @@ class TestCheckpoints:
         state = start(cfg, oracle)
         with pytest.raises(CampaignError, match="non-finite"):
             run(state, cfg, oracle=NanOracle())
+
+
+class TestAtomicArtifacts:
+    def test_replaces_file_with_the_bytes_of_a_plain_write(self, tmp_path):
+        path, plain = tmp_path / "a.txt", tmp_path / "plain.txt"
+        path.write_text("old")
+        with atomic_write(path, newline="") as fh:
+            fh.write("new\r\nrow\n")
+        with open(plain, "w", encoding="utf-8", newline="") as fh:
+            fh.write("new\r\nrow\n")
+        assert path.read_bytes() == plain.read_bytes()
+        assert os.stat(path).st_mode == os.stat(plain).st_mode
+        assert sorted(os.listdir(tmp_path)) == ["a.txt", "plain.txt"]
+
+    def test_exception_mid_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("old")
+        with pytest.raises(RuntimeError, match="boom"):
+            with atomic_write(path) as fh:
+                fh.write("partial")
+                raise RuntimeError("boom")
+        assert path.read_text() == "old"
+        assert os.listdir(tmp_path) == ["a.txt"]
+
+    def test_failed_artifact_writes_keep_previous_files(self, tmp_path, monkeypatch):
+        pool = write_labeled_pool(tmp_path / "pool.csv")
+        cfg = static_cfg(pool, iterations=2)
+        oracle = LookupOracle.from_pool_csv(pool)
+        out = tmp_path / "out"
+        out.mkdir()
+        metrics, front, ckpt = out / "metrics.csv", out / "front.json", out / "checkpoint.json"
+        state = run(start(cfg, oracle), dataclasses.replace(cfg, iterations=1), oracle=oracle,
+                    metrics_path=metrics, front_path=front, checkpoint_path=ckpt)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        state = run(state, cfg, oracle=oracle)
+
+        def disk_full(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", disk_full)
+        for write in (lambda: write_metrics_csv(metrics, state.history),
+                      lambda: save_front(state.front, front),
+                      lambda: save_checkpoint(ckpt, state, cfg)):
+            with pytest.raises(OSError, match="disk full"):
+                write()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before

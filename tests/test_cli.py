@@ -246,6 +246,22 @@ class TestSelect:
         assert main(["select", str(pool_csv), str(ckpt), "-q", "3"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_prints_the_batch_the_next_iteration_records(self, tmp_path, pool_csv, capsys):
+        ref_out = tmp_path / "ref"
+        payload = run_config(pool_csv, ref_out)
+        assert main(["run", write_json(tmp_path / "ref.json", payload)]) == 0
+        recorded = read_metrics_csv(ref_out / "metrics.csv")
+        cfg = CampaignConfig.from_dict({k: v for k, v in payload.items() if k != "output_dir"})
+        oracle = LookupOracle.from_pool_csv(pool_csv)
+        for t in (1, 2):
+            state = init_campaign(cfg, build_initial_data(cfg, oracle))
+            run_campaign(state, dataclasses.replace(cfg, iterations=t), oracle=oracle)
+            ckpt = tmp_path / f"after{t}.json"
+            save_checkpoint(ckpt, state, cfg)
+            capsys.readouterr()
+            assert main(["select", str(pool_csv), str(ckpt), "-q", str(cfg.batch_size)]) == 0
+            assert tuple(capsys.readouterr().out.split()) == recorded[t].batch_ids
+
     def test_random_checkpoint_selects_without_surrogate(self, tmp_path, pool_csv, capsys):
         ckpt = self.make_checkpoint(tmp_path, pool_csv, acquisition="random")
         capsys.readouterr()

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from poolbo.gp import (
     BASE_NUGGET,
+    JITTER_LADDER,
+    SAMPLE_BLOCK,
     Dataset,
     FitError,
     GpConfig,
     GpModel,
     Posterior,
     _escalated_cholesky,
+    _ObjectiveGp,
     fit,
     pool_posterior,
     posterior,
@@ -16,6 +20,7 @@ from poolbo.gp import (
     sample_joint,
     tanimoto_kernel,
 )
+from poolbo.seeds import child_rng
 from refimpl import gp_posterior_oracle
 
 
@@ -29,6 +34,57 @@ def toy_dataset(seed=0, n=3, d=2, m=1, binary=False):
         feats = rng.normal(size=(n, d))
     objs = rng.normal(size=(n, m))
     return Dataset(ids=tuple(f"x{i}" for i in range(n)), features=feats, objectives=objs)
+
+
+def reference_posterior(model, Xq):
+    """(mean, cov, chol) from the closed form one objective at a time, with
+    the kernels recomputed here and a fresh jitter ladder per block."""
+    X = model.data.features
+    means, covs, chols = [], [], []
+    for part in model.parts:
+        if part.kernel == "tanimoto":
+            rq, rqq = tanimoto_kernel(Xq, X), tanimoto_kernel(Xq, Xq)
+        else:
+            rq, rqq = rbf_kernel(Xq, X, part.lengthscale), rbf_kernel(Xq, Xq, part.lengthscale)
+        mean_z = rq @ part.alpha
+        v = solve_triangular(part.chol, rq.T, lower=True)
+        cov_z = part.sigma2 * (rqq - v.T @ v)
+        cov = part.out_std ** 2 * cov_z
+        cov = 0.5 * (cov + cov.T)
+        for jitter in JITTER_LADDER:
+            try:
+                chol = np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
+                cov = cov + jitter * np.eye(cov.shape[0])
+                break
+            except np.linalg.LinAlgError:
+                continue
+        means.append(part.out_mean + part.out_std * mean_z)
+        covs.append(cov)
+        chols.append(chol)
+    return np.stack(means, axis=1), np.stack(covs), np.stack(chols)
+
+
+def gemv_draws(post, n_samples, seed):
+    """Joint draws one matrix-vector product per draw and objective."""
+    idx = np.arange(post.n) if post.stochastic_idx is None else post.stochastic_idx
+    out = np.repeat(post.mean[None, :, :], n_samples, axis=0)
+    for ell in range(n_samples):
+        zs = child_rng(seed, ell).standard_normal((post.cov.shape[1], post.m))
+        for j in range(post.m):
+            out[ell, idx, j] += post.chol[j] @ zs[:, j]
+    return out
+
+
+def open_pool_posterior(m, seed=0):
+    """Pool posterior over 40 rows of which 12 are labeled, one RBF part per objective."""
+    data = toy_dataset(seed=seed, n=12, d=3, m=m)
+    rng = np.random.default_rng(seed + 50)
+    pool = np.vstack([rng.normal(size=(28, 3)), data.features])
+    order = rng.permutation(40)
+    pool = pool[order]
+    known_idx = np.flatnonzero(order >= 28)
+    known_values = data.objectives[order[known_idx] - 28]
+    return pool_posterior(fit(data), pool, known_idx, known_values)
 
 
 class TestDataset:
@@ -202,6 +258,44 @@ class TestPosterior:
         np.testing.assert_array_equal(a.mean[:, 0], b.mean[:, 1])
         np.testing.assert_array_equal(a.cov[0], b.cov[1])
 
+    @pytest.mark.parametrize("kernel,binary,m", [("tanimoto", True, 2), ("rbf", False, 3)])
+    def test_bitwise_equal_to_per_objective_closed_form(self, kernel, binary, m):
+        data = toy_dataset(seed=12, n=10, d=6, m=m, binary=binary)
+        model = fit(data, GpConfig(kernel=kernel))
+        if kernel == "rbf":
+            # one solve per objective: no two parts share a training factor
+            assert len({p.lengthscale for p in model.parts}) == m
+        rng = np.random.default_rng(3)
+        Xq = rng.normal(size=(25, 6))
+        if binary:
+            Xq = (Xq > 0).astype(float)
+        post = posterior(model, Xq)
+        mean, cov, chol = reference_posterior(model, Xq)
+        np.testing.assert_array_equal(post.mean, mean)
+        np.testing.assert_array_equal(post.cov, cov)
+        np.testing.assert_array_equal(post.chol, chol)
+        np.testing.assert_array_equal(post.jitter, [JITTER_LADDER[0]] * m)
+
+    def test_second_jitter_rung_is_recorded_per_block(self):
+        # a training factor slightly too small makes the variance at the
+        # training input -delta: 1e-8 of jitter is too little, 1e-7 enough
+        delta = 5e-8
+        data = Dataset(("a",), [[0.0]], [[0.0]], feature_kind="dense_real")
+
+        def part(out_std):
+            return _ObjectiveGp(kernel="rbf", lengthscale=1.0, sigma2=1.0, nugget=BASE_NUGGET,
+                                out_mean=0.0, out_std=out_std, alpha=np.array([0.5]),
+                                chol=np.array([[np.sqrt(1.0 / (1.0 + delta))]]))
+
+        model = GpModel(data=data, parts=[part(1.0), part(0.1)])
+        Xq = np.array([[0.0], [5.0]])
+        post = posterior(model, Xq)
+        np.testing.assert_array_equal(post.jitter, JITTER_LADDER[1::-1])
+        mean, cov, chol = reference_posterior(model, Xq)
+        np.testing.assert_array_equal(post.mean, mean)
+        np.testing.assert_array_equal(post.cov, cov)
+        np.testing.assert_array_equal(post.chol, chol)
+
     def test_query_dimension_mismatch(self):
         model = fit(toy_dataset())
         with pytest.raises(ValueError, match="query features"):
@@ -232,6 +326,22 @@ class TestSampling:
         full = sample_joint(post, 8, seed=7)
         short = sample_joint(post, 3, seed=7)
         np.testing.assert_array_equal(full[:3], short)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_draws_isolated_across_block_boundaries(self, m):
+        post = open_pool_posterior(m)
+        assert post.cov.shape[1] == 28
+        w = SAMPLE_BLOCK
+        full = post.sample(2 * w + 3, seed=11)
+        for n_samples in (1, w - 1, w, w + 1):
+            np.testing.assert_array_equal(post.sample(n_samples, seed=11), full[:n_samples])
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_draws_match_matrix_vector_reference(self, m):
+        post = open_pool_posterior(m, seed=4)
+        n_samples = SAMPLE_BLOCK + 5
+        np.testing.assert_allclose(post.sample(n_samples, seed=2), gemv_draws(post, n_samples, 2),
+                                   rtol=0, atol=1e-15)
 
     def test_empirical_mean_converges(self):
         data = toy_dataset(seed=3, n=3, d=2, m=2)
