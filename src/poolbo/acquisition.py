@@ -84,21 +84,52 @@ def _attribute(deltas: np.ndarray, n_samples: int, feasible: np.ndarray | None =
     return probs, float(improving_fraction)
 
 
-def estimate_qpmhi(post: Posterior, front: ParetoFront, n_samples: int, seed: int) -> AcquisitionResult:
+def _undominated_hvi(flat: np.ndarray, front: ParetoFront, dominated: np.ndarray) -> np.ndarray:
+    """hvi_many over the rows the front does not strictly dominate.
+
+    The other rows get exactly 0.0, which is what the box engine gives any
+    weakly dominated point, so the result is bitwise hvi_many(flat, front).
+    """
+    out = np.zeros(flat.shape[0])
+    scored = ~dominated
+    out[scored] = hvi_many(flat[scored], front)
+    return out
+
+
+def estimate_qpmhi(post: Posterior, front: ParetoFront, n_samples: int, seed: int,
+                   constraint_post: Posterior | None = None, thresholds=None) -> AcquisitionResult:
     """Monte Carlo probability that each candidate maximizes hypervolume improvement.
 
     Improvements are measured against the fixed current front; the front is
-    never updated within a draw.
+    never updated within a draw, and only draws it does not strictly
+    dominate are scored, since no other draw can win.
+
+    With `constraint_post` and `thresholds`, each draw also samples the
+    constraints, and a candidate is eligible to win a draw only when every
+    sampled constraint value meets its threshold (value >= threshold).
+    Constraint draws come from an independent stream derived from the seed,
+    so vacuous thresholds reproduce the unconstrained result bit for bit.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     if post.m != front.m:
         raise ValueError(f"objective dimensions must match: {post.m} vs {front.m}")
-    samples = post.sample(n_samples, seed)
-    flat = samples.reshape(-1, post.m)
-    deltas = hvi_many(flat, front).reshape(n_samples, post.n)
-    probs, improving_fraction = _attribute(deltas, n_samples)
-    membership = 1.0 - strictly_dominated_mask(flat, front).reshape(n_samples, post.n).mean(axis=0)
+    if (constraint_post is None) != (thresholds is None):
+        raise ValueError("constraint_post and thresholds must be given together")
+    feasible = None
+    if constraint_post is not None:
+        thresholds = np.asarray(thresholds, dtype=float)
+        if constraint_post.n != post.n:
+            raise ValueError("constraint posterior must cover the same pool")
+        if thresholds.size != constraint_post.m:
+            raise ValueError("one threshold per constraint is required")
+        con_samples = constraint_post.sample(n_samples, derive_seed(seed, _CONSTRAINT_STREAM))
+        feasible = np.all(con_samples >= thresholds[None, None, :], axis=-1)
+    flat = post.sample(n_samples, seed).reshape(-1, post.m)
+    dominated = strictly_dominated_mask(flat, front)
+    deltas = _undominated_hvi(flat, front, dominated).reshape(n_samples, post.n)
+    probs, improving_fraction = _attribute(deltas, n_samples, feasible=feasible)
+    membership = 1.0 - dominated.reshape(n_samples, post.n).mean(axis=0)
     return AcquisitionResult(
         probs=probs,
         pareto_membership=membership,
@@ -135,37 +166,9 @@ def estimate_qpo(post: Posterior, best_observed: float, n_samples: int, seed: in
 
 def constrained_qpmhi(post: Posterior, constraint_post: Posterior, thresholds,
                       front: ParetoFront, n_samples: int, seed: int) -> AcquisitionResult:
-    """Feasibility-filtered variant: each draw also samples the constraints.
-
-    A candidate is eligible to win a draw only when every sampled constraint
-    value meets its threshold (value >= threshold). Constraint draws come
-    from an independent stream derived from the seed, so vacuous thresholds
-    reproduce the unconstrained result bit for bit.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    if post.m != front.m:
-        raise ValueError(f"objective dimensions must match: {post.m} vs {front.m}")
-    thresholds = np.asarray(thresholds, dtype=float)
-    if constraint_post.n != post.n:
-        raise ValueError("constraint posterior must cover the same pool")
-    if thresholds.size != constraint_post.m:
-        raise ValueError("one threshold per constraint is required")
-    samples = post.sample(n_samples, seed)
-    con_samples = constraint_post.sample(n_samples, derive_seed(seed, _CONSTRAINT_STREAM))
-    feasible = np.all(con_samples >= thresholds[None, None, :], axis=-1)
-    flat = samples.reshape(-1, post.m)
-    deltas = hvi_many(flat, front).reshape(n_samples, post.n)
-    probs, improving_fraction = _attribute(deltas, n_samples, feasible=feasible)
-    membership = 1.0 - strictly_dominated_mask(flat, front).reshape(n_samples, post.n).mean(axis=0)
-    return AcquisitionResult(
-        probs=probs,
-        pareto_membership=membership,
-        mean_hvi=hvi_many(post.mean, front),
-        improving_fraction=improving_fraction,
-        n_samples=n_samples,
-        seed=seed,
-    )
+    """Feasibility-filtered qPMHI; see estimate_qpmhi."""
+    return estimate_qpmhi(post, front, n_samples, seed,
+                          constraint_post=constraint_post, thresholds=thresholds)
 
 
 def _ranked(values: np.ndarray, pool: np.ndarray) -> np.ndarray:
@@ -224,7 +227,8 @@ def qehvi_mc(post: Posterior, front: ParetoFront, q: int, n_samples: int, seed: 
     # one index per draw; a draw's index is replaced as its batch grows
     fronts = [front.index] * n_samples
     flat = samples.reshape(-1, post.m)
-    gains = hvi_many(flat, front).reshape(n_samples, n).mean(axis=0)
+    gains = _undominated_hvi(flat, front, strictly_dominated_mask(flat, front))
+    gains = gains.reshape(n_samples, n).mean(axis=0)
     heap = [(-gains[i], i) for i in range(n)]
     heapq.heapify(heap)
     stamp = np.zeros(n, dtype=int)

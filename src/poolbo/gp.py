@@ -229,7 +229,9 @@ def _lml(chol: np.ndarray, z: np.ndarray, sigma2: float) -> float:
 
 
 def _fit_objective(X: np.ndarray, y: np.ndarray, kernel: str, config: GpConfig,
-                   d2: np.ndarray | None) -> _ObjectiveGp:
+                   gram: np.ndarray) -> _ObjectiveGp:
+    """Fit one objective; `gram` is the Tanimoto training kernel, or the
+    squared distances the RBF kernel is built from."""
     out_mean = float(y.mean())
     out_std = float(y.std())
     if out_std < 1e-12:
@@ -244,14 +246,14 @@ def _fit_objective(X: np.ndarray, y: np.ndarray, kernel: str, config: GpConfig,
         return chol
 
     if kernel == "tanimoto":
-        chol = factor(tanimoto_kernel(X, X))
+        chol = factor(gram)
         sigma2 = _profile_sigma2(chol, z, config.signal_variance)
         lengthscale = None
     else:
         lo, hi = np.log(LENGTHSCALE_BOUNDS[0]), np.log(LENGTHSCALE_BOUNDS[1])
 
         def neg_lml(t):
-            chol = factor(np.exp(-0.5 * d2 / np.exp(2.0 * t[0])))
+            chol = factor(np.exp(-0.5 * gram / np.exp(2.0 * t[0])))
             sigma2 = _profile_sigma2(chol, z, config.signal_variance)
             return -_lml(chol, z, sigma2)
 
@@ -282,9 +284,10 @@ def fit(data: Dataset, config: GpConfig = GpConfig()) -> GpModel:
     kernel = config.kernel
     if kernel == "auto":
         kernel = "tanimoto" if data.feature_kind == "binary" else "rbf"
-    d2 = squared_distances(data.features, data.features) if kernel == "rbf" else None
+    X = data.features
+    gram = tanimoto_kernel(X, X) if kernel == "tanimoto" else squared_distances(X, X)
     parts = [
-        _fit_objective(data.features, data.objectives[:, j], kernel, config, d2)
+        _fit_objective(X, data.objectives[:, j], kernel, config, gram)
         for j in range(data.m)
     ]
     return GpModel(data=data, parts=parts)
@@ -397,10 +400,12 @@ def _objective_blocks(part: _ObjectiveGp, shared: dict):
 def posterior(model: GpModel, features, ids=None) -> Posterior:
     """Exact joint posterior over query features, one covariance block per objective.
 
-    Covariances are symmetrized and diagonally jittered (1e-8, escalating
-    tenfold to at most 1e-4) until they factorize. Objectives that share a
-    kernel, lengthscale and nugget share one training factor, so their
-    normalized covariance is solved for once.
+    Objectives that share a kernel, lengthscale and nugget share one
+    training factor and so one normalized covariance, which is factored
+    once with a diagonal jitter (1e-8, escalating tenfold to at most 1e-4)
+    on the normalized scale. Each member scales that factor and covariance
+    by its raw signal variance c, so `jitter` records c times the normalized
+    jitter and no jitter depends on the objectives' units.
     """
     Xq = np.asarray(features, dtype=float)
     if Xq.ndim != 2 or Xq.shape[1] != model.data.d:
@@ -408,24 +413,26 @@ def posterior(model: GpModel, features, ids=None) -> Posterior:
     shared = _cross_kernels(model, Xq)
     u = Xq.shape[0]
     mean, jitter = np.empty((u, model.m)), np.empty(model.m)
-    cov, chol, scaled = np.empty((model.m, u, u)), np.empty((model.m, u, u)), np.empty((u, u))
+    cov, chol = np.empty((model.m, u, u)), np.empty((model.m, u, u))
     groups: dict = {}
     for j, part in enumerate(model.parts):
         groups.setdefault((part.kernel, part.lengthscale, part.nugget), []).append(j)
     for members in groups.values():
         rq, rqq = _objective_blocks(model.parts[members[0]], shared)
         v = solve_triangular(model.parts[members[0]].chol, rq.T, lower=True)
-        # rqq - v^T v: the normalized covariance every member scales
+        # rqq - v^T v is exactly symmetric: v^T v runs as a symmetric rank-k
+        # update and both kernels are symmetric by construction
         base = v.T @ v
         np.subtract(rqq, base, out=base)
+        # factoring leaves the jitter on base's diagonal, as every cov keeps it
+        factor, base_jitter = _jittered_cholesky(base, JITTER_LADDER)
         for j in members:
             part = model.parts[j]
+            c = part.signal_variance
             mean[:, j] = part.out_mean + part.out_std * (rq @ part.alpha)
-            np.multiply(part.sigma2, base, out=scaled)
-            np.multiply(part.out_std ** 2, scaled, out=scaled)
-            np.add(scaled, scaled.T, out=cov[j])
-            cov[j] *= 0.5
-            chol[j], jitter[j] = _jittered_cholesky(cov[j], JITTER_LADDER)
+            np.multiply(c, base, out=cov[j])
+            np.multiply(np.sqrt(c), factor, out=chol[j])
+            jitter[j] = c * base_jitter
     return Posterior(None if ids is None else tuple(ids), mean, cov, chol=chol, jitter=jitter)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from poolbo.acquisition import (
+    _CONSTRAINT_STREAM,
     AcquisitionResult,
     _attribute,
     constrained_qpmhi,
@@ -16,8 +17,11 @@ from poolbo.acquisition import (
     thompson_hvi,
     write_result_csv,
 )
-from poolbo.gp import Posterior
-from poolbo.pareto import build_front, hvi_many
+from poolbo.bench import make_ablation_pool
+from poolbo.generation import load_pool, load_pool_objectives
+from poolbo.gp import Dataset, Posterior, fit, pool_posterior
+from poolbo.pareto import build_front, hvi_many, strictly_dominated_mask
+from poolbo.seeds import derive_seed
 from refimpl import DiscretePosterior, best_subset_sum, greedy_joint_ehvi_trace
 
 REF = np.array([0.0, 0.0])
@@ -309,6 +313,85 @@ class TestConstrained:
         short = deterministic([[0.0]])
         with pytest.raises(ValueError):
             constrained_qpmhi(post, short, [0.0], make_front(), n_samples=8, seed=1)
+
+
+class TestDominatedSkip:
+    """estimate_qpmhi scores only draws the front does not strictly dominate."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_bitwise_equal_to_scoring_every_draw(self, m, constrained):
+        rng = np.random.default_rng(40 + m)
+        pts = rng.uniform(0.2, 1.0, size=(12, m))
+        front = build_front(pts, list(range(12)), np.zeros(m))
+        n, n_samples, seed = 30, 256, 21
+        post = gaussian(rng.uniform(0.3, 0.9, size=(n, m)), scale=0.05, seed=m)
+        con, thresholds = None, None
+        if constrained:
+            con, thresholds = gaussian(rng.normal(size=(n, 1)), scale=0.3, seed=9), [0.0]
+        res = estimate_qpmhi(post, front, n_samples, seed, constraint_post=con,
+                             thresholds=thresholds)
+
+        flat = post.sample(n_samples, seed).reshape(-1, m)
+        dominated = strictly_dominated_mask(flat, front)
+        assert 0.2 < dominated.mean() < 0.8
+        feasible = None
+        if constrained:
+            con_draws = con.sample(n_samples, derive_seed(seed, _CONSTRAINT_STREAM))
+            feasible = np.all(con_draws >= 0.0, axis=-1)
+            assert 0.2 < feasible.mean() < 0.8
+        deltas = hvi_many(flat, front).reshape(n_samples, n)
+        probs, improving_fraction = _attribute(deltas, n_samples, feasible=feasible)
+        assert np.array_equal(res.probs, probs)
+        assert res.improving_fraction == improving_fraction
+        assert np.array_equal(res.pareto_membership,
+                              1.0 - dominated.reshape(n_samples, n).mean(axis=0))
+        assert np.array_equal(res.mean_hvi, hvi_many(post.mean, front))
+        if constrained:
+            wrapped = constrained_qpmhi(post, con, thresholds, front, n_samples, seed)
+            assert np.array_equal(wrapped.probs, res.probs)
+
+    def test_constraint_arguments_go_together(self):
+        post = deterministic([[3.0, 3.0]])
+        with pytest.raises(ValueError):
+            estimate_qpmhi(post, make_front(), 8, 1, constraint_post=deterministic([[0.0]]))
+        with pytest.raises(ValueError):
+            estimate_qpmhi(post, make_front(), 8, 1, thresholds=[0.0])
+
+
+@pytest.fixture(scope="module")
+def scored_pool(tmp_path_factory):
+    """600-row ablation pool (candidates, objectives) with 60 labeled rows."""
+    path = tmp_path_factory.mktemp("pool") / "pool.csv"
+    make_ablation_pool(path, n=600, bits=24, seed=20240301)
+    cands = load_pool(path)
+    objs = load_pool_objectives(path)
+    labeled = np.sort(np.random.default_rng(3).choice(len(cands), 60, replace=False))
+    return cands, np.array([objs[c.id] for c in cands]), labeled
+
+
+class TestRescalingInvariance:
+    @staticmethod
+    def qpmhi_on_labels(cands, objectives, labeled, scale):
+        """qPMHI probs and top-20 batch with objectives and ref scaled by `scale`."""
+        y = objectives[labeled] * scale
+        data = Dataset(tuple(cands[i].id for i in labeled),
+                       np.stack([cands[i].features for i in labeled]), y)
+        lo = y.min(axis=0)
+        front = build_front(y, data.ids, lo - 1e-6 * (y.max(axis=0) - lo))
+        post = pool_posterior(fit(data), np.stack([c.features for c in cands]), labeled, y)
+        res = estimate_qpmhi(post, front, n_samples=256, seed=7)
+        return res.probs, select_batch(res, 20)
+
+    @pytest.mark.parametrize("scale", [(1e-3, 1e-3), (1e-3, 1.0), (2.0 ** -10, 8.0), (1e3, 1.0)])
+    def test_probs_and_batch_invariant_to_objective_scale(self, scored_pool, scale):
+        cands, objectives, labeled = scored_pool
+        probs, batch = self.qpmhi_on_labels(cands, objectives, labeled, np.ones(2))
+        scaled_probs, scaled_batch = self.qpmhi_on_labels(cands, objectives, labeled,
+                                                          np.array(scale))
+        assert np.count_nonzero(probs) > 20
+        assert np.array_equal(scaled_probs, probs)
+        assert scaled_batch == batch
 
 
 class TestQehvi:

@@ -11,7 +11,9 @@ from poolbo.gp import (
     GpConfig,
     GpModel,
     Posterior,
+    _cross_kernels,
     _escalated_cholesky,
+    _objective_blocks,
     _ObjectiveGp,
     fit,
     pool_posterior,
@@ -37,10 +39,15 @@ def toy_dataset(seed=0, n=3, d=2, m=1, binary=False):
 
 
 def reference_posterior(model, Xq):
-    """(mean, cov, chol) from the closed form one objective at a time, with
-    the kernels recomputed here and a fresh jitter ladder per block."""
+    """(mean, cov, chol, jitter) from the closed form one objective at a time,
+    with the kernels recomputed here and a fresh jitter ladder per block.
+
+    The jitter goes on the normalized covariance rqq - v^T v; the block and
+    its factor are then scaled by the raw signal variance c, and the
+    recorded jitter is c times the normalized one.
+    """
     X = model.data.features
-    means, covs, chols = [], [], []
+    means, covs, chols, jitters = [], [], [], []
     for part in model.parts:
         if part.kernel == "tanimoto":
             rq, rqq = tanimoto_kernel(Xq, X), tanimoto_kernel(Xq, Xq)
@@ -48,20 +55,20 @@ def reference_posterior(model, Xq):
             rq, rqq = rbf_kernel(Xq, X, part.lengthscale), rbf_kernel(Xq, Xq, part.lengthscale)
         mean_z = rq @ part.alpha
         v = solve_triangular(part.chol, rq.T, lower=True)
-        cov_z = part.sigma2 * (rqq - v.T @ v)
-        cov = part.out_std ** 2 * cov_z
-        cov = 0.5 * (cov + cov.T)
+        base = rqq - v.T @ v
         for jitter in JITTER_LADDER:
             try:
-                chol = np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
-                cov = cov + jitter * np.eye(cov.shape[0])
+                factor = np.linalg.cholesky(base + jitter * np.eye(base.shape[0]))
+                base = base + jitter * np.eye(base.shape[0])
                 break
             except np.linalg.LinAlgError:
                 continue
+        c = part.sigma2 * part.out_std ** 2
         means.append(part.out_mean + part.out_std * mean_z)
-        covs.append(cov)
-        chols.append(chol)
-    return np.stack(means, axis=1), np.stack(covs), np.stack(chols)
+        covs.append(c * base)
+        chols.append(np.sqrt(c) * factor)
+        jitters.append(c * jitter)
+    return np.stack(means, axis=1), np.stack(covs), np.stack(chols), np.array(jitters)
 
 
 def gemv_draws(post, n_samples, seed):
@@ -270,31 +277,59 @@ class TestPosterior:
         if binary:
             Xq = (Xq > 0).astype(float)
         post = posterior(model, Xq)
-        mean, cov, chol = reference_posterior(model, Xq)
+        mean, cov, chol, jitter = reference_posterior(model, Xq)
         np.testing.assert_array_equal(post.mean, mean)
         np.testing.assert_array_equal(post.cov, cov)
         np.testing.assert_array_equal(post.chol, chol)
-        np.testing.assert_array_equal(post.jitter, [JITTER_LADDER[0]] * m)
+        np.testing.assert_array_equal(post.jitter, jitter)
+        signal = [p.signal_variance for p in model.parts]
+        np.testing.assert_array_equal(post.jitter, np.multiply(signal, JITTER_LADDER[0]))
 
     def test_second_jitter_rung_is_recorded_per_block(self):
-        # a training factor slightly too small makes the variance at the
-        # training input -delta: 1e-8 of jitter is too little, 1e-7 enough
+        # a training factor slightly too small makes the normalized variance
+        # at the training input -delta: 1e-8 of jitter is too little, 1e-7
+        # enough. Parts 0 and 1 share that factor, so their group takes the
+        # second rung whatever their scales; part 2, with its own nugget and
+        # an exact factor, takes the first.
         delta = 5e-8
         data = Dataset(("a",), [[0.0]], [[0.0]], feature_kind="dense_real")
 
-        def part(out_std):
-            return _ObjectiveGp(kernel="rbf", lengthscale=1.0, sigma2=1.0, nugget=BASE_NUGGET,
+        def part(out_std, nugget, chol):
+            return _ObjectiveGp(kernel="rbf", lengthscale=1.0, sigma2=1.0, nugget=nugget,
                                 out_mean=0.0, out_std=out_std, alpha=np.array([0.5]),
-                                chol=np.array([[np.sqrt(1.0 / (1.0 + delta))]]))
+                                chol=np.array([[chol]]))
 
-        model = GpModel(data=data, parts=[part(1.0), part(0.1)])
+        short = np.sqrt(1.0 / (1.0 + delta))
+        model = GpModel(data=data, parts=[part(1.0, BASE_NUGGET, short),
+                                          part(1e-3, BASE_NUGGET, short),
+                                          part(8.0, 2 * BASE_NUGGET, 1.0)])
         Xq = np.array([[0.0], [5.0]])
         post = posterior(model, Xq)
-        np.testing.assert_array_equal(post.jitter, JITTER_LADDER[1::-1])
-        mean, cov, chol = reference_posterior(model, Xq)
+        mean, cov, chol, jitter = reference_posterior(model, Xq)
+        np.testing.assert_array_equal(post.jitter, jitter)
+        np.testing.assert_array_equal(
+            post.jitter, [JITTER_LADDER[1], 1e-6 * JITTER_LADDER[1], 64.0 * JITTER_LADDER[0]])
         np.testing.assert_array_equal(post.mean, mean)
         np.testing.assert_array_equal(post.cov, cov)
         np.testing.assert_array_equal(post.chol, chol)
+
+    @pytest.mark.parametrize("kernel,binary", [("tanimoto", True), ("rbf", False)])
+    def test_normalized_query_block_is_exactly_symmetric(self, kernel, binary):
+        # why posterior() needs no symmetrize step before factoring
+        data = toy_dataset(seed=5, n=30, d=8, m=1, binary=binary)
+        model = fit(data, GpConfig(kernel=kernel))
+        part = model.parts[0]
+        rng = np.random.default_rng(8)
+        Xq = rng.normal(size=(150, 8))
+        if binary:
+            Xq = (Xq > 0).astype(float)
+        shared = _cross_kernels(model, Xq)
+        rq, rqq = _objective_blocks(part, shared)
+        v = solve_triangular(part.chol, rq.T, lower=True)
+        base = rqq - v.T @ v
+        np.testing.assert_array_equal(base, base.T)
+        post = posterior(model, Xq)
+        np.testing.assert_array_equal(post.cov[0], post.cov[0].T)
 
     def test_query_dimension_mismatch(self):
         model = fit(toy_dataset())
