@@ -176,6 +176,15 @@ def _ranked(values: np.ndarray, pool: np.ndarray) -> np.ndarray:
     return pool[np.argsort(-values[pool], kind="stable")]
 
 
+def _batch_size(q: int, n: int) -> int:
+    """q capped at the pool size n, with a warning when it is capped."""
+    if q < 1:
+        raise ValueError("batch size must be at least 1")
+    if q > n:
+        logger.warning("batch size %d exceeds pool size %d; truncating", q, n)
+    return min(q, n)
+
+
 def select_batch(result: AcquisitionResult, q: int) -> list:
     """Ordered batch of q candidate indices.
 
@@ -183,11 +192,8 @@ def select_batch(result: AcquisitionResult, q: int) -> list:
     descending Pareto-membership probability, then to the improvement of the
     posterior mean. Ties always break toward the lower index.
     """
-    if q < 1:
-        raise ValueError("batch size must be at least 1")
     n = result.n
-    if q > n:
-        logger.warning("batch size %d exceeds pool size %d; truncating", q, n)
+    if _batch_size(q, n) < q:
         result.truncated = True
         q = n
     idx = np.arange(n)
@@ -215,14 +221,10 @@ def qehvi_mc(post: Posterior, front: ParetoFront, q: int, n_samples: int, seed: 
     per-draw augmented fronts. Stale gains are re-evaluated lazily, which is
     exact because incremental improvements only shrink as the batch grows.
     """
-    if q < 1:
-        raise ValueError("batch size must be at least 1")
+    q = _batch_size(q, post.n)
     if post.m != front.m:
         raise ValueError(f"objective dimensions must match: {post.m} vs {front.m}")
     n = post.n
-    if q > n:
-        logger.warning("batch size %d exceeds pool size %d; truncating", q, n)
-        q = n
     samples = post.sample(n_samples, seed)
     # one index per draw; a draw's index is replaced as its batch grows
     fronts = [front.index] * n_samples
@@ -256,14 +258,10 @@ def thompson_hvi(post: Posterior, front: ParetoFront, q: int, seed: int) -> list
     augmented with earlier fantasies; when nothing improves, the candidate
     whose draw is least dominated (largest non-domination margin) is taken.
     """
-    if q < 1:
-        raise ValueError("batch size must be at least 1")
+    q = _batch_size(q, post.n)
     if post.m != front.m:
         raise ValueError(f"objective dimensions must match: {post.m} vs {front.m}")
     n = post.n
-    if q > n:
-        logger.warning("batch size %d exceeds pool size %d; truncating", q, n)
-        q = n
     samples = post.sample(q, seed)
     index = front.index
     taken = np.zeros(n, dtype=bool)
@@ -290,11 +288,7 @@ def thompson_hvi(post: Posterior, front: ParetoFront, q: int, seed: int) -> list
 
 def random_select(pool_size: int, q: int, seed: int) -> list:
     """Uniform batch without replacement."""
-    if q < 1:
-        raise ValueError("batch size must be at least 1")
-    if q > pool_size:
-        logger.warning("batch size %d exceeds pool size %d; truncating", q, pool_size)
-        q = pool_size
+    q = _batch_size(q, pool_size)
     rng = np.random.default_rng(seed)
     return [int(i) for i in rng.permutation(pool_size)[:q]]
 

@@ -7,11 +7,18 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .campaign import ACQUISITIONS, CampaignConfig, build_initial_data, init_campaign, run
+from .campaign import (
+    ACQUISITIONS,
+    CampaignConfig,
+    build_initial_data,
+    init_campaign,
+    nadir_ref_point,
+    run,
+)
 from .gp import GpConfig
 from .oracles import LookupOracle
 from .pareto import (
@@ -71,13 +78,7 @@ class BenchSpec:
             object.__setattr__(self, "true_front_ids", tuple(self.true_front_ids))
 
     def to_dict(self) -> dict:
-        import dataclasses
-
-        out = dataclasses.asdict(self)
-        out["acquisitions"] = list(self.acquisitions)
-        out["seeds"] = list(self.seeds)
-        out["true_front_ids"] = None if self.true_front_ids is None else list(self.true_front_ids)
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "BenchSpec":
@@ -131,14 +132,8 @@ def shared_ref_point(spec: BenchSpec) -> tuple:
     make hypervolumes incomparable across cells, so the rule is applied once
     to the whole labeled pool and handed to each campaign as explicit.
     """
-    oracle = LookupOracle.from_pool_csv(spec.pool_path)
-    labels = np.stack(list(oracle.table.values()))
-    lo = labels.min(axis=0)
-    if spec.ref_rule == "nadir_of_initial":
-        ref = lo
-    else:
-        span = labels.max(axis=0) - lo
-        ref = lo - np.where(span > 0, 1e-6 * span, 1e-6)
+    labels = np.stack(list(LookupOracle.from_pool_csv(spec.pool_path).table.values()))
+    ref = nadir_ref_point(labels, spec.ref_rule, CampaignConfig.ref_epsilon)
     return tuple(float(v) for v in ref)
 
 

@@ -24,7 +24,14 @@ from .acquisition import (
     thompson_hvi,
 )
 from .files import atomic_write
-from .generation import Candidate, GeneratorConfig, load_pool, make_featurizer, propose_pool
+from .generation import (
+    Candidate,
+    GeneratorConfig,
+    genome_alphabet,
+    load_pool,
+    make_featurizer,
+    propose_pool,
+)
 from .gp import Dataset, GpConfig, fit, pool_posterior
 from .pareto import (
     MetricRecord,
@@ -121,26 +128,7 @@ class CampaignConfig:
             raise ValueError("oracle spec must be a string or dict")
 
     def to_dict(self) -> dict:
-        out = {
-            "iterations": self.iterations,
-            "batch_size": self.batch_size,
-            "mc_samples": self.mc_samples,
-            "n_objectives": self.n_objectives,
-            "acquisition": self.acquisition,
-            "ref_rule": self.ref_rule,
-            "ref_point": None if self.ref_point is None else list(self.ref_point),
-            "ref_epsilon": self.ref_epsilon,
-            "generator": None if self.generator is None else dataclasses.asdict(self.generator),
-            "pool_path": self.pool_path,
-            "featurizer": self.featurizer,
-            "oracle": self.oracle,
-            "init": self.init,
-            "seed": self.seed,
-            "gp": dataclasses.asdict(self.gp),
-        }
-        if out["generator"] is not None:
-            out["generator"]["constraints"] = list(out["generator"]["constraints"])
-        return out
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CampaignConfig":
@@ -188,13 +176,19 @@ class CampaignState:
 def resolve_ref_point(objectives: np.ndarray, cfg: CampaignConfig) -> np.ndarray:
     if cfg.ref_rule == "explicit":
         return np.asarray(cfg.ref_point, dtype=float)
+    return nadir_ref_point(objectives, cfg.ref_rule, cfg.ref_epsilon)
+
+
+def nadir_ref_point(objectives: np.ndarray, rule: str, epsilon: float) -> np.ndarray:
+    """The objectives' column minima under 'nadir_of_initial'; under
+    'nadir_minus_epsilon', those minima pushed out by epsilon times each span."""
     lo = objectives.min(axis=0)
-    if cfg.ref_rule == "nadir_of_initial":
+    if rule == "nadir_of_initial":
         return lo
     span = objectives.max(axis=0) - lo
     # a flat objective still needs ref strictly below it, so fall back to an
     # absolute offset when the span is zero
-    return lo - np.where(span > 0, cfg.ref_epsilon * span, cfg.ref_epsilon)
+    return lo - np.where(span > 0, epsilon * span, epsilon)
 
 
 def init_campaign(cfg: CampaignConfig, initial: Dataset) -> CampaignState:
@@ -242,21 +236,16 @@ def build_initial_data(cfg: CampaignConfig, oracle=None) -> Dataset:
 
         oracle = make_oracle(cfg.oracle)
     spec = cfg.init
-    feat_name = cfg.generator.featurizer if cfg.generator is not None else cfg.featurizer
-    featurize = make_featurizer(feat_name)
+    genomes = None
     if "genomes" in spec:
         genomes = [str(g) for g in spec["genomes"]]
         if len(set(genomes)) != len(genomes):
             raise ValueError("init genomes must be distinct")
-        cands = [
-            Candidate(id=f"init-{i}", genome=g, features=featurize(g))
-            for i, g in enumerate(genomes)
-        ]
     elif "random" in spec:
         count = int(spec["random"]["count"])
         length = int(spec["random"]["length"])
         rng = child_rng(cfg.seed, 0)
-        genomes: list = []
+        genomes = []
         seen = set()
         attempts = 0
         while len(genomes) < count:
@@ -267,10 +256,6 @@ def build_initial_data(cfg: CampaignConfig, oracle=None) -> Dataset:
             if g not in seen:
                 seen.add(g)
                 genomes.append(g)
-        cands = [
-            Candidate(id=f"init-{i}", genome=g, features=featurize(g))
-            for i, g in enumerate(genomes)
-        ]
     elif "pool_sample" in spec:
         if cfg.pool_path is None:
             raise ValueError("init pool_sample needs a pool_path")
@@ -283,6 +268,17 @@ def build_initial_data(cfg: CampaignConfig, oracle=None) -> Dataset:
         cands = [pool[i] for i in idx]
     else:
         raise ValueError("init must contain one of: genomes, random, pool_sample")
+    if genomes is not None:
+        feat_name = cfg.generator.featurizer if cfg.generator is not None else cfg.featurizer
+        source = genomes
+        if cfg.pool_path is not None:
+            # a static pool's own symbols fix the alphabet, as in load_pool
+            source = [c.genome for c in load_pool(cfg.pool_path, feat_name)]
+        featurize = make_featurizer(feat_name, genome_alphabet(source))
+        cands = [
+            Candidate(id=f"init-{i}", genome=g, features=featurize(g))
+            for i, g in enumerate(genomes)
+        ]
     values = np.asarray(oracle.evaluate(cands), dtype=float)
     return Dataset(
         ids=tuple(c.id for c in cands),
@@ -292,22 +288,38 @@ def build_initial_data(cfg: CampaignConfig, oracle=None) -> Dataset:
     )
 
 
-def _select_indices(cfg: CampaignConfig, post, front, dataset: Dataset, pool_size: int,
-                    acq_seed: int) -> list:
+def select_next(state: CampaignState, cfg: CampaignConfig, pool: list, model=None,
+                posterior_fn=None) -> list:
+    """Indices into `pool` of the batch that iteration state.iteration + 1 queries.
+
+    Pool rows whose genome is already labeled are pinned at their observed
+    objectives. The surrogate is fitted on state.dataset unless `model`, a
+    fit of that same dataset, is given; `posterior_fn(dataset, pool)`
+    replaces the fitted posterior altogether.
+    """
+    acq_seed = derive_seed(derive_seed(cfg.seed, state.iteration + 1), _STAGE_ACQUISITION)
     q = cfg.batch_size
     if cfg.acquisition == "random":
-        return random_select(pool_size, q, acq_seed)
+        return random_select(len(pool), q, acq_seed)
+    if posterior_fn is not None:
+        post = posterior_fn(state.dataset, pool)
+    else:
+        if model is None:
+            model = fit(state.dataset, cfg.gp)
+        labeled_row = {g: i for i, g in enumerate(state.dataset.genomes)}
+        known_idx = [i for i, c in enumerate(pool) if c.genome in labeled_row]
+        known_values = state.dataset.objectives[[labeled_row[pool[i].genome] for i in known_idx]]
+        post = pool_posterior(model, np.stack([c.features for c in pool]), known_idx,
+                              known_values, ids=[c.id for c in pool])
     if cfg.acquisition == "qpmhi":
-        result = estimate_qpmhi(post, front, cfg.mc_samples, acq_seed)
-        return select_batch(result, q)
+        return select_batch(estimate_qpmhi(post, state.front, cfg.mc_samples, acq_seed), q)
     if cfg.acquisition == "qpo":
-        best = float(dataset.objectives[:, 0].max())
-        result = estimate_qpo(post, best, cfg.mc_samples, acq_seed)
-        return select_batch(result, q)
+        best = float(state.dataset.objectives[:, 0].max())
+        return select_batch(estimate_qpo(post, best, cfg.mc_samples, acq_seed), q)
     if cfg.acquisition == "qehvi_mc":
-        return qehvi_mc(post, front, q, cfg.mc_samples, acq_seed)
+        return qehvi_mc(post, state.front, q, cfg.mc_samples, acq_seed)
     if cfg.acquisition == "thompson":
-        return thompson_hvi(post, front, q, acq_seed)
+        return thompson_hvi(post, state.front, q, acq_seed)
     raise ValueError(f"unknown acquisition: {cfg.acquisition!r}")
 
 
@@ -336,37 +348,20 @@ def run(state: CampaignState, cfg: CampaignConfig, *, oracle=None, metrics_path=
                 f"batch_size {cfg.batch_size} exceeds pool size {len(static_pool)}"
             )
     true_ids = None if true_front_ids is None else set(true_front_ids)
-    labeled = {g: state.dataset.objectives[i] for i, g in enumerate(state.dataset.genomes)}
-
-    needs_surrogate = cfg.acquisition != "random"
+    labeled = set(state.dataset.genomes)
     breeds_on_surrogate = (
         cfg.generator is not None and cfg.generator.parent_selection == "surrogate_weighted"
     )
     for t in range(state.iteration + 1, cfg.iterations + 1):
         it_seed = derive_seed(cfg.seed, t)
-        model = None
-        if (needs_surrogate and posterior_fn is None) or breeds_on_surrogate:
-            model = fit(state.dataset, cfg.gp)
+        model = fit(state.dataset, cfg.gp) if breeds_on_surrogate else None
         if static_pool is not None:
             pool = static_pool
         else:
             pool = propose_pool(
                 state.dataset, model, cfg.generator, derive_seed(it_seed, _STAGE_GENERATION)
             )
-        acq_seed = derive_seed(it_seed, _STAGE_ACQUISITION)
-        post = None
-        if needs_surrogate:
-            if posterior_fn is not None:
-                post = posterior_fn(state.dataset, pool)
-            else:
-                features = np.stack([c.features for c in pool])
-                known_idx = [i for i, c in enumerate(pool) if c.genome in labeled]
-                known_values = [labeled[pool[i].genome] for i in known_idx]
-                post = pool_posterior(
-                    model, features, known_idx, known_values, ids=[c.id for c in pool]
-                )
-        selected = _select_indices(cfg, post, state.front, state.dataset, len(pool), acq_seed)
-        batch = [pool[i] for i in selected]
+        batch = [pool[i] for i in select_next(state, cfg, pool, model, posterior_fn)]
         new = [c for c in batch if c.genome not in labeled]
         if len(new) < len(batch):
             logger.info(
@@ -393,7 +388,7 @@ def run(state: CampaignState, cfg: CampaignConfig, *, oracle=None, metrics_path=
             )
             for cand, y in zip(new, values):
                 state.front = update_front(state.front, y, cand.id)
-                labeled[cand.genome] = y
+            labeled.update(c.genome for c in new)
         hv = state.front.hypervolume()
         record = MetricRecord(
             iteration=t,

@@ -19,20 +19,17 @@ import numpy as np
 
 from .bench import BenchSpec, run_bench
 from .campaign import (
-    _STAGE_ACQUISITION,
     CampaignConfig,
-    _select_indices,
     build_initial_data,
     config_hash,
     init_campaign,
     load_checkpoint,
     run,
+    select_next,
 )
 from .generation import load_pool
-from .gp import fit, pool_posterior
 from .oracles import make_oracle
 from .pareto import build_front
-from .seeds import derive_seed
 
 
 def _setup_logging() -> None:
@@ -133,23 +130,8 @@ def cmd_select(args) -> int:
     state, cfg = load_checkpoint(args.checkpoint)
     feat_name = cfg.generator.featurizer if cfg.generator is not None else cfg.featurizer
     pool = load_pool(args.pool, feat_name)
-    cfg = dataclasses.replace(
-        cfg, batch_size=args.batch_size,
-        generator=None, pool_path=args.pool,
-    )
-    # the same seed substream the next campaign iteration would draw
-    acq_seed = derive_seed(derive_seed(cfg.seed, state.iteration + 1), _STAGE_ACQUISITION)
-    post = None
-    if cfg.acquisition != "random":
-        model = fit(state.dataset, cfg.gp)
-        features = np.stack([c.features for c in pool])
-        labeled = {g: state.dataset.objectives[i] for i, g in enumerate(state.dataset.genomes)}
-        known_idx = [i for i, c in enumerate(pool) if c.genome in labeled]
-        known_values = [labeled[pool[i].genome] for i in known_idx]
-        post = pool_posterior(model, features, known_idx, known_values,
-                              ids=[c.id for c in pool])
-    selected = _select_indices(cfg, post, state.front, state.dataset, len(pool), acq_seed)
-    for i in selected:
+    cfg = dataclasses.replace(cfg, batch_size=args.batch_size, generator=None, pool_path=args.pool)
+    for i in select_next(state, cfg, pool):
         print(pool[i].id)
     return 0
 

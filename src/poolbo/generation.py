@@ -94,6 +94,13 @@ def _identity_features(genome: str) -> np.ndarray:
     return np.frombuffer(genome.encode("ascii"), dtype=np.uint8).astype(float) - ord("0")
 
 
+def genome_alphabet(genomes) -> str:
+    """The symbols k-gram features count over: "01" for bitstrings, else the
+    sorted symbols the genomes use."""
+    symbols = {ch for g in genomes for ch in g}
+    return "01" if symbols <= {"0", "1"} else "".join(sorted(symbols))
+
+
 def make_featurizer(name: str, alphabet: str = "01"):
     """Resolve a featurizer name: "identity" or "kgram:<k>".
 
@@ -211,11 +218,8 @@ def load_pool(path, featurizer: str = "identity") -> list:
     seen_keys = set()
     seen_ids = set()
     out = []
-    alphabet = None
     pending = list(_read_pool_rows(path))
-    if pending and featurizer.startswith("kgram:"):
-        alphabet = "".join(sorted({ch for _, _, genome, _ in pending for ch in genome}))
-    feat = make_featurizer(featurizer, alphabet or "01")
+    feat = make_featurizer(featurizer, genome_alphabet(genome for _, _, genome, _ in pending))
     for row_num, cid, genome, _ in pending:
         if cid in seen_ids:
             raise PoolFormatError(f"row {row_num}: duplicate id {cid!r}")
@@ -304,9 +308,8 @@ def propose_pool(data: Dataset, model: GpModel | None, cfg: GeneratorConfig, see
         raise ValueError("dataset must carry genomes to breed from")
     predicates = _resolve_predicates(cfg.constraints)
     genomes = list(data.genomes)
-    symbols = {ch for g in genomes for ch in g}
-    bitstring = symbols <= {"0", "1"}
-    alphabet = "01" if bitstring else "".join(sorted(symbols))
+    alphabet = genome_alphabet(genomes)
+    bitstring = alphabet == "01"
     lengths = {len(g) for g in genomes}
     if bitstring and len(lengths) != 1:
         raise ValueError("bitstring genomes must share one length")

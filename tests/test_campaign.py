@@ -21,7 +21,7 @@ from poolbo.campaign import (
     run,
     save_checkpoint,
 )
-from poolbo.generation import GeneratorConfig, make_featurizer
+from poolbo.generation import GeneratorConfig, load_pool, make_featurizer
 from poolbo.gp import Dataset, Posterior
 from poolbo.oracles import LookupOracle, OracleError
 from poolbo.files import atomic_write
@@ -88,6 +88,15 @@ class CountingOracle:
     def evaluate(self, candidates):
         self.genomes.extend(c.genome for c in candidates)
         return self.inner.evaluate(candidates)
+
+
+class TokenOracle:
+    """Counts of the symbols "A" and "B" in token genomes."""
+
+    m = 2
+
+    def evaluate(self, candidates):
+        return np.array([[c.genome.count("A"), c.genome.count("B")] for c in candidates], float)
 
 
 class FailingOracle:
@@ -270,6 +279,31 @@ class TestBuildInitialData:
         cfg = static_cfg(pool, init={"latin_hypercube": 4})
         with pytest.raises(ValueError, match="one of"):
             build_initial_data(cfg, LookupOracle.from_pool_csv(pool))
+
+    def test_token_genomes_breed_with_kgram_features(self):
+        # init designs, bred pools and the surrogate share one alphabet, so
+        # every labeled row is featurized as make_featurizer would over "ABC"
+        cfg = gen_cfg(
+            generator=GeneratorConfig(pool_size=10, mutation_rate=0.2, featurizer="kgram:2"),
+            init={"genomes": ["ABCA", "BCAB", "CABC", "AACB", "CBBA"]},
+        )
+        oracle = TokenOracle()
+        state = run(start(cfg, oracle), cfg, oracle=oracle)
+        assert state.iteration == 2
+        assert state.dataset.n > 5
+        feat = make_featurizer("kgram:2", alphabet="ABC")
+        assert np.array_equal(state.dataset.features,
+                              np.stack([feat(g) for g in state.dataset.genomes]))
+
+    def test_static_token_pool_fixes_the_init_alphabet(self, tmp_path):
+        # the init designs use two of the pool's four symbols; they must be
+        # featurized exactly as the pool's own rows are
+        path = tmp_path / "pool.csv"
+        path.write_text("id,genome\na,ABCD\nb,ABAB\nc,BABA\n")
+        cfg = static_cfg(path, featurizer="kgram:1", init={"genomes": ["ABAB", "BABA"]})
+        data = build_initial_data(cfg, TokenOracle())
+        rows = {c.genome: c.features for c in load_pool(path, "kgram:1")}
+        assert np.array_equal(data.features, np.stack([rows[g] for g in data.genomes]))
 
 
 def start(cfg, oracle):

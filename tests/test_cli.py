@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import poolbo.campaign as campaign_mod
 from poolbo.bench import make_ablation_pool
 from poolbo.campaign import (
     CampaignConfig,
@@ -15,7 +16,8 @@ from poolbo.campaign import (
     save_checkpoint,
 )
 from poolbo.cli import main
-from poolbo.oracles import LookupOracle
+from poolbo.generation import GeneratorConfig
+from poolbo.oracles import LookupOracle, make_oracle
 from poolbo.pareto import read_metrics_csv
 
 
@@ -261,6 +263,41 @@ class TestSelect:
             capsys.readouterr()
             assert main(["select", str(pool_csv), str(ckpt), "-q", str(cfg.batch_size)]) == 0
             assert tuple(capsys.readouterr().out.split()) == recorded[t].batch_ids
+
+    def test_prints_the_batch_a_bred_iteration_records(self, tmp_path, capsys, monkeypatch):
+        # surrogate-weighted breeding fits the model before the pool exists
+        # and run() hands that fit to the decision step; select refits it
+        # from the checkpoint and must reach the same batch
+        cfg = CampaignConfig(
+            iterations=3, batch_size=4, mc_samples=16, oracle="sphere_pair", seed=21,
+            generator=GeneratorConfig(pool_size=12, parent_selection="surrogate_weighted",
+                                      featurizer="kgram:3"),
+            init={"random": {"count": 6, "length": 12}},
+        )
+        oracle = make_oracle(cfg.oracle)
+        pools = []
+        breed = campaign_mod.propose_pool
+        monkeypatch.setattr(campaign_mod, "propose_pool",
+                            lambda *args: pools.append(breed(*args)) or pools[-1])
+        recorded = run_campaign(init_campaign(cfg, build_initial_data(cfg, oracle)), cfg,
+                                oracle=oracle).history
+        monkeypatch.undo()
+        for t in (1, 2):
+            state = init_campaign(cfg, build_initial_data(cfg, oracle))
+            run_campaign(state, dataclasses.replace(cfg, iterations=t), oracle=oracle)
+            ckpt = tmp_path / f"after{t}.json"
+            save_checkpoint(ckpt, state, cfg)
+            pool = pools[t]  # the pool iteration t + 1 breeds
+            path = tmp_path / f"pool{t + 1}.csv"
+            path.write_text("id,genome\n" + "".join(f"{c.id},{c.genome}\n" for c in pool))
+            capsys.readouterr()
+            assert main(["select", str(path), str(ckpt), "-q", str(cfg.batch_size)]) == 0
+            assert tuple(capsys.readouterr().out.split()) == recorded[t].batch_ids
+            # -q above the generator's pool size ranks the whole pool
+            assert main(["select", str(path), str(ckpt), "-q", "20"]) == 0
+            ranked = capsys.readouterr().out.split()
+            assert sorted(ranked) == sorted(c.id for c in pool)
+            assert tuple(ranked[:cfg.batch_size]) == recorded[t].batch_ids
 
     def test_random_checkpoint_selects_without_surrogate(self, tmp_path, pool_csv, capsys):
         ckpt = self.make_checkpoint(tmp_path, pool_csv, acquisition="random")
