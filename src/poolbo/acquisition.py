@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gp import Posterior
-from .pareto import ParetoFront, hvi_many, strictly_dominated_mask
+from .pareto import FrontStack, ParetoFront, hvi_many, strictly_dominated_mask
 from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -219,15 +219,16 @@ def qehvi_mc(post: Posterior, front: ParetoFront, q: int, n_samples: int, seed: 
     One shared set of joint samples scores every greedy step; each step adds
     the candidate with the largest mean incremental improvement against the
     per-draw augmented fronts. Stale gains are re-evaluated lazily, which is
-    exact because incremental improvements only shrink as the batch grows.
+    exact because incremental improvements only shrink as the batch grows;
+    a re-evaluation scores the candidate against every draw's front at once
+    (pareto.FrontStack).
     """
     q = _batch_size(q, post.n)
     if post.m != front.m:
         raise ValueError(f"objective dimensions must match: {post.m} vs {front.m}")
     n = post.n
     samples = post.sample(n_samples, seed)
-    # one index per draw; a draw's index is replaced as its batch grows
-    fronts = [front.index] * n_samples
+    fronts = FrontStack(front.index, n_samples)
     flat = samples.reshape(-1, post.m)
     gains = _undominated_hvi(flat, front, strictly_dominated_mask(flat, front))
     gains = gains.reshape(n_samples, n).mean(axis=0)
@@ -241,13 +242,10 @@ def qehvi_mc(post: Posterior, front: ParetoFront, q: int, n_samples: int, seed: 
             if stamp[i] == step - 1:
                 selected.append(int(i))
                 break
-            fresh = float(np.mean([
-                fronts[ell].gains(samples[ell, i][None, :])[0] for ell in range(n_samples)
-            ]))
+            fresh = float(np.mean(fronts.gains(samples[:, i])))
             stamp[i] = step - 1
             heapq.heappush(heap, (-fresh, i))
-        for ell in range(n_samples):
-            fronts[ell] = fronts[ell].insert(samples[ell, selected[-1]])
+        fronts.insert(samples[:, selected[-1]])
     return selected
 
 

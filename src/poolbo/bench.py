@@ -19,6 +19,7 @@ from .campaign import (
     nadir_ref_point,
     run,
 )
+from .generation import read_pool
 from .gp import GpConfig
 from .oracles import LookupOracle
 from .pareto import (
@@ -103,12 +104,9 @@ class BenchSpec:
 def true_pareto_ids(pool_path) -> tuple:
     """Recompute the non-dominated ids from the pool's own labels."""
     oracle = LookupOracle.from_pool_csv(pool_path)
-    from .generation import load_pool
-
-    pool = load_pool(pool_path)
-    objectives = np.stack([oracle.table[c.genome] for c in pool])
-    mask = non_dominated_mask(objectives)
-    return tuple(pool[i].id for i in np.flatnonzero(mask))
+    rows = read_pool(pool_path)
+    mask = non_dominated_mask(np.stack([oracle.table[genome] for _, _, genome, _ in rows]))
+    return tuple(rows[i][1] for i in np.flatnonzero(mask))
 
 
 def _cell_path(output_dir, acquisition: str, seed: int) -> str:

@@ -31,6 +31,7 @@ from .generation import (
     load_pool,
     make_featurizer,
     propose_pool,
+    read_pool,
 )
 from .gp import Dataset, GpConfig, fit, pool_posterior
 from .pareto import (
@@ -273,7 +274,7 @@ def build_initial_data(cfg: CampaignConfig, oracle=None) -> Dataset:
         source = genomes
         if cfg.pool_path is not None:
             # a static pool's own symbols fix the alphabet, as in load_pool
-            source = [c.genome for c in load_pool(cfg.pool_path, feat_name)]
+            source = [genome for _, _, genome, _ in read_pool(cfg.pool_path)]
         featurize = make_featurizer(feat_name, genome_alphabet(source))
         cands = [
             Candidate(id=f"init-{i}", genome=g, features=featurize(g))

@@ -186,7 +186,16 @@ def _validate_genome(genome: str, row: int) -> str:
     return genome
 
 
-def _read_pool_rows(path):
+def read_pool(path) -> list:
+    """Parse a pool CSV into (row, id, genome, objectives) tuples, without
+    featurizing; objectives is [] for an unlabeled pool.
+
+    Rows with a previously seen genome are dropped (first occurrence wins);
+    duplicate ids and malformed rows are errors naming the offending row.
+    """
+    seen_keys = set()
+    seen_ids = set()
+    out = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -206,41 +215,26 @@ def _read_pool_rows(path):
                 objs = [float(v) for v in row[2:]]
             except ValueError as exc:
                 raise PoolFormatError(f"row {row_num}: bad objective value ({exc})") from None
-            yield row_num, cid, genome, objs
+            if cid in seen_ids:
+                raise PoolFormatError(f"row {row_num}: duplicate id {cid!r}")
+            seen_ids.add(cid)
+            if genome not in seen_keys:
+                seen_keys.add(genome)
+                out.append((row_num, cid, genome, objs))
+    return out
 
 
 def load_pool(path, featurizer: str = "identity") -> list:
-    """Parse a pool CSV into featurized candidates.
-
-    Rows with a previously seen genome are dropped (first occurrence wins);
-    duplicate ids and malformed rows are errors naming the offending row.
-    """
-    seen_keys = set()
-    seen_ids = set()
+    """read_pool's rows as featurized candidates."""
+    rows = read_pool(path)
+    feat = make_featurizer(featurizer, genome_alphabet(genome for _, _, genome, _ in rows))
     out = []
-    pending = list(_read_pool_rows(path))
-    feat = make_featurizer(featurizer, genome_alphabet(genome for _, _, genome, _ in pending))
-    for row_num, cid, genome, _ in pending:
-        if cid in seen_ids:
-            raise PoolFormatError(f"row {row_num}: duplicate id {cid!r}")
-        seen_ids.add(cid)
-        if genome in seen_keys:
-            continue
-        seen_keys.add(genome)
+    for row_num, cid, genome, _ in rows:
         try:
             features = feat(genome)
         except ValueError as exc:
             raise PoolFormatError(f"row {row_num}: {exc}") from None
         out.append(Candidate(id=cid, genome=genome, features=features))
-    return out
-
-
-def load_pool_objectives(path) -> dict:
-    """Map candidate id to its labeled objective vector; {} for unlabeled pools."""
-    out = {}
-    for _, cid, _, objs in _read_pool_rows(path):
-        if objs:
-            out[cid] = np.asarray(objs, dtype=float)
     return out
 
 

@@ -14,7 +14,8 @@ import subprocess
 
 import numpy as np
 
-from .generation import load_pool, load_pool_objectives
+# load_pool is looked up here by the benchmark tracer (perfbench/spans.py)
+from .generation import load_pool, read_pool  # noqa: F401
 
 DEFAULT_TIMEOUT = 300.0
 
@@ -102,19 +103,15 @@ class LookupOracle:
 
     @classmethod
     def from_pool_csv(cls, path) -> "LookupOracle":
-        candidates = load_pool(path)
-        by_id = load_pool_objectives(path)
         table = {}
-        for cand in candidates:
-            if cand.id not in by_id:
-                raise OracleError(f"pool row {cand.id!r} has no objective labels")
-            table[cand.genome] = by_id[cand.id]
+        for _, cid, genome, objs in read_pool(path):
+            if not objs:
+                raise OracleError(f"pool row {cid!r} has no objective labels")
+            table[genome] = objs
         if not table:
             raise OracleError("labeled pool is empty")
-        m = {v.size for v in table.values()}
-        if len(m) != 1:
-            raise OracleError("pool labels disagree on objective count")
-        return cls(table, m.pop())
+        # the header fixes one objective count for every row
+        return cls(table, len(objs))
 
     def evaluate(self, candidates) -> np.ndarray:
         if not candidates:

@@ -254,6 +254,25 @@ def _boxes(points: np.ndarray, ref: np.ndarray):
     return np.hstack(los), np.hstack(his)
 
 
+def _covered(points, lo, hi, acc, side) -> np.ndarray:
+    """Per row of points, the sum over boxes of prod_j clip(min(y_j, hi_j) - lo_j, 0).
+
+    lo[j] and hi[j] are (boxes,) or one (boxes,) row per point. The product
+    builds one objective at a time in the (rows, boxes) buffers acc and side,
+    which callers keep for reuse (fresh buffers of 2**16 elements made m = 3
+    scoring about 60 % slower), and each row's sum is the pairwise sum numpy
+    gives a lone contiguous row.
+    """
+    for j in range(points.shape[1]):
+        f = side if j else acc
+        np.minimum(points[:, j, None], hi[j], out=f)
+        f -= lo[j]
+        np.maximum(f, 0.0, out=f)
+        if j:
+            acc *= side
+    return acc.sum(axis=1)
+
+
 class FrontIndex:
     """The region a front leaves undominated, as disjoint boxes.
 
@@ -282,15 +301,8 @@ class FrontIndex:
         out = np.empty(n)
         for start in range(0, n, rows):
             block = pts[start:start + rows]
-            a, s = acc[:block.shape[0]], side[:block.shape[0]]
-            for j in range(self.ref.size):
-                f = s if j else a
-                np.minimum(block[:, j, None], self.hi[j], out=f)
-                f -= self.lo[j]
-                np.maximum(f, 0.0, out=f)
-                if j:
-                    a *= s
-            out[start:start + block.shape[0]] = a.sum(axis=1)
+            k = block.shape[0]
+            out[start:start + k] = _covered(block, self.lo, self.hi, acc[:k], side[:k])
         return out
 
     def insert(self, values) -> "FrontIndex":
@@ -300,6 +312,57 @@ class FrontIndex:
         if keep is None:
             return self
         return FrontIndex(np.vstack([self.points[keep], y[None, :]]), self.ref)
+
+
+class FrontStack:
+    """One front per Monte Carlo draw, each grown by the draw's own values.
+
+    Draws whose fronts have equal box counts share a group: their box arrays
+    are stacked into one (m, draws, boxes) lo/hi pair, kept with the draw
+    indices and two (draws, boxes) buffers, so a group is scored by one
+    clipped product. Groups are never padded to a common box count,
+    since zero boxes would reorder the row sums; so every per-draw gain is
+    bitwise FrontIndex.gains of that draw's value alone.
+    """
+
+    def __init__(self, index: FrontIndex, n_draws: int):
+        self.indexes = [index] * n_draws
+        self.groups: dict = {}
+        self._regroup({index.lo.shape[1]})
+
+    def gains(self, values) -> np.ndarray:
+        """Hypervolume improvement of values[ell] against draw ell's front."""
+        out = np.empty(len(self.indexes))
+        for draws, lo, hi, acc, side in self.groups.values():
+            out[draws] = _covered(values[draws], lo, hi, acc, side)
+        return out
+
+    def insert(self, values) -> None:
+        """Fold values[ell] into draw ell's front by update_front's rules; only
+        groups a changed front leaves or joins are rebuilt."""
+        sizes = [index.points.shape[0] for index in self.indexes]
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        points = np.concatenate([index.points for index in self.indexes])
+        # _admitted's rejection test for every draw at once
+        covered = np.bincount(owner[(points >= values[owner]).all(axis=1)], minlength=len(sizes))
+        touched = set()
+        for ell in np.flatnonzero((covered == 0) & (values > self.indexes[0].ref).all(axis=1)):
+            index = self.indexes[ell]
+            self.indexes[ell] = index.insert(values[ell])
+            touched.update((index.lo.shape[1], self.indexes[ell].lo.shape[1]))
+        self._regroup(touched)
+
+    def _regroup(self, box_counts) -> None:
+        boxes = np.array([index.lo.shape[1] for index in self.indexes])
+        for b in box_counts:
+            draws = np.flatnonzero(boxes == b)
+            if draws.size:
+                members = [self.indexes[d] for d in draws]
+                lo = np.stack([f.lo for f in members], axis=1)
+                hi = np.stack([f.hi for f in members], axis=1)
+                self.groups[b] = (draws, lo, hi, np.empty(lo.shape[1:]), np.empty(lo.shape[1:]))
+            else:
+                self.groups.pop(b, None)
 
 
 def hvi_many(points, front: ParetoFront) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from poolbo import acquisition
 from poolbo.acquisition import (
     _CONSTRAINT_STREAM,
     AcquisitionResult,
@@ -18,11 +19,11 @@ from poolbo.acquisition import (
     write_result_csv,
 )
 from poolbo.bench import make_ablation_pool
-from poolbo.generation import load_pool, load_pool_objectives
+from poolbo.generation import load_pool, read_pool
 from poolbo.gp import Dataset, Posterior, fit, pool_posterior
-from poolbo.pareto import build_front, hvi_many, strictly_dominated_mask
+from poolbo.pareto import FrontStack, ParetoFront, build_front, hvi_many, strictly_dominated_mask
 from poolbo.seeds import derive_seed
-from refimpl import DiscretePosterior, best_subset_sum, greedy_joint_ehvi_trace
+from refimpl import DiscretePosterior, best_subset_sum, greedy_joint_ehvi_trace, per_draw_qehvi_mc
 
 REF = np.array([0.0, 0.0])
 FRONT_PTS = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -365,21 +366,24 @@ def scored_pool(tmp_path_factory):
     path = tmp_path_factory.mktemp("pool") / "pool.csv"
     make_ablation_pool(path, n=600, bits=24, seed=20240301)
     cands = load_pool(path)
-    objs = load_pool_objectives(path)
     labeled = np.sort(np.random.default_rng(3).choice(len(cands), 60, replace=False))
-    return cands, np.array([objs[c.id] for c in cands]), labeled
+    return cands, np.array([objs for _, _, _, objs in read_pool(path)]), labeled
+
+
+def pinned_posterior(cands, y, labeled):
+    """Pool posterior with the labeled rows pinned at y, and the front of y."""
+    data = Dataset(tuple(cands[i].id for i in labeled),
+                   np.stack([cands[i].features for i in labeled]), y)
+    lo = y.min(axis=0)
+    front = build_front(y, data.ids, lo - 1e-6 * (y.max(axis=0) - lo))
+    return pool_posterior(fit(data), np.stack([c.features for c in cands]), labeled, y), front
 
 
 class TestRescalingInvariance:
     @staticmethod
     def qpmhi_on_labels(cands, objectives, labeled, scale):
         """qPMHI probs and top-20 batch with objectives and ref scaled by `scale`."""
-        y = objectives[labeled] * scale
-        data = Dataset(tuple(cands[i].id for i in labeled),
-                       np.stack([cands[i].features for i in labeled]), y)
-        lo = y.min(axis=0)
-        front = build_front(y, data.ids, lo - 1e-6 * (y.max(axis=0) - lo))
-        post = pool_posterior(fit(data), np.stack([c.features for c in cands]), labeled, y)
+        post, front = pinned_posterior(cands, objectives[labeled] * scale, labeled)
         res = estimate_qpmhi(post, front, n_samples=256, seed=7)
         return res.probs, select_batch(res, 20)
 
@@ -442,6 +446,52 @@ class TestQehvi:
         post = gaussian([[2.0, 2.0], [1.0, 1.5], [0.4, 2.4]], seed=5)
         picked = qehvi_mc(post, make_front(), q=3, n_samples=64, seed=8)
         assert sorted(picked) == [0, 1, 2]
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("n_samples", [1, 7, 64, 65, 256])
+    def test_matches_per_draw_reference(self, m, n_samples):
+        rng = np.random.default_rng(10 * n_samples + m)
+        front = build_front(rng.uniform(0.5, 2.0, size=(6, m)), range(6), np.zeros(m))
+        post = gaussian(rng.uniform(0.5, 2.5, size=(24, m)), scale=0.2, seed=n_samples)
+        picked = qehvi_mc(post, front, q=8, n_samples=n_samples, seed=m)
+        assert picked == per_draw_qehvi_mc(post, front, q=8, n_samples=n_samples, seed=m)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_empty_front_whole_pool_matches_per_draw_reference(self, m):
+        post = gaussian(np.random.default_rng(m).uniform(0.0, 2.0, size=(12, m)), seed=m)
+        front = ParetoFront.empty(np.zeros(m))
+        picked = qehvi_mc(post, front, q=12, n_samples=65, seed=3)
+        assert sorted(picked) == list(range(12))
+        assert picked == per_draw_qehvi_mc(post, front, q=12, n_samples=65, seed=3)
+
+    def test_pinned_pool_posterior_matches_per_draw_reference(self, scored_pool):
+        cands, objectives, labeled = scored_pool
+        post, front = pinned_posterior(cands, objectives[labeled], labeled)
+        picked = qehvi_mc(post, front, q=20, n_samples=64, seed=11)
+        assert not set(picked) & set(labeled.tolist())
+        assert picked == per_draw_qehvi_mc(post, front, q=20, n_samples=64, seed=11)
+
+    def test_pick_that_changes_no_front_leaves_gains_unchanged(self, monkeypatch):
+        """Once (3, 3) joins every draw, the second pick is dominated in all of
+        them: no front or group is rebuilt and every candidate scores as before."""
+        steps = []
+
+        class Recording(FrontStack):
+            def insert(self, values):
+                indexes, groups = list(self.indexes), dict(self.groups)
+                super().insert(values)
+                gains = [self.gains(samples[:, i]) for i in range(samples.shape[1])]
+                unchanged = all(a is b for a, b in zip(indexes, self.indexes))
+                kept = all(self.groups.get(b) is group for b, group in groups.items())
+                steps.append((gains, unchanged, kept and self.groups.keys() == groups.keys()))
+
+        post = deterministic([[3.0, 3.0], [2.9, 2.9], [1.5, 2.5], [0.5, 0.5]])
+        samples = post.sample(5, 2)
+        monkeypatch.setattr(acquisition, "FrontStack", Recording)
+        assert qehvi_mc(post, make_front(), q=3, n_samples=5, seed=2) == [0, 1, 2]
+        (first, first_unchanged, _), (second, unchanged, kept) = steps[:2]
+        assert not first_unchanged and unchanged and kept
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     def test_truncates_and_validates(self):
         post = deterministic([[3.0, 3.0], [2.5, 2.5]])

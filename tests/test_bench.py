@@ -14,7 +14,7 @@ from poolbo.bench import (
     shared_ref_point,
     true_pareto_ids,
 )
-from poolbo.generation import load_pool, load_pool_objectives
+from poolbo.generation import load_pool, read_pool
 from poolbo.pareto import MetricRecord, build_front, read_metrics_csv
 
 
@@ -68,7 +68,7 @@ class TestBenchSpec:
 
 class TestSharedRefPoint:
     def test_resolves_nadir_rules_over_all_labels(self, small_pool, tmp_path):
-        labels = np.stack(list(load_pool_objectives(small_pool).values()))
+        labels = np.array([objs for _, _, _, objs in read_pool(small_pool)])
         lo = labels.min(axis=0)
         span = labels.max(axis=0) - lo
         spec = small_spec(small_pool, tmp_path / "out")
@@ -85,7 +85,7 @@ class TestSharedRefPoint:
         result = run_bench(spec)
         ref = shared_ref_point(spec)
         assert result["ref_point"] == ref
-        labels = load_pool_objectives(small_pool)
+        labels = {cid: np.array(objs) for _, cid, _, objs in read_pool(small_pool)}
         truth = result["true_front_ids"]
         hv_true = build_front([labels[i] for i in truth], list(truth), ref).hypervolume()
         finals = [records[-1] for records in result["records"].values()]
@@ -95,7 +95,7 @@ class TestSharedRefPoint:
 
 class TestTruth:
     def test_matches_pairwise_domination_scan(self, small_pool):
-        labels = load_pool_objectives(small_pool)
+        labels = {cid: np.array(objs) for _, cid, _, objs in read_pool(small_pool)}
         ids = list(labels)
         pts = np.stack([labels[i] for i in ids])
         expected = set()
@@ -107,6 +107,12 @@ class TestTruth:
             if not dominated:
                 expected.add(ids[i])
         assert set(true_pareto_ids(small_pool)) == expected
+
+    def test_token_genome_pool(self, tmp_path):
+        path = tmp_path / "pool.csv"
+        path.write_text("id,genome,obj_1,obj_2\na,ABCD,1.0,2.0\nb,ABAB,2.0,1.0\n"
+                        "c,BBBB,0.5,0.5\nd,ABAB,9.0,9.0\n")
+        assert true_pareto_ids(path) == ("a", "b")
 
     def test_spec_truth_is_verified_against_labels(self, small_pool, tmp_path):
         good = true_pareto_ids(small_pool)

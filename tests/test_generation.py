@@ -9,11 +9,11 @@ from poolbo.generation import (
     PoolFormatError,
     filter_constraints,
     load_pool,
-    load_pool_objectives,
     make_featurizer,
     parse_predicate,
     propose_pool,
     random_genome,
+    read_pool,
 )
 from poolbo.gp import Dataset, GpConfig, fit
 
@@ -64,6 +64,16 @@ class TestLoadPool:
         assert [c.id for c in pool] == ["a", "c"]
         assert [c.genome for c in pool] == ["0101", "1111"]
 
+    def test_read_pool_keeps_token_rows_unfeaturized(self, tmp_path):
+        path = write_csv(tmp_path / "p.csv",
+                         "id,genome,obj_1\na,0101,1.5\nb,ABAB,2.0\nc,0101,3.0\n")
+        assert read_pool(path) == [(2, "a", "0101", [1.5]), (3, "b", "ABAB", [2.0])]
+        with pytest.raises(PoolFormatError, match="row 3: identity featurizer"):
+            load_pool(path)
+        dup = write_csv(tmp_path / "d.csv", "id,genome\na,ABCD\na,ABAB\n")
+        with pytest.raises(PoolFormatError, match="row 3: duplicate id"):
+            read_pool(dup)
+
     def test_empty_pool(self, tmp_path):
         path = write_csv(tmp_path / "p.csv", "id,genome\n")
         assert load_pool(path) == []
@@ -94,9 +104,7 @@ class TestLoadPool:
             "id,genome,obj_1,obj_2\na,01,1.5,2.0\nb,10,0.25,-1.0\n",
         )
         assert len(load_pool(path)) == 2
-        objs = load_pool_objectives(path)
-        assert np.array_equal(objs["a"], [1.5, 2.0])
-        assert np.array_equal(objs["b"], [0.25, -1.0])
+        assert read_pool(path) == [(2, "a", "01", [1.5, 2.0]), (3, "b", "10", [0.25, -1.0])]
 
     def test_bad_objective_value_names_row(self, tmp_path):
         path = write_csv(tmp_path / "p.csv", "id,genome,obj_1\na,01,oops\n")
@@ -105,7 +113,7 @@ class TestLoadPool:
 
     def test_unlabeled_pool_has_no_objectives(self, tmp_path):
         path = write_csv(tmp_path / "p.csv", "id,genome\na,01\n")
-        assert load_pool_objectives(path) == {}
+        assert read_pool(path) == [(2, "a", "01", [])]
 
     def test_token_genomes_with_kgram_features(self, tmp_path):
         path = write_csv(tmp_path / "p.csv", "id,genome\na,abba\nb,baab\n")

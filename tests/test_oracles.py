@@ -113,6 +113,7 @@ class TestBuiltins:
 def write_pool(path, rows, n_obj=2):
     header = "id,genome" + "".join(f",obj_{j + 1}" for j in range(n_obj))
     path.write_text("\n".join([header] + rows) + "\n")
+    return path
 
 
 class TestLookupOracle:
@@ -137,6 +138,18 @@ class TestLookupOracle:
         pool.write_text("id,genome\na,00\nb,01\n")
         with pytest.raises(OracleError, match="no objective labels"):
             LookupOracle.from_pool_csv(pool)
+
+    def test_token_genome_pool(self, tmp_path):
+        """Reading a labeled pool never featurizes its genomes."""
+        pool = tmp_path / "pool.csv"
+        write_pool(pool, ["a,ABCD,1.0,2.0", "b,ABAB,2.0,1.0", "c,ABCD,9.0,9.0"])
+        oracle = LookupOracle.from_pool_csv(pool)
+        assert oracle.m == 2
+        assert list(oracle.table) == ["ABCD", "ABAB"]
+        out = oracle.evaluate([Candidate(id="x", genome="ABAB", features=[0.0])])
+        assert out.tolist() == [[2.0, 1.0]]
+        with pytest.raises(OracleError, match="no objective labels"):
+            LookupOracle.from_pool_csv(write_pool(tmp_path / "u.csv", ["a,ABCD"], n_obj=0))
 
     def test_three_objective_pool(self, tmp_path):
         pool = tmp_path / "pool.csv"

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from poolbo.pareto import (
     FrontIndex,
+    FrontStack,
     MetricRecord,
     ParetoFront,
     build_front,
@@ -385,6 +386,68 @@ class TestFrontIndex:
         assert front.index.insert((0.5, 0.5, 0.5)) is front.index
         grown = front.index.insert((2.0, 2.5, 2.0))
         assert grown is not front.index and front.index.points.shape == (2, 3)
+
+
+def grown_stack(m, n_draws, steps, seed):
+    """A FrontStack whose draws were grown by independent random points, so
+    their fronts differ in size and box count, and each draw's index grown
+    alone by FrontIndex.insert. Every other step draws from a half-step grid
+    that includes the reference, so values tie with incumbents and with ref."""
+    rng = np.random.default_rng(seed)
+    stack = FrontStack(FrontIndex(np.empty((0, m)), np.zeros(m)), n_draws)
+    alone = list(stack.indexes)
+    for step in range(steps):
+        values = rng.uniform(0.0, 2.5, size=(n_draws, m))
+        if step % 2:
+            values = rng.integers(0, 6, size=(n_draws, m)) / 2.0
+        stack.insert(values)
+        alone = [index.insert(y) for index, y in zip(alone, values)]
+    return stack, alone
+
+
+class TestFrontStack:
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("n_draws", [1, 7, 65, 256])
+    def test_grouped_gains_bitwise_equal_single_row_gains(self, m, n_draws):
+        stack, _ = grown_stack(m, n_draws, steps=12, seed=m * 1000 + n_draws)
+        if n_draws > 7:
+            assert len(stack.groups) > 2
+            assert max(group[0].size for group in stack.groups.values()) > 1
+        queries = np.random.default_rng(n_draws).uniform(0.0, 3.0, size=(20, n_draws, m))
+        for values in queries:
+            expected = [index.gains(y[None, :])[0] for index, y in zip(stack.indexes, values)]
+            assert np.array_equal(stack.gains(values), expected)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_fronts_and_groups_match_draws_grown_alone(self, m):
+        stack, alone = grown_stack(m, 64, steps=8, seed=m)
+        for index, single in zip(stack.indexes, alone):
+            assert np.array_equal(index.points, single.points)
+        seen = np.concatenate([group[0] for group in stack.groups.values()])
+        assert np.array_equal(np.sort(seen), np.arange(64))
+        for boxes, (draws, lo, hi, _, _) in stack.groups.items():
+            for k, ell in enumerate(draws):
+                assert np.array_equal(lo[:, k], stack.indexes[ell].lo)
+                assert np.array_equal(hi[:, k], stack.indexes[ell].hi)
+                assert stack.indexes[ell].lo.shape[1] == boxes
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_insert_that_changes_no_front_rebuilds_nothing(self, m):
+        stack, _ = grown_stack(m, 32, steps=6, seed=7 + m)
+        queries = np.random.default_rng(m).uniform(0.0, 3.0, size=(10, 32, m))
+        before = [stack.gains(values) for values in queries]
+        indexes, groups = list(stack.indexes), dict(stack.groups)
+        # each value equals or is dominated by a point of its own draw's
+        # front, or sits on the reference in its first objective
+        edge = np.full(m, 10.0)
+        edge[0] = 0.0
+        stack.insert(np.stack([(index.points[0], index.points[0] * 0.5, edge)[ell % 3]
+                               for ell, index in enumerate(stack.indexes)]))
+        assert all(a is b for a, b in zip(stack.indexes, indexes))
+        assert stack.groups.keys() == groups.keys()
+        assert all(stack.groups[b] is groups[b] for b in groups)
+        for values, gains in zip(queries, before):
+            assert np.array_equal(stack.gains(values), gains)
 
 
 class TestStrictlyDominatedMask:
