@@ -19,7 +19,7 @@ from .campaign import (
     nadir_ref_point,
     run,
 )
-from .generation import read_pool
+from .generation import make_featurizer, read_pool
 from .gp import GpConfig
 from .oracles import LookupOracle
 from .pareto import (
@@ -52,6 +52,7 @@ class BenchSpec:
     mc_samples: int = 256
     ref_rule: str = "nadir_minus_epsilon"
     true_front_ids: tuple | None = None
+    featurizer: str = "identity"
     gp: GpConfig = field(default_factory=GpConfig)
 
     def __post_init__(self):
@@ -77,6 +78,7 @@ class BenchSpec:
             )
         if self.true_front_ids is not None:
             object.__setattr__(self, "true_front_ids", tuple(self.true_front_ids))
+        make_featurizer(self.featurizer)  # an unknown name fails before any cell runs
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -156,6 +158,7 @@ def run_cell(spec: BenchSpec, acquisition: str, seed: int, true_ids=None,
         ref_rule="explicit",
         ref_point=tuple(ref_point),
         pool_path=spec.pool_path,
+        featurizer=spec.featurizer,
         oracle=f"lookup:{spec.pool_path}",
         init={"pool_sample": spec.init_size},
         seed=seed,

@@ -146,8 +146,11 @@ def tanimoto_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     dots = a @ b.T
     na = (a * a).sum(axis=1)
     nb = (b * b).sum(axis=1)
-    denom = na[:, None] + nb[None, :] - dots
-    return np.divide(dots, denom, out=np.ones_like(dots, dtype=float), where=denom != 0)
+    denom = na[:, None] + nb[None, :]
+    denom -= dots  # in place: two len(a) x len(b) arrays at most
+    np.divide(dots, denom, out=dots, where=denom != 0)
+    dots[denom == 0] = 1.0
+    return dots
 
 
 def _jittered_cholesky(a: np.ndarray, ladder, error=NumericalError):
@@ -229,9 +232,9 @@ def _lml(chol: np.ndarray, z: np.ndarray, sigma2: float) -> float:
 
 
 def _fit_objective(X: np.ndarray, y: np.ndarray, kernel: str, config: GpConfig,
-                   gram: np.ndarray) -> _ObjectiveGp:
-    """Fit one objective; `gram` is the Tanimoto training kernel, or the
-    squared distances the RBF kernel is built from."""
+                   shared) -> _ObjectiveGp:
+    """Fit one objective; `shared` is the Tanimoto training factor and its
+    nugget, or the squared distances the RBF kernel is built from."""
     out_mean = float(y.mean())
     out_std = float(y.std())
     if out_std < 1e-12:
@@ -246,14 +249,12 @@ def _fit_objective(X: np.ndarray, y: np.ndarray, kernel: str, config: GpConfig,
         return chol
 
     if kernel == "tanimoto":
-        chol = factor(gram)
-        sigma2 = _profile_sigma2(chol, z, config.signal_variance)
-        lengthscale = None
+        (chol, state["nugget"]), lengthscale = shared, None
     else:
         lo, hi = np.log(LENGTHSCALE_BOUNDS[0]), np.log(LENGTHSCALE_BOUNDS[1])
 
         def neg_lml(t):
-            chol = factor(np.exp(-0.5 * gram / np.exp(2.0 * t[0])))
+            chol = factor(np.exp(-0.5 * shared / np.exp(2.0 * t[0])))
             sigma2 = _profile_sigma2(chol, z, config.signal_variance)
             return -_lml(chol, z, sigma2)
 
@@ -268,8 +269,7 @@ def _fit_objective(X: np.ndarray, y: np.ndarray, kernel: str, config: GpConfig,
             vals = np.array([b[0] for b in best])
             lengthscale = float(np.exp(best[int(np.argmin(vals))][1]))
         chol = factor(rbf_kernel(X, X, lengthscale))
-        sigma2 = _profile_sigma2(chol, z, config.signal_variance)
-
+    sigma2 = _profile_sigma2(chol, z, config.signal_variance)
     alpha = cho_solve((chol, True), z)
     return _ObjectiveGp(
         kernel=kernel, lengthscale=lengthscale, sigma2=sigma2, nugget=state["nugget"],
@@ -285,38 +285,64 @@ def fit(data: Dataset, config: GpConfig = GpConfig()) -> GpModel:
     if kernel == "auto":
         kernel = "tanimoto" if data.feature_kind == "binary" else "rbf"
     X = data.features
-    gram = tanimoto_kernel(X, X) if kernel == "tanimoto" else squared_distances(X, X)
+    # every Tanimoto objective factors the same gram, so it is factored once
+    shared = (_escalated_cholesky(tanimoto_kernel(X, X), config.nugget) if kernel == "tanimoto"
+              else squared_distances(X, X))
     parts = [
-        _fit_objective(X, data.objectives[:, j], kernel, config, gram)
+        _fit_objective(X, data.objectives[:, j], kernel, config, shared)
         for j in range(data.m)
     ]
     return GpModel(data=data, parts=parts)
+
+
+class ScaledBlocks:
+    """Read-only (m, u, u) stack whose block j is scale[j] * blocks[group[j]]:
+    `[j]` and np.asarray build bitwise what one scaled copy per objective
+    held. By default each block is one objective's, at scale 1 (exact)."""
+
+    def __init__(self, blocks, scale=None, group=None):
+        self.blocks = blocks
+        self.scale = np.ones(len(blocks)) if scale is None else scale
+        self.group = np.arange(len(blocks)) if group is None else group
+
+    @property
+    def shape(self) -> tuple:
+        return (len(self.group),) + self.blocks[0].shape
+
+    def __getitem__(self, j) -> np.ndarray:
+        return np.multiply(self.scale[j], self.blocks[self.group[j]])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.stack(list(self)).astype(dtype or float, copy=False)
 
 
 @dataclass
 class Posterior:
     """Joint posterior over a candidate pool.
 
-    `cov` holds one block per objective over the stochastic subset of the
-    pool; `stochastic_idx` of None means the full pool is stochastic. Rows
-    outside the subset are deterministic at `mean`. `chol` holds one lower
-    factor per block and `jitter` the diagonal jitter each block needed
-    to factorize; both are computed on first use when not given.
+    `cov` holds one covariance block per objective over the stochastic
+    subset of the pool, as ScaledBlocks or an (m, u, u) array;
+    `stochastic_idx` of None means the full pool is stochastic. Rows
+    outside the subset are deterministic at `mean`. `chol` holds the lower
+    factors, scaled by the square roots of cov's scales, and `jitter` the
+    diagonal jitter each block needed to factorize; both are computed on
+    first use when not given.
     """
 
     ids: tuple | None
     mean: np.ndarray
-    cov: np.ndarray
+    cov: ScaledBlocks
     stochastic_idx: np.ndarray | None = None
-    chol: np.ndarray | None = field(default=None, repr=False)
+    chol: ScaledBlocks | None = field(default=None, repr=False)
     jitter: np.ndarray | None = None
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
-        self.cov = np.asarray(self.cov, dtype=float)
+        if not isinstance(self.cov, ScaledBlocks):
+            self.cov = ScaledBlocks(np.asarray(self.cov, dtype=float))
         if self.mean.ndim != 2:
             raise ValueError(f"mean must be 2-d, got shape {self.mean.shape}")
-        if self.cov.ndim != 3 or self.cov.shape[0] != self.mean.shape[1]:
+        if len(self.cov.shape) != 3 or self.cov.shape[0] != self.mean.shape[1]:
             raise ValueError("cov must be one square block per objective")
         u = self.cov.shape[1]
         if self.stochastic_idx is None:
@@ -335,13 +361,13 @@ class Posterior:
     def m(self) -> int:
         return self.mean.shape[1]
 
-    def _factors(self) -> np.ndarray:
+    def _factors(self) -> ScaledBlocks:
         if self.chol is None:
-            self.chol, self.jitter = np.zeros_like(self.cov), np.zeros(self.m)
             # an exactly-degenerate block keeps a zero factor, which reproduces the mean
-            for j in np.flatnonzero(self.cov.any(axis=(1, 2))):
-                self.chol[j], self.jitter[j] = _jittered_cholesky(
-                    self.cov[j].copy(), (0.0,) + JITTER_LADDER)
+            pairs = [_jittered_cholesky(b.copy(), (0.0,) + JITTER_LADDER) if b.any()
+                     else (np.zeros_like(b), 0.0) for b in self.cov.blocks]
+            self.chol = ScaledBlocks([f for f, _ in pairs], np.sqrt(self.cov.scale), self.cov.group)
+            self.jitter = self.cov.scale * np.array([jit for _, jit in pairs])[self.cov.group]
         return self.chol
 
     def sample(self, n_samples: int, seed: int) -> np.ndarray:
@@ -351,7 +377,8 @@ class Posterior:
         multiplied by each factor as column ell % SAMPLE_BLOCK of a
         zero-padded block of SAMPLE_BLOCK columns. Every draw thus meets a
         product of the same shape in the same column whatever n_samples is,
-        so any single draw is bitwise reproducible in isolation.
+        so any single draw is bitwise reproducible in isolation. Objective
+        j's scaled factor is built in one buffer reused for every objective.
         """
         if n_samples < 1:
             raise ValueError("n_samples must be at least 1")
@@ -361,33 +388,25 @@ class Posterior:
         out = np.repeat(self.mean[None, :, :], n_samples, axis=0)
         if u == 0:
             return out
-        for start in range(0, n_samples, SAMPLE_BLOCK):
-            stop = min(start + SAMPLE_BLOCK, n_samples)
-            zs = np.zeros((self.m, u, SAMPLE_BLOCK))
-            for ell in range(start, stop):
-                zs[:, :, ell - start] = child_rng(seed, ell).standard_normal((u, self.m)).T
-            for j in range(self.m):
-                out[start:stop, idx, j] += (factors[j] @ zs[j])[:, :stop - start].T
+        w = SAMPLE_BLOCK
+        zs = np.zeros((-(-n_samples // w), self.m, u, w))
+        for ell in range(n_samples):
+            zs[ell // w, :, :, ell % w] = child_rng(seed, ell).standard_normal((u, self.m)).T
+        scaled = np.empty((u, u))
+        for j in range(self.m):
+            np.multiply(factors.scale[j], factors.blocks[factors.group[j]], out=scaled)
+            for b, start in enumerate(range(0, n_samples, w)):
+                stop = min(start + w, n_samples)
+                out[start:stop, idx, j] += (scaled @ zs[b, j])[:, :stop - start].T
         return out
-
-
-def sample_joint(post: Posterior, n_samples: int, seed: int) -> np.ndarray:
-    """Joint posterior samples; see Posterior.sample."""
-    return post.sample(n_samples, seed)
 
 
 def _cross_kernels(model: GpModel, Xq: np.ndarray):
     """Base train-query and query-query kernels, shared across objectives when possible."""
     X = model.data.features
-    kinds = {p.kernel for p in model.parts}
-    shared = {}
-    if kinds == {"tanimoto"}:
-        shared["cross"] = tanimoto_kernel(Xq, X)
-        shared["self"] = tanimoto_kernel(Xq, Xq)
-    else:
-        shared["d2_cross"] = squared_distances(Xq, X)
-        shared["d2_self"] = squared_distances(Xq, Xq)
-    return shared
+    if {p.kernel for p in model.parts} == {"tanimoto"}:
+        return {"cross": tanimoto_kernel(Xq, X), "self": tanimoto_kernel(Xq, Xq)}
+    return {"d2_cross": squared_distances(Xq, X), "d2_self": squared_distances(Xq, Xq)}
 
 
 def _objective_blocks(part: _ObjectiveGp, shared: dict):
@@ -403,9 +422,10 @@ def posterior(model: GpModel, features, ids=None) -> Posterior:
     Objectives that share a kernel, lengthscale and nugget share one
     training factor and so one normalized covariance, which is factored
     once with a diagonal jitter (1e-8, escalating tenfold to at most 1e-4)
-    on the normalized scale. Each member scales that factor and covariance
-    by its raw signal variance c, so `jitter` records c times the normalized
-    jitter and no jitter depends on the objectives' units.
+    on the normalized scale. The posterior keeps that block and factor
+    once per group; each member reads them scaled by its raw signal
+    variance c (the factor by sqrt(c)), so `jitter` records c times the
+    normalized jitter and no jitter depends on the objectives' units.
     """
     Xq = np.asarray(features, dtype=float)
     if Xq.ndim != 2 or Xq.shape[1] != model.data.d:
@@ -413,27 +433,31 @@ def posterior(model: GpModel, features, ids=None) -> Posterior:
     shared = _cross_kernels(model, Xq)
     u = Xq.shape[0]
     mean, jitter = np.empty((u, model.m)), np.empty(model.m)
-    cov, chol = np.empty((model.m, u, u)), np.empty((model.m, u, u))
+    scale = np.array([part.signal_variance for part in model.parts])
     groups: dict = {}
     for j, part in enumerate(model.parts):
         groups.setdefault((part.kernel, part.lengthscale, part.nugget), []).append(j)
-    for members in groups.values():
+    group, covs, factors = np.empty(model.m, dtype=int), [], []
+    for g, members in enumerate(groups.values()):
         rq, rqq = _objective_blocks(model.parts[members[0]], shared)
+        if g == len(groups) - 1:
+            shared.clear()
         v = solve_triangular(model.parts[members[0]].chol, rq.T, lower=True)
         # rqq - v^T v is exactly symmetric: v^T v runs as a symmetric rank-k
         # update and both kernels are symmetric by construction
         base = v.T @ v
         np.subtract(rqq, base, out=base)
+        del v, rqq  # frees the query kernel before factoring, unless a later group reads it
         # factoring leaves the jitter on base's diagonal, as every cov keeps it
         factor, base_jitter = _jittered_cholesky(base, JITTER_LADDER)
+        covs.append(base)
+        factors.append(factor)
+        group[members], jitter[members] = g, scale[members] * base_jitter
         for j in members:
             part = model.parts[j]
-            c = part.signal_variance
             mean[:, j] = part.out_mean + part.out_std * (rq @ part.alpha)
-            np.multiply(c, base, out=cov[j])
-            np.multiply(np.sqrt(c), factor, out=chol[j])
-            jitter[j] = c * base_jitter
-    return Posterior(None if ids is None else tuple(ids), mean, cov, chol=chol, jitter=jitter)
+    return Posterior(None if ids is None else tuple(ids), mean, ScaledBlocks(covs, scale, group),
+                     chol=ScaledBlocks(factors, np.sqrt(scale), group), jitter=jitter)
 
 
 def pool_posterior(model: GpModel, features, known_idx, known_values, ids=None) -> Posterior:

@@ -64,6 +64,17 @@ def non_dominated_mask(points) -> np.ndarray:
     mask = np.ones(n, dtype=bool)
     if n == 0:
         return mask
+    if pts.shape[1] == 2:
+        # sweep by first objective: dominated by a larger second objective at an
+        # equal first one, or by one at least as large at a strictly larger one
+        order = np.lexsort((pts[:, 1], pts[:, 0]))
+        x, y = pts[order, 0], pts[order, 1]
+        last = np.append(x[1:] != x[:-1], True)
+        # the largest y at each distinct x, and the index of each row's x
+        top, group = y[last], np.cumsum(last) - last
+        beyond = np.append(np.maximum.accumulate(top[::-1])[::-1][1:], -np.inf)
+        mask[order] = (top[group] <= y) & (beyond[group] < y)
+        return mask
     # pairwise strict-dominance test, chunked to bound peak memory
     chunk = max(1, int(2 ** 22) // max(1, n))
     for start in range(0, n, chunk):

@@ -3,9 +3,12 @@
 Everything here deliberately avoids the library's own algorithms: volumes come
 from inclusion-exclusion or rejection sampling, Gaussian-process predictions
 from explicit matrix inversion, and acquisition probabilities from exhaustive
-enumeration of joint outcomes. The one exception is per_draw_qehvi_mc, the
-greedy select's per-draw loop kept as written before its draws were grouped,
-which the library's version must match bit for bit.
+enumeration of joint outcomes. The exceptions are kept as the library wrote
+them before a faster version replaced them, which must match them bit for
+bit: per_draw_qehvi_mc, the greedy select's per-draw loop;
+pairwise_non_dominated_mask, the all-pairs test the two-objective sweep
+replaced; and scaled_copy_posterior, which stores one scaled copy of the
+covariance and factor per objective.
 """
 from __future__ import annotations
 
@@ -28,6 +31,14 @@ def union_box_volume(points, ref) -> float:
             corner = np.min(np.stack(combo), axis=0)
             total += sign * float(np.prod(np.maximum(corner - ref, 0.0)))
     return total
+
+
+def pairwise_non_dominated_mask(points) -> np.ndarray:
+    """Points no other point strictly dominates, by testing every pair."""
+    pts = np.asarray(points, dtype=float)
+    ge = (pts[:, None, :] >= pts[None, :, :]).all(axis=-1)
+    gt = (pts[:, None, :] > pts[None, :, :]).any(axis=-1)
+    return ~(ge & gt).any(axis=0)
 
 
 def hvi_by_inclusion_exclusion(y, points, ref) -> float:
@@ -82,14 +93,7 @@ def gp_posterior_oracle(X, y, Xq, kernel: str, lengthscale, signal_variance, nug
             d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
             return np.exp(-0.5 * d2 / lengthscale ** 2)
         if kernel == "tanimoto":
-            dots = a @ b.T
-            na = (a * a).sum(axis=1)
-            nb = (b * b).sum(axis=1)
-            denom = na[:, None] + nb[None, :] - dots
-            out = np.ones_like(dots, dtype=float)
-            nz = denom != 0
-            out[nz] = dots[nz] / denom[nz]
-            return out
+            return tanimoto_similarity(a, b)
         raise ValueError(kernel)
 
     R = base(X, X) + nugget * np.eye(X.shape[0])
@@ -99,6 +103,67 @@ def gp_posterior_oracle(X, y, Xq, kernel: str, lengthscale, signal_variance, nug
     mean = mu + sd * (Rq @ A @ z)
     cov = sd ** 2 * signal_variance * (Rqq - Rq @ A @ Rq.T)
     return mean, cov
+
+
+def tanimoto_similarity(a, b) -> np.ndarray:
+    """Tanimoto similarity, 1 where both vectors are all zero."""
+    dots = a @ b.T
+    na = (a * a).sum(axis=1)
+    nb = (b * b).sum(axis=1)
+    denom = na[:, None] + nb[None, :] - dots
+    out = np.ones_like(dots, dtype=float)
+    nz = denom != 0
+    out[nz] = dots[nz] / denom[nz]
+    return out
+
+
+def scaled_copy_posterior(model, Xq):
+    """(mean, cov, chol, jitter) of the posterior with one scaled copy per
+    objective: cov and chol are (m, u, u), each objective's block and factor
+    multiplied out by its raw signal variance c and by sqrt(c)."""
+    from scipy.linalg import solve_triangular
+
+    from poolbo.gp import JITTER_LADDER, _cross_kernels, _jittered_cholesky, _objective_blocks
+
+    shared = _cross_kernels(model, Xq)
+    u = Xq.shape[0]
+    mean, jitter = np.empty((u, model.m)), np.empty(model.m)
+    cov, chol = np.empty((model.m, u, u)), np.empty((model.m, u, u))
+    groups: dict = {}
+    for j, part in enumerate(model.parts):
+        groups.setdefault((part.kernel, part.lengthscale, part.nugget), []).append(j)
+    for members in groups.values():
+        rq, rqq = _objective_blocks(model.parts[members[0]], shared)
+        v = solve_triangular(model.parts[members[0]].chol, rq.T, lower=True)
+        base = v.T @ v
+        np.subtract(rqq, base, out=base)
+        factor, base_jitter = _jittered_cholesky(base, JITTER_LADDER)
+        for j in members:
+            part = model.parts[j]
+            c = part.signal_variance
+            mean[:, j] = part.out_mean + part.out_std * (rq @ part.alpha)
+            np.multiply(c, base, out=cov[j])
+            np.multiply(np.sqrt(c), factor, out=chol[j])
+            jitter[j] = c * base_jitter
+    return mean, cov, chol, jitter
+
+
+def scaled_copy_sample(mean, chol, stochastic_idx, n_samples: int, seed: int) -> np.ndarray:
+    """Joint draws from (m, u, u) factors, one zero-padded block of draws at
+    a time with every objective's product inside it."""
+    from poolbo.gp import SAMPLE_BLOCK
+    from poolbo.seeds import child_rng
+
+    m, u = chol.shape[0], chol.shape[1]
+    out = np.repeat(mean[None, :, :], n_samples, axis=0)
+    for start in range(0, n_samples, SAMPLE_BLOCK):
+        stop = min(start + SAMPLE_BLOCK, n_samples)
+        zs = np.zeros((m, u, SAMPLE_BLOCK))
+        for ell in range(start, stop):
+            zs[:, :, ell - start] = child_rng(seed, ell).standard_normal((u, m)).T
+        for j in range(m):
+            out[start:stop, stochastic_idx, j] += (chol[j] @ zs[j])[:, :stop - start].T
+    return out
 
 
 class DiscretePosterior:

@@ -1,5 +1,7 @@
 """Benchmark harness: spec handling, truth recovery, aggregation, pool builder."""
 import json
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from poolbo.bench import (
     shared_ref_point,
     true_pareto_ids,
 )
-from poolbo.generation import load_pool, read_pool
+from poolbo.generation import PoolFormatError, load_pool, read_pool
 from poolbo.pareto import MetricRecord, build_front, read_metrics_csv
 
 
@@ -60,6 +62,7 @@ class TestBenchSpec:
         (dict(batch_size=0), "batch_size"),
         (dict(init_size=1), "init_size"),
         (dict(ref_rule="explicit"), "ref_rule"),
+        (dict(featurizer="onehot"), "featurizer"),
     ])
     def test_bad_values_rejected(self, small_pool, tmp_path, over, msg):
         with pytest.raises(ValueError, match=msg):
@@ -181,6 +184,26 @@ class TestAggregate:
         }
         with pytest.raises(ValueError, match="unequal"):
             aggregate(cells)
+
+
+class TestTokenGenomePool:
+    def test_runs_with_the_spec_featurizer(self, tmp_path):
+        rng = np.random.default_rng(3)
+        words = ["".join(w) for w in product("ABCD", repeat=4)]
+        genomes = ["ABCD", "ABAB"] + [w for w in rng.permutation(words)
+                                      if w not in ("ABCD", "ABAB")][:22]
+        labels = rng.uniform(size=(len(genomes), 2))
+        path = tmp_path / "tokens.csv"
+        path.write_text("id,genome,obj_1,obj_2\n" + "".join(
+            f"t{i},{g},{a},{b}\n" for i, (g, (a, b)) in enumerate(zip(genomes, labels.tolist()))))
+        spec = small_spec(path, tmp_path / "identity", acquisitions=("qpmhi",), seeds=(0,))
+        with pytest.raises(PoolFormatError, match="identity featurizer"):
+            run_bench(spec)
+        result = run_bench(replace(spec, output_dir=str(tmp_path / "kgram"),
+                                   featurizer="kgram:2"))
+        records = result["records"][("qpmhi", 0)]
+        assert [r.iteration for r in records] == [0, 1, 2]
+        assert all(len(r.batch_ids) == 3 for r in records[1:])
 
 
 class TestRunBench:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -19,11 +21,15 @@ from poolbo.gp import (
     pool_posterior,
     posterior,
     rbf_kernel,
-    sample_joint,
     tanimoto_kernel,
 )
 from poolbo.seeds import child_rng
-from refimpl import gp_posterior_oracle
+from refimpl import (
+    gp_posterior_oracle,
+    scaled_copy_posterior,
+    scaled_copy_sample,
+    tanimoto_similarity,
+)
 
 
 def toy_dataset(seed=0, n=3, d=2, m=1, binary=False):
@@ -92,6 +98,21 @@ def open_pool_posterior(m, seed=0):
     known_idx = np.flatnonzero(order >= 28)
     known_values = data.objectives[order[known_idx] - 28]
     return pool_posterior(fit(data), pool, known_idx, known_values)
+
+
+def grouped_model(case):
+    """(model, data): Tanimoto m=2 in one group, RBF m=3 with a lengthscale
+    each, or RBF objectives 0 and 1 sharing a lengthscale beside objective 2."""
+    binary = case == "tanimoto"
+    data = toy_dataset(seed=12, n=10, d=8, m=2 if binary else 3, binary=binary)
+    if case != "mixed":
+        return fit(data, GpConfig(kernel="rbf" if case == "rbf" else "tanimoto")), data
+    def part_of(cols, lengthscale):
+        return fit(Dataset(data.ids, data.features, data.objectives[:, cols]),
+                   GpConfig(lengthscale=lengthscale))
+
+    pair, single = part_of(slice(0, 2), 1.0), part_of(slice(2, 3), 2.0)
+    return GpModel(data=data, parts=pair.parts + single.parts), data
 
 
 class TestDataset:
@@ -190,6 +211,15 @@ class TestFit:
         data = Dataset(tuple(range(12)), x, y, feature_kind="dense_real")
         model = fit(data)
         assert model.parts[0].lengthscale > 0.1
+
+    def test_tanimoto_objectives_share_one_training_factor(self):
+        data = toy_dataset(seed=3, n=9, d=7, m=3, binary=True)
+        model = fit(data)
+        chol, nugget = _escalated_cholesky(tanimoto_kernel(data.features, data.features),
+                                           BASE_NUGGET)
+        for part in model.parts:
+            assert part.chol is model.parts[0].chol and part.nugget == nugget
+        np.testing.assert_array_equal(model.parts[0].chol, chol)
 
     def test_escalated_cholesky_doubles_until_pd(self):
         base = np.diag([1.0, -4e-3])
@@ -331,6 +361,36 @@ class TestPosterior:
         post = posterior(model, Xq)
         np.testing.assert_array_equal(post.cov[0], post.cov[0].T)
 
+    def test_tanimoto_kernel_is_bitwise_the_reference_formula(self):
+        rng = np.random.default_rng(6)
+        a = (rng.random((40, 12)) < 0.3).astype(float)
+        b = rng.integers(0, 3, size=(25, 12)).astype(float)  # k-gram counts
+        a[[0, 7]] = 0.0
+        b[3] = 0.0
+        for x, y in ((a, b), (a, a), (b, a)):
+            np.testing.assert_array_equal(tanimoto_kernel(x, y), tanimoto_similarity(x, y))
+        assert tanimoto_kernel(a, b)[0, 3] == tanimoto_kernel(a, a)[0, 7] == 1.0
+
+    @pytest.mark.parametrize("n_samples", [1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 4 * SAMPLE_BLOCK])
+    @pytest.mark.parametrize("case,n_groups", [("tanimoto", 1), ("rbf", 3), ("mixed", 2)])
+    def test_one_block_per_group_matches_scaled_copies(self, case, n_groups, n_samples):
+        model, data = grouped_model(case)
+        rng = np.random.default_rng(9)
+        fresh = rng.normal(size=(30, data.d))
+        pool = np.vstack([(fresh > 0).astype(float) if case == "tanimoto" else fresh,
+                          data.features])
+        post = pool_posterior(model, pool, np.arange(30, 40), data.objectives)
+        assert len(post.cov.blocks) == len(post.chol.blocks) == n_groups
+        mean, cov, chol, jitter = scaled_copy_posterior(model, pool[post.stochastic_idx])
+        np.testing.assert_array_equal(post.mean[post.stochastic_idx], mean)
+        np.testing.assert_array_equal(post.jitter, jitter)
+        for j in range(model.m):
+            np.testing.assert_array_equal(post.cov[j], cov[j])
+            np.testing.assert_array_equal(post.chol[j], chol[j])
+        np.testing.assert_array_equal(
+            post.sample(n_samples, seed=5),
+            scaled_copy_sample(post.mean, chol, post.stochastic_idx, n_samples, 5))
+
     def test_query_dimension_mismatch(self):
         model = fit(toy_dataset())
         with pytest.raises(ValueError, match="query features"):
@@ -341,7 +401,7 @@ class TestSampling:
     def test_zero_covariance_returns_mean_exactly(self):
         mean = np.array([[1.0, -2.0], [0.5, 3.0]])
         post = Posterior(ids=None, mean=mean, cov=np.zeros((2, 2, 2)))
-        samples = sample_joint(post, 4, seed=0)
+        samples = post.sample(4, seed=0)
         assert samples.shape == (4, 2, 2)
         for ell in range(4):
             np.testing.assert_array_equal(samples[ell], mean)
@@ -349,17 +409,17 @@ class TestSampling:
     def test_bitwise_deterministic(self):
         data = toy_dataset(seed=1, n=4, m=2)
         post = posterior(fit(data), data.features)
-        a = sample_joint(post, 16, seed=42)
-        b = sample_joint(post, 16, seed=42)
+        a = post.sample(16, seed=42)
+        b = post.sample(16, seed=42)
         np.testing.assert_array_equal(a, b)
-        c = sample_joint(post, 16, seed=43)
+        c = post.sample(16, seed=43)
         assert not np.array_equal(a, c)
 
     def test_draws_reproducible_in_isolation(self):
         data = toy_dataset(seed=1, n=4, m=2)
         post = posterior(fit(data), data.features)
-        full = sample_joint(post, 8, seed=7)
-        short = sample_joint(post, 3, seed=7)
+        full = post.sample(8, seed=7)
+        short = post.sample(3, seed=7)
         np.testing.assert_array_equal(full[:3], short)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -383,14 +443,37 @@ class TestSampling:
         model = fit(data)
         post = posterior(model, np.random.default_rng(8).normal(size=(3, 2)))
         n = 100_000
-        samples = sample_joint(post, n, seed=5)
+        samples = post.sample(n, seed=5)
         se = np.sqrt(np.stack([np.diag(post.cov[j]) for j in range(2)], axis=1) / n)
         np.testing.assert_array_less(np.abs(samples.mean(axis=0) - post.mean), 4.0 * se + 1e-12)
+
+    def test_pool_draws_peak_below_four_blocks(self):
+        # the posterior holds one normalized block and factor per group and
+        # frees the query kernel before factoring; sampling adds the buffer
+        # each objective's factor is scaled into. One scaled copy of both
+        # per objective peaked at seven u x u arrays.
+        u, n = 1500, 40
+        data = toy_dataset(seed=2, n=n, d=24, m=2, binary=True)
+        model = fit(data)
+        fresh = (np.random.default_rng(0).random((u, 24)) < 0.5).astype(float)
+        pool = np.vstack([data.features, fresh])
+        tracemalloc.start()
+        try:
+            post = pool_posterior(model, pool, np.arange(n), data.objectives)
+            posterior_peak = tracemalloc.get_traced_memory()[1]
+            post.sample(256, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = u * u * 8
+        assert post.cov.shape == (2, u, u)
+        assert posterior_peak < 2.5 * block
+        assert peak < 4 * block
 
     def test_invalid_count_rejected(self):
         post = Posterior(ids=None, mean=np.zeros((1, 1)), cov=np.zeros((1, 1, 1)))
         with pytest.raises(ValueError):
-            sample_joint(post, 0, seed=1)
+            post.sample(0, seed=1)
 
 
 class TestPoolPosterior:
@@ -405,7 +488,7 @@ class TestPoolPosterior:
         dense = posterior(model, pool[2:])
         np.testing.assert_allclose(post.mean[2:], dense.mean, atol=1e-12)
         np.testing.assert_allclose(post.cov, dense.cov, atol=1e-12)
-        samples = sample_joint(post, 5, seed=3)
+        samples = post.sample(5, seed=3)
         for ell in range(5):
             np.testing.assert_array_equal(samples[ell, :2], known_values)
 

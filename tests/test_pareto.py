@@ -26,7 +26,12 @@ from poolbo.pareto import (
     update_front,
     write_metrics_csv,
 )
-from refimpl import hvi_by_inclusion_exclusion, mc_box_union_volume, union_box_volume
+from refimpl import (
+    hvi_by_inclusion_exclusion,
+    mc_box_union_volume,
+    pairwise_non_dominated_mask,
+    union_box_volume,
+)
 
 coord = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False, allow_infinity=False)
 
@@ -105,6 +110,21 @@ class TestNonDominatedMask:
         for i in range(len(pts)):
             dominated = any(dominates(pts[j], pts[i]) for j in range(len(pts)) if j != i)
             assert mask[i] == (not dominated)
+
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 40),
+           st.sampled_from(["random", "tied", "duplicated", "grid"]))
+    def test_two_objective_sweep_matches_pairwise(self, seed, n, kind):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(n, 2))
+        if kind == "tied":
+            pts[:, seed % 2] = rng.integers(0, 3, size=n)
+        elif kind == "duplicated":
+            pts = pts[rng.integers(0, max(1, n // 3), size=n)]
+        elif kind == "grid":
+            # -0.0 and 0.0 compare equal and must tie like any other pair
+            pts = np.array([-0.0, 0.0, 1.0, 2.0])[rng.integers(0, 4, size=(n, 2))]
+        np.testing.assert_array_equal(non_dominated_mask(pts), pairwise_non_dominated_mask(pts))
 
 
 class TestUpdateFront:
