@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import blas, cho_solve, solve_triangular
 from scipy.optimize import minimize
 
 from .seeds import child_rng
@@ -377,8 +377,8 @@ class Posterior:
         multiplied by each factor as column ell % SAMPLE_BLOCK of a
         zero-padded block of SAMPLE_BLOCK columns. Every draw thus meets a
         product of the same shape in the same column whatever n_samples is,
-        so any single draw is bitwise reproducible in isolation. Objective
-        j's scaled factor is built in one buffer reused for every objective.
+        so any single draw is bitwise reproducible in isolation. BLAS trmm
+        multiplies each block in place by the scaled factor's lower triangle.
         """
         if n_samples < 1:
             raise ValueError("n_samples must be at least 1")
@@ -389,15 +389,15 @@ class Posterior:
         if u == 0:
             return out
         w = SAMPLE_BLOCK
-        zs = np.zeros((-(-n_samples // w), self.m, u, w))
+        zs = np.zeros((-(-n_samples // w), self.m, w, u))
         for ell in range(n_samples):
-            zs[ell // w, :, :, ell % w] = child_rng(seed, ell).standard_normal((u, self.m)).T
-        scaled = np.empty((u, u))
+            zs[ell // w, :, ell % w] = child_rng(seed, ell).standard_normal((u, self.m)).T
         for j in range(self.m):
-            np.multiply(factors.scale[j], factors.blocks[factors.group[j]], out=scaled)
             for b, start in enumerate(range(0, n_samples, w)):
-                stop = min(start + w, n_samples)
-                out[start:stop, idx, j] += (scaled @ zs[b, j])[:, :stop - start].T
+                # .T of each C-ordered array is F-ordered, so BLAS copies neither
+                blas.dtrmm(factors.scale[j], factors.blocks[factors.group[j]].T, zs[b, j].T,
+                           lower=0, trans_a=1, overwrite_b=1)
+                out[start:start + w, idx, j] += zs[b, j, :n_samples - start]
         return out
 
 

@@ -3,11 +3,13 @@ metrics, and checkpoint/resume."""
 import dataclasses
 import json
 import os
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 import poolbo.campaign as campaign_mod
+import poolbo.pareto as pareto_mod
 from poolbo.campaign import (
     ACQUISITIONS,
     CampaignConfig,
@@ -87,6 +89,39 @@ class CountingOracle:
 
     def evaluate(self, candidates):
         self.genomes.extend(c.genome for c in candidates)
+        return self.inner.evaluate(candidates)
+
+
+class Crash(RuntimeError):
+    """Stands in for a process killed mid-iteration."""
+
+
+class TornFile:
+    """File proxy whose first write stores half its text and then crashes."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise Crash("crashed mid-write")
+
+
+@contextmanager
+def torn_atomic_write(path, newline=None):
+    with atomic_write(path, newline=newline) as fh:
+        yield TornFile(fh)
+
+
+class CrashingOracle:
+    """Delegating oracle that crashes while `state` runs iteration `t`."""
+
+    def __init__(self, inner, state, t):
+        self.inner, self.m, self.state, self.t = inner, inner.m, state, t
+
+    def evaluate(self, candidates):
+        if self.state.iteration == self.t - 1:
+            raise Crash("oracle crashed")
         return self.inner.evaluate(candidates)
 
 
@@ -517,6 +552,56 @@ class TestCheckpoints:
             metrics_path=resumed_metrics, front_path=resumed_front)
         assert resumed_metrics.read_bytes() == full_metrics.read_bytes()
         assert resumed_front.read_bytes() == full_front.read_bytes()
+
+    # (module the writer writes through, name run() calls it by)
+    WRITERS = {
+        "metrics": (pareto_mod, "write_metrics_csv"),
+        "front": (pareto_mod, "save_front"),
+        "checkpoint": (campaign_mod, "save_checkpoint"),
+    }
+
+    @pytest.mark.parametrize("point", ["metrics", "front", "checkpoint", "oracle"])
+    def test_crash_anywhere_resumes_byte_identical(self, tmp_path, monkeypatch, point):
+        # a crash inside any artifact write or the oracle at iteration t
+        # leaves the iteration t - 1 checkpoint; resuming from it rewrites
+        # all three artifacts exactly as an uninterrupted run wrote them
+        pool = write_labeled_pool(tmp_path / "pool.csv")
+        oracle = LookupOracle.from_pool_csv(pool)
+        cfg, t = static_cfg(pool, iterations=4), 2
+        names = ("metrics.csv", "front.json", "checkpoint.json")
+
+        def run_into(directory, state, run_oracle):
+            directory.mkdir(exist_ok=True)
+            paths = [directory / name for name in names]
+            return run(state, cfg, oracle=run_oracle, metrics_path=paths[0],
+                       front_path=paths[1], checkpoint_path=paths[2])
+
+        run_into(tmp_path / "full", start(cfg, oracle), oracle)
+        state = start(cfg, oracle)
+        crashed_oracle = oracle
+        if point == "oracle":
+            crashed_oracle = CrashingOracle(oracle, state, t)
+        else:
+            home, name = self.WRITERS[point]
+            write = getattr(campaign_mod, name)
+
+            def crashing(*args):
+                if state.iteration == t:
+                    monkeypatch.setattr(home, "atomic_write", torn_atomic_write)
+                write(*args)
+
+            monkeypatch.setattr(campaign_mod, name, crashing)
+        with pytest.raises(CampaignError if point == "oracle" else Crash):
+            run_into(tmp_path / "crashed", state, crashed_oracle)
+        monkeypatch.undo()
+
+        resumed, stored_cfg = load_checkpoint(tmp_path / "crashed" / "checkpoint.json")
+        assert resumed.iteration == t - 1 and stored_cfg == cfg
+        run_into(tmp_path / "crashed", resumed, oracle)
+        assert sorted(os.listdir(tmp_path / "crashed")) == sorted(names)
+        for name in names:
+            assert (tmp_path / "crashed" / name).read_bytes() == \
+                (tmp_path / "full" / name).read_bytes(), name
 
     def test_checkpoint_round_trip_preserves_state(self, tmp_path):
         pool = write_labeled_pool(tmp_path / "pool.csv")

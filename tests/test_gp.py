@@ -13,6 +13,7 @@ from poolbo.gp import (
     GpConfig,
     GpModel,
     Posterior,
+    ScaledBlocks,
     _cross_kernels,
     _escalated_cholesky,
     _objective_blocks,
@@ -387,9 +388,12 @@ class TestPosterior:
         for j in range(model.m):
             np.testing.assert_array_equal(post.cov[j], cov[j])
             np.testing.assert_array_equal(post.chol[j], chol[j])
-        np.testing.assert_array_equal(
+        # the draws are a triangular multiply scaled by sqrt(c) against the
+        # reference's dense product of a scaled copy: equal up to rounding
+        np.testing.assert_allclose(
             post.sample(n_samples, seed=5),
-            scaled_copy_sample(post.mean, chol, post.stochastic_idx, n_samples, 5))
+            scaled_copy_sample(post.mean, chol, post.stochastic_idx, n_samples, 5),
+            rtol=0, atol=1e-14)
 
     def test_query_dimension_mismatch(self):
         model = fit(toy_dataset())
@@ -449,9 +453,8 @@ class TestSampling:
 
     def test_pool_draws_peak_below_four_blocks(self):
         # the posterior holds one normalized block and factor per group and
-        # frees the query kernel before factoring; sampling adds the buffer
-        # each objective's factor is scaled into. One scaled copy of both
-        # per objective peaked at seven u x u arrays.
+        # frees the query kernel before factoring; sampling adds no u x u
+        # array. One scaled copy of both per objective peaked at seven.
         u, n = 1500, 40
         data = toy_dataset(seed=2, n=n, d=24, m=2, binary=True)
         model = fit(data)
@@ -469,6 +472,40 @@ class TestSampling:
         assert post.cov.shape == (2, u, u)
         assert posterior_peak < 2.5 * block
         assert peak < 4 * block
+
+    def test_sampling_peak_below_one_block(self):
+        # the triangular multiply reads each group's factor in place and
+        # overwrites the normals, so no scaled u x u copy of a factor is made
+        u, n = 1500, 40
+        data = toy_dataset(seed=2, n=n, d=24, m=2, binary=True)
+        fresh = (np.random.default_rng(0).random((u, 24)) < 0.5).astype(float)
+        post = pool_posterior(fit(data), np.vstack([data.features, fresh]), np.arange(n),
+                              data.objectives)
+        tracemalloc.start()
+        try:
+            post.sample(256, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert post.cov.shape == (2, u, u)
+        assert peak < u * u * 8
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_upper_triangle_of_factor_is_never_read(self, m):
+        base = open_pool_posterior(m)
+        scale = np.linspace(0.5, 2.0, m)
+        lower = [np.asarray(base.chol[j]) for j in range(m)]
+        upper = np.triu(np.ones_like(lower[0], dtype=bool), k=1)
+
+        def with_factors(blocks):
+            return Posterior(ids=None, mean=base.mean, cov=base.cov,
+                             stochastic_idx=base.stochastic_idx,
+                             chol=ScaledBlocks(blocks, scale, np.arange(m)))
+
+        poisoned = [np.where(upper, np.nan, f) for f in lower]
+        draws = with_factors(poisoned).sample(SAMPLE_BLOCK + 3, seed=6)
+        assert np.isfinite(draws).all()
+        np.testing.assert_array_equal(draws, with_factors(lower).sample(SAMPLE_BLOCK + 3, seed=6))
 
     def test_invalid_count_rejected(self):
         post = Posterior(ids=None, mean=np.zeros((1, 1)), cov=np.zeros((1, 1, 1)))
