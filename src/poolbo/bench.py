@@ -105,8 +105,8 @@ class BenchSpec:
 
 def true_pareto_ids(pool_path) -> tuple:
     """Recompute the non-dominated ids from the pool's own labels."""
-    oracle = LookupOracle.from_pool_csv(pool_path)
     rows = read_pool(pool_path)
+    oracle = LookupOracle.from_rows(rows)
     mask = non_dominated_mask(np.stack([oracle.table[genome] for _, _, genome, _ in rows]))
     return tuple(rows[i][1] for i in np.flatnonzero(mask))
 

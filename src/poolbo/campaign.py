@@ -35,6 +35,7 @@ from .generation import (
 )
 from .gp import Dataset, GpConfig, fit, pool_posterior
 from .pareto import (
+    MAX_HV_DIM,
     MetricRecord,
     ParetoFront,
     build_front,
@@ -101,8 +102,8 @@ class CampaignConfig:
             raise ValueError("batch_size must be at least 1")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be at least 1")
-        if not 1 <= self.n_objectives <= 6:
-            raise ValueError("n_objectives must lie in 1..6 for exact hypervolume")
+        if not 1 <= self.n_objectives <= MAX_HV_DIM:
+            raise ValueError(f"n_objectives must lie in 1..{MAX_HV_DIM} for exact hypervolume")
         if self.acquisition not in ACQUISITIONS:
             raise ValueError(f"unknown acquisition: {self.acquisition!r}")
         if self.acquisition == "qpo" and self.n_objectives != 1:

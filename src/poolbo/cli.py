@@ -91,8 +91,6 @@ def cmd_hv(args) -> int:
         ref = tuple(float(v) for v in args.ref.split(","))
     except ValueError:
         raise ValueError(f"--ref must be comma-separated numbers, got {args.ref!r}") from None
-    if len(ref) > 6:
-        raise ValueError("exact hypervolume supports at most 6 objectives")
     payload = _load_json(args.front)
     if isinstance(payload, dict):
         if "points" not in payload:

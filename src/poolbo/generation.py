@@ -181,7 +181,7 @@ def filter_constraints(pool, predicates) -> list:
 def _validate_genome(genome: str, row: int) -> str:
     if not genome:
         raise PoolFormatError(f"row {row}: empty genome")
-    if any(ch.isspace() for ch in genome):
+    if genome.split() != [genome]:
         raise PoolFormatError(f"row {row}: genome contains whitespace")
     return genome
 

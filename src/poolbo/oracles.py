@@ -103,8 +103,13 @@ class LookupOracle:
 
     @classmethod
     def from_pool_csv(cls, path) -> "LookupOracle":
+        return cls.from_rows(read_pool(path))
+
+    @classmethod
+    def from_rows(cls, rows) -> "LookupOracle":
+        """Table of read_pool's rows; every row must carry labels."""
         table = {}
-        for _, cid, genome, objs in read_pool(path):
+        for _, cid, genome, objs in rows:
             if not objs:
                 raise OracleError(f"pool row {cid!r} has no objective labels")
             table[genome] = objs

@@ -3,6 +3,9 @@
 Every objective is maximized; callers with minimization targets negate before
 entry. A reference point bounds dominated volume from below, and only points
 that strictly exceed it in every coordinate enclose positive volume.
+Hypervolume and hypervolume improvement both come from one box decomposition
+of the region a front leaves undominated (FrontIndex), which each ParetoFront
+builds once.
 """
 from __future__ import annotations
 
@@ -124,11 +127,15 @@ class ParetoFront:
         return self.points.shape[0]
 
     def hypervolume(self) -> float:
-        return hypervolume(self.points, self.ref)
+        """Exact dominated hypervolume, read off the cached box index."""
+        if self.m > MAX_HV_DIM:
+            raise ValueError(f"hypervolume supports at most {MAX_HV_DIM} objectives, got {self.m}")
+        return self.index.hypervolume()
 
     @cached_property
     def index(self) -> "FrontIndex":
-        """Box decomposition behind hvi and hvi_many, built on first use."""
+        """Box decomposition behind hypervolume, hvi and hvi_many, built on
+        first use."""
         return FrontIndex(self.points, self.ref)
 
 
@@ -162,51 +169,18 @@ def update_front(front: ParetoFront, values, point_id=None) -> ParetoFront:
 
 
 def build_front(points, ids, ref) -> ParetoFront:
-    """Fold a labeled point set into a front; order of insertion follows the input."""
-    front = ParetoFront.empty(ref)
-    for values, point_id in zip(points, ids):
-        front = update_front(front, values, point_id)
-    return front
-
-
-def _hv_1d(pts: np.ndarray, ref: np.ndarray) -> float:
-    return float(pts[:, 0].max() - ref[0])
-
-
-def _hv_2d(pts: np.ndarray, ref: np.ndarray) -> float:
-    # sweep from largest first objective; each point adds a horizontal strip
-    order = np.lexsort((-pts[:, 1], -pts[:, 0]))
-    hv = 0.0
-    y_max = ref[1]
-    for i in order:
-        x, y = pts[i]
-        if y > y_max:
-            hv += (x - ref[0]) * (y - y_max)
-            y_max = y
-    return float(hv)
-
-
-def _hv_recursive(pts: np.ndarray, ref: np.ndarray) -> float:
-    # exclusive-contribution recursion: each point adds its box minus the part
-    # covered by the remaining points clipped underneath it
-    n = pts.shape[0]
-    if n == 0:
-        return 0.0
-    if n == 1:
-        return float(np.prod(pts[0] - ref))
-    if pts.shape[1] == 2:
-        return _hv_2d(pts, ref)
-    order = np.lexsort(tuple(pts[:, j] for j in range(pts.shape[1] - 1)) + (-pts[:, -1],))
-    pts = pts[order]
-    total = 0.0
-    for i in range(n):
-        p = pts[i]
-        limited = np.minimum(pts[i + 1:], p)
-        if limited.shape[0]:
-            limited = np.unique(limited, axis=0)
-            limited = limited[non_dominated_mask(limited)]
-        total += float(np.prod(p - ref)) - _hv_recursive(limited, ref)
-    return total
+    """The front update_front folds a labeled point set into, built in one pass:
+    the first copy of each point above ref that no other point strictly
+    dominates, in input order."""
+    r = _as_vector(ref)
+    pts = _as_matrix(points, m=r.size)
+    ids = list(ids)
+    if len(ids) != pts.shape[0]:
+        raise ValueError(f"ids length {len(ids)} does not match point count {pts.shape[0]}")
+    rows = np.flatnonzero(np.all(pts > r, axis=1))
+    rows = rows[non_dominated_mask(pts[rows])]
+    rows = np.sort(rows[np.unique(pts[rows], axis=0, return_index=True)[1]])
+    return ParetoFront(points=pts[rows], ids=tuple(ids[i] for i in rows), ref=r)
 
 
 def hypervolume(points, ref) -> float:
@@ -215,22 +189,8 @@ def hypervolume(points, ref) -> float:
     Points that fail to strictly dominate the reference contribute nothing.
     Supports 1 to 6 objectives; higher dimensions raise ValueError.
     """
-    r = _as_vector(ref)
-    if r.size > MAX_HV_DIM:
-        raise ValueError(f"hypervolume supports at most {MAX_HV_DIM} objectives, got {r.size}")
-    pts = _as_matrix(points, m=r.size)
-    if pts.shape[0] == 0:
-        return 0.0
-    pts = pts[np.all(pts > r, axis=1)]
-    if pts.shape[0] == 0:
-        return 0.0
-    pts = np.unique(pts, axis=0)
-    pts = pts[non_dominated_mask(pts)]
-    if r.size == 1:
-        return _hv_1d(pts, r)
-    if r.size == 2:
-        return _hv_2d(pts, r)
-    return _hv_recursive(pts, r)
+    pts = _as_matrix(points)
+    return build_front(pts, [None] * pts.shape[0], ref).hypervolume()
 
 
 def _boxes(points: np.ndarray, ref: np.ndarray):
@@ -315,6 +275,23 @@ class FrontIndex:
             k = block.shape[0]
             out[start:start + k] = _covered(block, self.lo, self.hi, acc[:k], side[:k])
         return out
+
+    def hypervolume(self) -> float:
+        """Volume the front dominates above ref, as a sum of non-negative terms.
+
+        Along any line in objective 1 (0-based), the dominated part is
+        [ref_1, t) and the box holding height t has lo_1 = t. So the columns
+        under the boxes with lo_1 > ref_1, each (hi_0 - lo_0) x (lo_1 - ref_1)
+        x prod_{j>=2} (hi_j - lo_j), tile the dominated region; none of them
+        is unbounded. One objective gives lo_0 - ref_0.
+        """
+        lo, hi, ref = self.lo, self.hi, self.ref
+        if ref.size == 1:
+            return float(lo[0, 0] - ref[0])
+        cols = lo[1] > ref[1]
+        sides = hi[:, cols] - lo[:, cols]
+        sides[1] = lo[1, cols] - ref[1]
+        return float(np.prod(sides, axis=0).sum())
 
     def insert(self, values) -> "FrontIndex":
         """Index of the front with one point folded in by update_front's rules."""

@@ -7,8 +7,9 @@ enumeration of joint outcomes. The exceptions are kept as the library wrote
 them before a faster version replaced them, which must match them bit for
 bit: per_draw_qehvi_mc, the greedy select's per-draw loop;
 pairwise_non_dominated_mask, the all-pairs test the two-objective sweep
-replaced; and scaled_copy_posterior, which stores one scaled copy of the
-covariance and factor per objective.
+replaced; folded_front, build_front as one update_front per point; and
+scaled_copy_posterior, which stores one scaled copy of the covariance and
+factor per objective.
 """
 from __future__ import annotations
 
@@ -39,6 +40,16 @@ def pairwise_non_dominated_mask(points) -> np.ndarray:
     ge = (pts[:, None, :] >= pts[None, :, :]).all(axis=-1)
     gt = (pts[:, None, :] > pts[None, :, :]).any(axis=-1)
     return ~(ge & gt).any(axis=0)
+
+
+def folded_front(points, ids, ref):
+    """build_front as a fold: update_front admits one point at a time."""
+    from poolbo.pareto import ParetoFront, update_front
+
+    front = ParetoFront.empty(ref)
+    for values, point_id in zip(points, ids):
+        front = update_front(front, values, point_id)
+    return front
 
 
 def hvi_by_inclusion_exclusion(y, points, ref) -> float:

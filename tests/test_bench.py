@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from poolbo import bench, oracles
 from poolbo.bench import (
     SUMMARY_HEADER,
     BenchSpec,
@@ -17,6 +18,7 @@ from poolbo.bench import (
     true_pareto_ids,
 )
 from poolbo.generation import PoolFormatError, load_pool, read_pool
+from poolbo.oracles import OracleError
 from poolbo.pareto import MetricRecord, build_front, read_metrics_csv
 
 
@@ -116,6 +118,27 @@ class TestTruth:
         path.write_text("id,genome,obj_1,obj_2\na,ABCD,1.0,2.0\nb,ABAB,2.0,1.0\n"
                         "c,BBBB,0.5,0.5\nd,ABAB,9.0,9.0\n")
         assert true_pareto_ids(path) == ("a", "b")
+
+    def test_unlabeled_or_empty_pool_rejected(self, tmp_path):
+        path = tmp_path / "pool.csv"
+        path.write_text("id,genome\na,0101\nb,1111\n")
+        with pytest.raises(OracleError, match="pool row 'a' has no objective labels"):
+            true_pareto_ids(path)
+        path.write_text("id,genome,obj_1\n")
+        with pytest.raises(OracleError, match="labeled pool is empty"):
+            true_pareto_ids(path)
+
+    def test_reads_the_pool_once(self, small_pool, monkeypatch):
+        calls = []
+
+        def counted(path):
+            calls.append(path)
+            return read_pool(path)
+
+        monkeypatch.setattr(bench, "read_pool", counted)
+        monkeypatch.setattr(oracles, "read_pool", counted)
+        true_pareto_ids(small_pool)
+        assert calls == [small_pool]
 
     def test_spec_truth_is_verified_against_labels(self, small_pool, tmp_path):
         good = true_pareto_ids(small_pool)

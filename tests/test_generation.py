@@ -1,3 +1,6 @@
+import csv
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +10,7 @@ from poolbo.generation import (
     GenerationStarvedError,
     GeneratorConfig,
     PoolFormatError,
+    _validate_genome,
     filter_constraints,
     load_pool,
     make_featurizer,
@@ -114,6 +118,24 @@ class TestLoadPool:
     def test_unlabeled_pool_has_no_objectives(self, tmp_path):
         path = write_csv(tmp_path / "p.csv", "id,genome\na,01\n")
         assert read_pool(path) == [(2, "a", "01", [])]
+
+    @pytest.mark.parametrize("space", [" ", "\t", "\x0b", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"])
+    def test_whitespace_in_genome_names_row(self, tmp_path, space):
+        path = tmp_path / "p.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([("id", "genome"), ("a", "AB"), ("b", f"A{space}B")])
+        with pytest.raises(PoolFormatError, match="row 3: genome contains whitespace"):
+            read_pool(path)
+
+    def test_whitespace_rule_is_str_isspace_on_every_code_point(self):
+        for code in range(sys.maxunicode + 1):
+            ch = chr(code)
+            try:
+                _validate_genome(f"A{ch}B", 2)
+            except PoolFormatError:
+                assert ch.isspace(), hex(code)
+            else:
+                assert not ch.isspace(), hex(code)
 
     def test_token_genomes_with_kgram_features(self, tmp_path):
         path = write_csv(tmp_path / "p.csv", "id,genome\na,abba\nb,baab\n")

@@ -27,6 +27,7 @@ from poolbo.pareto import (
     write_metrics_csv,
 )
 from refimpl import (
+    folded_front,
     hvi_by_inclusion_exclusion,
     mc_box_union_volume,
     pairwise_non_dominated_mask,
@@ -179,6 +180,33 @@ class TestUpdateFront:
             assert not strictly_dominated_mask(front.points, build_front([p], [0], ref)).any()
 
 
+# ties, duplicate rows, rows on the reference and -0.0 beside 0.0
+tied = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5])
+
+
+class TestBuildFront:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bitwise_equal_to_fold(self, m, data):
+        rows = data.draw(st.lists(st.tuples(*([st.one_of(tied, coord)] * m)), max_size=12))
+        if rows:
+            rows += data.draw(st.lists(st.sampled_from(rows), max_size=4))
+        pts = np.asarray(rows, dtype=float).reshape(len(rows), m)
+        ref = np.full(m, data.draw(st.sampled_from([-0.5, -0.0, 0.0])))
+        ids = [f"p{i}" for i in range(pts.shape[0])]
+        got, want = build_front(pts, ids, ref), folded_front(pts, ids, ref)
+        assert got.ids == want.ids
+        assert got.points.shape == want.points.shape
+        assert got.points.tobytes() == want.points.tobytes()
+
+    def test_ids_must_match_points(self):
+        with pytest.raises(ValueError, match="ids length 1 does not match point count 2"):
+            build_front([(1.0, 2.0), (2.0, 1.0)], ["a"], (0.0, 0.0))
+        with pytest.raises(ValueError, match="ids length 3 does not match point count 2"):
+            build_front([(1.0, 2.0), (2.0, 1.0)], ["a", "b", "c"], (0.0, 0.0))
+
+
 class TestHypervolume:
     def test_two_point_front(self):
         # rectangle union pinned by inclusion-exclusion: 1*2 + 2*1 - 1*1
@@ -231,6 +259,28 @@ class TestHypervolume:
         est, se = mc_box_union_volume(pts, ref, 200_000, seed=11)
         assert abs(hypervolume(pts, ref) - est) <= 3.0 * se
 
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+    def test_thin_l_shaped_front_keeps_precision(self, m, eps):
+        # three points along each axis, eps-thin across it: the volume is
+        # O(eps**(m-1)) inside a unit enclosing box, so a formula that
+        # subtracts from the enclosing box would lose digits
+        pts = np.vstack([np.full((3, m), [[eps], [2 * eps], [3 * eps]])
+                         + np.outer([1.0 - eps, 0.7 - 2 * eps, 0.4 - 3 * eps], np.eye(m)[i])
+                         for i in range(m)])
+        ref = np.zeros(m)
+        assert hypervolume(pts, ref) == pytest.approx(union_box_volume(pts, ref), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_front_hypervolume_builds_the_index_hvi_reuses(self, m):
+        front = ParetoFront.empty(np.zeros(m)) if m > 1 else build_front([(0.7,)], ["a"], (0.0,))
+        assert "index" not in vars(front)
+        assert front.hypervolume() == (0.7 if m == 1 else 0.0)
+        index = vars(front)["index"]
+        hvi_many(np.ones((3, m)), front)
+        assert hvi(np.ones(m), front) > 0.0
+        assert front.index is index
+
     @given(point_lists(3, max_points=6), st.tuples(coord, coord, coord))
     def test_adding_point_never_decreases(self, pts, extra):
         ref = (-9.0, -9.0, -9.0)
@@ -279,7 +329,7 @@ class TestHvi:
     def test_consistent_with_hv_difference(self, pts, y):
         ref = (-9.0, -9.0)
         front = build_front(pts, range(len(pts)), ref)
-        direct = hypervolume(np.vstack([front.points, np.asarray(y)[None, :]]), ref) - front.hypervolume()
+        direct = union_box_volume(list(front.points) + [y], ref) - union_box_volume(front.points, ref)
         assert hvi(y, front) == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
     @given(point_lists(3, max_points=5), st.tuples(coord, coord, coord))
