@@ -8,6 +8,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .pareto import (
     MetricRecord,
     fraction_recovered,
     non_dominated_mask,
-    read_metrics_csv,
     write_metrics_csv,
 )
 
@@ -103,60 +103,64 @@ class BenchSpec:
             raise ValueError(str(exc)) from None
 
 
-def true_pareto_ids(pool_path) -> tuple:
-    """Recompute the non-dominated ids from the pool's own labels."""
-    rows = read_pool(pool_path)
-    oracle = LookupOracle.from_rows(rows)
-    mask = non_dominated_mask(np.stack([oracle.table[genome] for _, _, genome, _ in rows]))
-    return tuple(rows[i][1] for i in np.flatnonzero(mask))
+@dataclass(frozen=True)
+class PoolTable:
+    """One read of a labeled pool: its lookup oracle, true front and reference point."""
+
+    oracle: LookupOracle
+    true_ids: tuple
+    ref_point: tuple
 
 
-def _cell_path(output_dir, acquisition: str, seed: int) -> str:
-    return os.path.join(output_dir, "cells", f"{acquisition}_seed{seed}.csv")
-
-
-def _resolve_truth(spec: BenchSpec) -> tuple:
-    recomputed = true_pareto_ids(spec.pool_path)
-    if spec.true_front_ids is not None and set(spec.true_front_ids) != set(recomputed):
-        raise ValueError(
-            "true_front_ids in the bench spec disagree with the pool labels; "
-            f"spec has {len(spec.true_front_ids)}, labels give {len(recomputed)}"
-        )
-    return recomputed
-
-
-def shared_ref_point(spec: BenchSpec) -> tuple:
-    """Resolve the bench spec's nadir rule against the full pool labels.
+def read_pool_table(pool_path, ref_rule: str, true_front_ids=None) -> PoolTable:
+    """Read a labeled pool once; resolve its front and its shared reference point.
 
     Per-cell nadir rules would give every seed its own reference point and
     make hypervolumes incomparable across cells, so the rule is applied once
     to the whole labeled pool and handed to each campaign as explicit.
+    `true_front_ids`, when given, must match the front the labels give.
     """
-    labels = np.stack(list(LookupOracle.from_pool_csv(spec.pool_path).table.values()))
-    ref = nadir_ref_point(labels, spec.ref_rule, CampaignConfig.ref_epsilon)
-    return tuple(float(v) for v in ref)
+    rows = read_pool(pool_path)
+    oracle = LookupOracle.from_rows(rows)
+    labels = np.stack([oracle.table[genome] for _, _, genome, _ in rows])
+    true_ids = tuple(rows[i][1] for i in np.flatnonzero(non_dominated_mask(labels)))
+    if true_front_ids is not None and set(true_front_ids) != set(true_ids):
+        raise ValueError(
+            "true_front_ids in the bench spec disagree with the pool labels; "
+            f"spec has {len(true_front_ids)}, labels give {len(true_ids)}"
+        )
+    ref = nadir_ref_point(labels, ref_rule, CampaignConfig.ref_epsilon)
+    return PoolTable(oracle, true_ids, tuple(float(v) for v in ref))
 
 
-def run_cell(spec: BenchSpec, acquisition: str, seed: int, true_ids=None,
-             ref_point=None) -> list:
+def true_pareto_ids(pool_path) -> tuple:
+    """Recompute the non-dominated ids from the pool's own labels."""
+    return read_pool_table(pool_path, "nadir_of_initial").true_ids
+
+
+def shared_ref_point(spec: BenchSpec) -> tuple:
+    """The bench spec's nadir rule resolved against the full pool labels."""
+    return read_pool_table(spec.pool_path, spec.ref_rule).ref_point
+
+
+def run_cell(spec: BenchSpec, acquisition: str, seed: int, table: PoolTable | None = None) -> list:
     """Run one campaign cell and write its per-iteration metrics CSV.
 
-    The file gets an extra iteration-0 row for the initial sample so curves
-    start at the shared baseline.
+    `table` is the spec's pool as read_pool_table gives it, read here when
+    omitted. The file gets an extra iteration-0 row for the initial sample
+    so curves start at the shared baseline.
     """
-    if true_ids is None:
-        true_ids = _resolve_truth(spec)
-    if ref_point is None:
-        ref_point = shared_ref_point(spec)
-    oracle = LookupOracle.from_pool_csv(spec.pool_path)
+    logger.info("bench cell: acquisition=%s seed=%d", acquisition, seed)
+    if table is None:
+        table = read_pool_table(spec.pool_path, spec.ref_rule, spec.true_front_ids)
     cfg = CampaignConfig(
         iterations=spec.iterations,
         batch_size=spec.batch_size,
         mc_samples=spec.mc_samples,
-        n_objectives=oracle.m,
+        n_objectives=table.oracle.m,
         acquisition=acquisition,
         ref_rule="explicit",
-        ref_point=tuple(ref_point),
+        ref_point=table.ref_point,
         pool_path=spec.pool_path,
         featurizer=spec.featurizer,
         oracle=f"lookup:{spec.pool_path}",
@@ -164,27 +168,20 @@ def run_cell(spec: BenchSpec, acquisition: str, seed: int, true_ids=None,
         seed=seed,
         gp=spec.gp,
     )
-    state = init_campaign(cfg, build_initial_data(cfg, oracle))
+    state = init_campaign(cfg, build_initial_data(cfg, table.oracle))
     baseline = MetricRecord(
         iteration=0,
         hv=state.hv_initial,
         relative_hvi=0.0 if state.hv_initial > 0 else None,
-        fraction_recovered=fraction_recovered(state.dataset.ids, true_ids),
+        fraction_recovered=fraction_recovered(state.dataset.ids, table.true_ids),
         batch_ids=(),
     )
-    state = run(state, cfg, oracle=oracle, true_front_ids=true_ids)
+    state = run(state, cfg, oracle=table.oracle, true_front_ids=table.true_ids)
     records = [baseline] + state.history
-    path = _cell_path(spec.output_dir, acquisition, seed)
+    path = os.path.join(spec.output_dir, "cells", f"{acquisition}_seed{seed}.csv")
     os.makedirs(os.path.dirname(path), exist_ok=True)
     write_metrics_csv(path, records)
     return records
-
-
-def _run_cell_job(args) -> str:
-    spec_dict, acquisition, seed, true_ids, ref_point = args
-    spec = BenchSpec.from_dict(spec_dict)
-    run_cell(spec, acquisition, seed, true_ids=true_ids, ref_point=ref_point)
-    return _cell_path(spec.output_dir, acquisition, seed)
 
 
 def _mean_ci(values) -> tuple:
@@ -241,23 +238,16 @@ def run_bench(spec: BenchSpec, workers: int = 1) -> dict:
     independent, which is what makes `workers > 1` safe; each one rewrites
     its own file, so reruns are idempotent.
     """
-    true_ids = _resolve_truth(spec)
-    ref_point = shared_ref_point(spec)
+    table = read_pool_table(spec.pool_path, spec.ref_rule, spec.true_front_ids)
     os.makedirs(spec.output_dir, exist_ok=True)
     cells = [(acq, seed) for acq in spec.acquisitions for seed in spec.seeds]
-    records_by_cell = {}
+    acqs, seeds = zip(*cells)
     if workers > 1:
-        jobs = [(spec.to_dict(), acq, seed, true_ids, ref_point) for acq, seed in cells]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            paths = list(pool.map(_run_cell_job, jobs))
-        for (acq, seed), path in zip(cells, paths):
-            records_by_cell[(acq, seed)] = read_metrics_csv(path)
+            records = list(pool.map(run_cell, repeat(spec), acqs, seeds, repeat(table)))
     else:
-        for acq, seed in cells:
-            logger.info("bench cell: acquisition=%s seed=%d", acq, seed)
-            records_by_cell[(acq, seed)] = run_cell(
-                spec, acq, seed, true_ids=true_ids, ref_point=ref_point
-            )
+        records = list(map(run_cell, repeat(spec), acqs, seeds, repeat(table)))
+    records_by_cell = dict(zip(cells, records))
     rows = aggregate(records_by_cell)
     summary_path = os.path.join(spec.output_dir, "summary.csv")
     write_summary_csv(summary_path, rows)
@@ -265,8 +255,8 @@ def run_bench(spec: BenchSpec, workers: int = 1) -> dict:
         "records": records_by_cell,
         "summary": rows,
         "summary_path": summary_path,
-        "true_front_ids": true_ids,
-        "ref_point": ref_point,
+        "true_front_ids": table.true_ids,
+        "ref_point": table.ref_point,
     }
 
 

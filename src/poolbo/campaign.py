@@ -27,6 +27,7 @@ from .files import atomic_write
 from .generation import (
     Candidate,
     GeneratorConfig,
+    featurize_rows,
     genome_alphabet,
     load_pool,
     make_featurizer,
@@ -34,6 +35,7 @@ from .generation import (
     read_pool,
 )
 from .gp import Dataset, GpConfig, fit, pool_posterior
+from .oracles import make_oracle
 from .pareto import (
     MAX_HV_DIM,
     MetricRecord,
@@ -74,7 +76,8 @@ class CampaignConfig:
     """Everything a run needs except the initial labeled data.
 
     Exactly one of `generator` (breed fresh pools each iteration) and
-    `pool_path` (one fixed candidate file) must be set. `oracle` follows
+    `pool_path` (one fixed candidate file) must be set; `featurizer` applies
+    to the fixed file, a generator names its own. `oracle` follows
     make_oracle's spec format and may be omitted when an oracle object is
     passed to run() directly.
     """
@@ -122,12 +125,19 @@ class CampaignConfig:
             raise ValueError("ref_epsilon must be positive")
         if (self.generator is None) == (self.pool_path is None):
             raise ValueError("set exactly one of generator and pool_path")
+        if self.generator is not None and self.featurizer != "identity":
+            raise ValueError("featurizer is for pool_path campaigns; set generator.featurizer")
         if self.generator is not None and self.batch_size > self.generator.pool_size:
             raise ValueError("batch_size cannot exceed the generated pool size")
         if self.init is not None and not isinstance(self.init, dict):
             raise ValueError("init must be a mapping")
         if self.oracle is not None and not isinstance(self.oracle, (str, dict)):
             raise ValueError("oracle spec must be a string or dict")
+
+    @property
+    def pool_featurizer(self) -> str:
+        """The featurizer name of every pool and labeled design in the campaign."""
+        return self.featurizer if self.generator is None else self.generator.featurizer
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -222,21 +232,26 @@ def init_campaign(cfg: CampaignConfig, initial: Dataset) -> CampaignState:
     )
 
 
+def resolve_oracle(cfg: CampaignConfig, oracle=None):
+    """`oracle` when given, else the one cfg.oracle names."""
+    if oracle is not None:
+        return oracle
+    if cfg.oracle is None:
+        raise ValueError("no oracle: config.oracle is empty and none was passed")
+    return make_oracle(cfg.oracle)
+
+
 def build_initial_data(cfg: CampaignConfig, oracle=None) -> Dataset:
     """Assemble the starting dataset described by cfg.init and label it.
 
     Three forms: {"genomes": [...]} uses the given designs, {"random":
     {"count": k, "length": B}} draws distinct random bitstrings, and
-    {"pool_sample": k} samples rows of the static pool.
+    {"pool_sample": k} samples rows of the static pool. Only the initial
+    designs are featurized; a static pool is read once.
     """
     if not cfg.init:
         raise ValueError("config has no init section and no dataset was supplied")
-    if oracle is None:
-        if cfg.oracle is None:
-            raise ValueError("no oracle: config.oracle is empty and none was passed")
-        from .oracles import make_oracle
-
-        oracle = make_oracle(cfg.oracle)
+    oracle = resolve_oracle(cfg, oracle)
     spec = cfg.init
     genomes = None
     if "genomes" in spec:
@@ -258,25 +273,22 @@ def build_initial_data(cfg: CampaignConfig, oracle=None) -> Dataset:
             if g not in seen:
                 seen.add(g)
                 genomes.append(g)
-    elif "pool_sample" in spec:
-        if cfg.pool_path is None:
-            raise ValueError("init pool_sample needs a pool_path")
-        pool = load_pool(cfg.pool_path, cfg.featurizer)
-        count = int(spec["pool_sample"])
-        if count > len(pool):
-            raise ValueError(f"init pool_sample {count} exceeds pool size {len(pool)}")
-        rng = child_rng(cfg.seed, 0)
-        idx = sorted(rng.choice(len(pool), size=count, replace=False).tolist())
-        cands = [pool[i] for i in idx]
-    else:
+    elif "pool_sample" not in spec:
         raise ValueError("init must contain one of: genomes, random, pool_sample")
-    if genomes is not None:
-        feat_name = cfg.generator.featurizer if cfg.generator is not None else cfg.featurizer
-        source = genomes
-        if cfg.pool_path is not None:
-            # a static pool's own symbols fix the alphabet, as in load_pool
-            source = [genome for _, _, genome, _ in read_pool(cfg.pool_path)]
-        featurize = make_featurizer(feat_name, genome_alphabet(source))
+    elif cfg.pool_path is None:
+        raise ValueError("init pool_sample needs a pool_path")
+    rows = None if cfg.pool_path is None else read_pool(cfg.pool_path)
+    # a static pool's own symbols fix the alphabet, as in load_pool
+    alphabet = genome_alphabet(genomes if rows is None else (g for _, _, g, _ in rows))
+    if genomes is None:
+        count = int(spec["pool_sample"])
+        if count > len(rows):
+            raise ValueError(f"init pool_sample {count} exceeds pool size {len(rows)}")
+        rng = child_rng(cfg.seed, 0)
+        idx = sorted(rng.choice(len(rows), size=count, replace=False).tolist())
+        cands = featurize_rows([rows[i] for i in idx], cfg.pool_featurizer, alphabet)
+    else:
+        featurize = make_featurizer(cfg.pool_featurizer, alphabet)
         cands = [
             Candidate(id=f"init-{i}", genome=g, features=featurize(g))
             for i, g in enumerate(genomes)
@@ -312,7 +324,7 @@ def select_next(state: CampaignState, cfg: CampaignConfig, pool: list, model=Non
         known_idx = [i for i, c in enumerate(pool) if c.genome in labeled_row]
         known_values = state.dataset.objectives[[labeled_row[pool[i].genome] for i in known_idx]]
         post = pool_posterior(model, np.stack([c.features for c in pool]), known_idx,
-                              known_values, ids=[c.id for c in pool])
+                              known_values)
     if cfg.acquisition == "qpmhi":
         return select_batch(estimate_qpmhi(post, state.front, cfg.mc_samples, acq_seed), q)
     if cfg.acquisition == "qpo":
@@ -336,12 +348,7 @@ def run(state: CampaignState, cfg: CampaignConfig, *, oracle=None, metrics_path=
     re-queried. `posterior_fn(dataset, pool)` overrides the fitted surrogate,
     which keeps tests and what-if replays cheap.
     """
-    if oracle is None:
-        if cfg.oracle is None:
-            raise ValueError("no oracle: config.oracle is empty and none was passed")
-        from .oracles import make_oracle
-
-        oracle = make_oracle(cfg.oracle)
+    oracle = resolve_oracle(cfg, oracle)
     static_pool = None
     if cfg.pool_path is not None:
         static_pool = load_pool(cfg.pool_path, cfg.featurizer)

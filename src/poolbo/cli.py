@@ -24,11 +24,11 @@ from .campaign import (
     config_hash,
     init_campaign,
     load_checkpoint,
+    resolve_oracle,
     run,
     select_next,
 )
 from .generation import load_pool
-from .oracles import make_oracle
 from .pareto import build_front
 
 
@@ -59,6 +59,7 @@ def cmd_run(args) -> int:
     checkpoint_path = os.path.join(output_dir, "checkpoint.json")
     front_path = os.path.join(output_dir, "front.json")
 
+    oracle = resolve_oracle(cfg)
     if args.resume:
         if not os.path.exists(checkpoint_path):
             raise ValueError(f"nothing to resume: {checkpoint_path} does not exist")
@@ -66,13 +67,11 @@ def cmd_run(args) -> int:
         if config_hash(stored_cfg) != config_hash(cfg):
             raise ValueError("config does not match the checkpointed campaign")
     else:
-        if cfg.oracle is None:
-            raise ValueError("run config needs an oracle")
-        oracle = make_oracle(cfg.oracle)
         state = init_campaign(cfg, build_initial_data(cfg, oracle))
 
     state = run(
         state, cfg,
+        oracle=oracle,
         metrics_path=metrics_path,
         checkpoint_path=checkpoint_path,
         front_path=front_path,
@@ -126,8 +125,7 @@ def cmd_select(args) -> int:
     if args.batch_size < 1:
         raise ValueError("-q must be at least 1")
     state, cfg = load_checkpoint(args.checkpoint)
-    feat_name = cfg.generator.featurizer if cfg.generator is not None else cfg.featurizer
-    pool = load_pool(args.pool, feat_name)
+    pool = load_pool(args.pool, cfg.pool_featurizer)
     cfg = dataclasses.replace(cfg, batch_size=args.batch_size, generator=None, pool_path=args.pool)
     for i in select_next(state, cfg, pool):
         print(pool[i].id)

@@ -227,7 +227,13 @@ def read_pool(path) -> list:
 def load_pool(path, featurizer: str = "identity") -> list:
     """read_pool's rows as featurized candidates."""
     rows = read_pool(path)
-    feat = make_featurizer(featurizer, genome_alphabet(genome for _, _, genome, _ in rows))
+    return featurize_rows(rows, featurizer, genome_alphabet(genome for _, _, genome, _ in rows))
+
+
+def featurize_rows(rows, featurizer: str, alphabet: str) -> list:
+    """Candidates of read_pool's rows; a genome the featurizer rejects raises
+    PoolFormatError naming its row."""
+    feat = make_featurizer(featurizer, alphabet)
     out = []
     for row_num, cid, genome, _ in rows:
         try:

@@ -329,7 +329,6 @@ class Posterior:
     first use when not given.
     """
 
-    ids: tuple | None
     mean: np.ndarray
     cov: ScaledBlocks
     stochastic_idx: np.ndarray | None = None
@@ -416,7 +415,7 @@ def _objective_blocks(part: _ObjectiveGp, shared: dict):
     return np.exp(-0.5 * shared["d2_cross"] / ls2), np.exp(-0.5 * shared["d2_self"] / ls2)
 
 
-def posterior(model: GpModel, features, ids=None) -> Posterior:
+def posterior(model: GpModel, features) -> Posterior:
     """Exact joint posterior over query features, one covariance block per objective.
 
     Objectives that share a kernel, lengthscale and nugget share one
@@ -456,11 +455,11 @@ def posterior(model: GpModel, features, ids=None) -> Posterior:
         for j in members:
             part = model.parts[j]
             mean[:, j] = part.out_mean + part.out_std * (rq @ part.alpha)
-    return Posterior(None if ids is None else tuple(ids), mean, ScaledBlocks(covs, scale, group),
+    return Posterior(mean, ScaledBlocks(covs, scale, group),
                      chol=ScaledBlocks(factors, np.sqrt(scale), group), jitter=jitter)
 
 
-def pool_posterior(model: GpModel, features, known_idx, known_values, ids=None) -> Posterior:
+def pool_posterior(model: GpModel, features, known_idx, known_values) -> Posterior:
     """Pool posterior with already-labeled members held at their observed values.
 
     Labeled pool rows are deterministic (a noise-free GP interpolates them);
@@ -477,4 +476,4 @@ def pool_posterior(model: GpModel, features, known_idx, known_values, ids=None) 
     mean = np.empty((Xq.shape[0], model.m))
     mean[open_idx] = sub.mean
     mean[known_idx] = known_values
-    return replace(sub, ids=None if ids is None else tuple(ids), mean=mean, stochastic_idx=open_idx)
+    return replace(sub, mean=mean, stochastic_idx=open_idx)

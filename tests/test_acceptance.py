@@ -70,7 +70,7 @@ def gaussian_posterior(seed: int, n: int, m: int, spread: float = 3.0):
     for j in range(m):
         a = rng.normal(size=(n, n))
         cov[j] = 0.3 * a @ a.T + 0.05 * np.eye(n)
-    return Posterior(ids=tuple(range(n)), mean=mean, cov=cov)
+    return Posterior(mean=mean, cov=cov)
 
 
 def test_criterion_1_probabilities_match_exhaustive_enumeration():

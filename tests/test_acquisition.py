@@ -37,8 +37,7 @@ def deterministic(mean):
     """Posterior with zero variance: every draw returns the mean exactly."""
     mean = np.asarray(mean, dtype=float)
     n, m = mean.shape
-    return Posterior(ids=tuple(range(n)), mean=mean,
-                     cov=np.zeros((m, n, n)), stochastic_idx=np.arange(n))
+    return Posterior(mean=mean, cov=np.zeros((m, n, n)), stochastic_idx=np.arange(n))
 
 
 def gaussian(mean, scale=0.3, seed=0):
@@ -47,7 +46,7 @@ def gaussian(mean, scale=0.3, seed=0):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(m, n, n)) * scale
     cov = a @ a.transpose(0, 2, 1) + 1e-8 * np.eye(n)[None, :, :]
-    return Posterior(ids=tuple(range(n)), mean=mean, cov=cov, stochastic_idx=np.arange(n))
+    return Posterior(mean=mean, cov=cov, stochastic_idx=np.arange(n))
 
 
 # atom tables reused across the enumeration tests; expected values below were
@@ -98,7 +97,6 @@ class TestQpmhi:
     def test_iid_candidates_share_equally(self):
         n = 4
         post = Posterior(
-            ids=tuple(range(n)),
             mean=np.full((n, 2), 1.8),
             cov=np.stack([np.eye(n) * 0.25] * 2),
             stochastic_idx=np.arange(n),
@@ -250,8 +248,7 @@ class TestQpo:
         mean = rng.normal(size=(n, 1))
         a = rng.normal(size=(1, n, n)) * 0.4
         cov = a @ a.transpose(0, 2, 1) + 1e-8 * np.eye(n)[None]
-        post = Posterior(ids=tuple(range(n)), mean=mean, cov=cov,
-                         stochastic_idx=np.arange(n))
+        post = Posterior(mean=mean, cov=cov, stochastic_idx=np.arange(n))
         best = 0.3
         front = build_front(np.array([[best]]), ["inc"], np.array([best - 1.0]))
         via_qpo = estimate_qpo(post, best, n_samples=512, seed=9)

@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from poolbo import bench, oracles
+from poolbo import bench, campaign, generation, oracles
 from poolbo.bench import (
     SUMMARY_HEADER,
     BenchSpec,
@@ -255,6 +255,25 @@ class TestRunBench:
         run_bench(spec)
         assert (tmp_path / "out" / "summary.csv").read_bytes() == first
         assert (tmp_path / "out" / "cells" / "qpmhi_seed0.csv").read_bytes() == cell
+
+    def test_reads_once_plus_twice_per_cell_and_featurizes_once_per_cell(
+            self, small_pool, tmp_path, monkeypatch):
+        # one table for the bench; each cell reads the pool for its initial
+        # sample and loads it once in run(), featurizing the init rows besides
+        reads, loads, featurized = [], [], []
+        read, load = generation.read_pool, generation.load_pool
+        identity = generation._identity_features
+        for module in (bench, campaign, generation, oracles):
+            monkeypatch.setattr(module, "read_pool", lambda p: reads.append(p) or read(p))
+        monkeypatch.setattr(campaign, "load_pool", lambda *a: loads.append(a) or load(*a))
+        monkeypatch.setattr(generation, "_identity_features",
+                            lambda g: featurized.append(g) or identity(g))
+        spec = small_spec(small_pool, tmp_path / "out")
+        cells = len(spec.acquisitions) * len(spec.seeds)
+        run_bench(spec)
+        assert len(reads) == 1 + 2 * cells
+        assert len(loads) == cells
+        assert len(featurized) == cells * (len(read(small_pool)) + spec.init_size)
 
     def test_worker_pool_matches_sequential(self, small_pool, tmp_path):
         seq = run_bench(small_spec(small_pool, tmp_path / "seq", seeds=(0,)))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import poolbo.campaign as campaign_mod
+import poolbo.generation as generation_mod
 import poolbo.pareto as pareto_mod
 from poolbo.campaign import (
     ACQUISITIONS,
@@ -204,6 +205,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="exactly one"):
             CampaignConfig(iterations=1, batch_size=1, oracle="sphere_pair")
 
+    def test_featurizer_beside_a_generator_rejected(self):
+        # a generator names its own featurizer; the pool_path one would be ignored
+        with pytest.raises(ValueError, match="generator.featurizer"):
+            gen_cfg(featurizer="kgram:2")
+        cfg = gen_cfg(generator=GeneratorConfig(pool_size=10, featurizer="kgram:2"))
+        assert cfg.pool_featurizer == "kgram:2"
+
 
 def toy_dataset(objectives, bits=4):
     objectives = np.asarray(objectives, dtype=float)
@@ -329,6 +337,23 @@ class TestBuildInitialData:
         feat = make_featurizer("kgram:2", alphabet="ABC")
         assert np.array_equal(state.dataset.features,
                               np.stack([feat(g) for g in state.dataset.genomes]))
+
+    @pytest.mark.parametrize("form", ["pool_sample", "genomes"])
+    def test_static_pool_is_read_once_and_only_init_rows_featurized(self, tmp_path,
+                                                                   monkeypatch, form):
+        pool = write_labeled_pool(tmp_path / "pool.csv")
+        oracle = LookupOracle.from_pool_csv(pool)
+        init = {"pool_sample": 4} if form == "pool_sample" else {"genomes": list(oracle.table)[:2]}
+        reads, featurized = [], []
+        read, identity = campaign_mod.read_pool, generation_mod._identity_features
+        monkeypatch.setattr(campaign_mod, "read_pool", lambda p: reads.append(p) or read(p))
+        monkeypatch.setattr(campaign_mod, "load_pool", None)
+        monkeypatch.setattr(generation_mod, "_identity_features",
+                            lambda g: featurized.append(g) or identity(g))
+        data = build_initial_data(static_cfg(pool, init=init), oracle)
+        assert reads == [str(pool)]
+        assert featurized == list(data.genomes)
+        assert np.array_equal(data.features, np.stack([identity(g) for g in data.genomes]))
 
     def test_static_token_pool_fixes_the_init_alphabet(self, tmp_path):
         # the init designs use two of the pool's four symbols; they must be
@@ -517,8 +542,7 @@ class TestZeroVariancePosterior:
 
         def exact_posterior(dataset, pool):
             mean = np.array([table[c.genome] for c in pool], dtype=float)
-            return Posterior(ids=tuple(c.id for c in pool), mean=mean,
-                             cov=np.zeros((2, len(pool), len(pool))))
+            return Posterior(mean=mean, cov=np.zeros((2, len(pool), len(pool))))
 
         state = run(state, cfg, oracle=oracle, posterior_fn=exact_posterior)
         batch = state.history[0].batch_ids

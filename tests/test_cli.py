@@ -112,6 +112,15 @@ class TestRun:
         assert (out / "checkpoint.json").exists()
         assert (out / "front.json").exists()
 
+    def test_lookup_config_builds_one_oracle(self, tmp_path, pool_csv, monkeypatch):
+        built = []
+        from_rows = LookupOracle.from_rows
+        monkeypatch.setattr(LookupOracle, "from_rows",
+                            lambda rows: built.append(rows) or from_rows(rows))
+        cfg_path = write_json(tmp_path / "c.json", run_config(pool_csv, tmp_path / "camp"))
+        assert main(["run", cfg_path]) == 0
+        assert len(built) == 1
+
     def test_true_front_ids_flow_into_metrics(self, tmp_path, pool_csv):
         from poolbo.bench import true_pareto_ids
 

@@ -404,7 +404,7 @@ class TestPosterior:
 class TestSampling:
     def test_zero_covariance_returns_mean_exactly(self):
         mean = np.array([[1.0, -2.0], [0.5, 3.0]])
-        post = Posterior(ids=None, mean=mean, cov=np.zeros((2, 2, 2)))
+        post = Posterior(mean=mean, cov=np.zeros((2, 2, 2)))
         samples = post.sample(4, seed=0)
         assert samples.shape == (4, 2, 2)
         for ell in range(4):
@@ -498,7 +498,7 @@ class TestSampling:
         upper = np.triu(np.ones_like(lower[0], dtype=bool), k=1)
 
         def with_factors(blocks):
-            return Posterior(ids=None, mean=base.mean, cov=base.cov,
+            return Posterior(mean=base.mean, cov=base.cov,
                              stochastic_idx=base.stochastic_idx,
                              chol=ScaledBlocks(blocks, scale, np.arange(m)))
 
@@ -508,7 +508,7 @@ class TestSampling:
         np.testing.assert_array_equal(draws, with_factors(lower).sample(SAMPLE_BLOCK + 3, seed=6))
 
     def test_invalid_count_rejected(self):
-        post = Posterior(ids=None, mean=np.zeros((1, 1)), cov=np.zeros((1, 1, 1)))
+        post = Posterior(mean=np.zeros((1, 1)), cov=np.zeros((1, 1, 1)))
         with pytest.raises(ValueError):
             post.sample(0, seed=1)
 
