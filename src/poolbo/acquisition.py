@@ -9,10 +9,9 @@ Thompson sampling with fantasy updates, and uniform random selection.
 """
 from __future__ import annotations
 
-import csv
 import heapq
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,7 @@ _CONSTRAINT_STREAM = 0xC057
 
 @dataclass
 class AcquisitionResult:
-    """Per-candidate scores plus the selected batch.
+    """Per-candidate scores that select_batch ranks.
 
     probs sums exactly to improving_fraction: draws where no candidate
     strictly improves attribute to nobody.
@@ -39,8 +38,6 @@ class AcquisitionResult:
     improving_fraction: float
     n_samples: int
     seed: int
-    selected: list | None = None
-    truncated: bool = False
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=float)
@@ -193,9 +190,7 @@ def select_batch(result: AcquisitionResult, q: int) -> list:
     posterior mean. Ties always break toward the lower index.
     """
     n = result.n
-    if _batch_size(q, n) < q:
-        result.truncated = True
-        q = n
+    q = _batch_size(q, n)
     idx = np.arange(n)
     order = []
     positive = idx[result.probs > 0]
@@ -208,9 +203,7 @@ def select_batch(result: AcquisitionResult, q: int) -> list:
         taken[np.asarray(order, dtype=int)] = True
         rest = idx[~taken]
         order.extend(_ranked(result.mean_hvi, rest))
-    selected = [int(i) for i in order[:q]]
-    result.selected = selected
-    return selected
+    return [int(i) for i in order[:q]]
 
 
 def qehvi_mc(post: Posterior, front: ParetoFront, q: int, n_samples: int, seed: int) -> list:
@@ -290,20 +283,3 @@ def random_select(pool_size: int, q: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
     return [int(i) for i in rng.permutation(pool_size)[:q]]
 
-
-def write_result_csv(path, result: AcquisitionResult, ids) -> None:
-    """Per-candidate scores; selected_rank is 1-based within the batch, blank otherwise."""
-    ids = list(ids)
-    if len(ids) != result.n:
-        raise ValueError("one id per candidate is required")
-    rank = {i: r + 1 for r, i in enumerate(result.selected or [])}
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("candidate_id", "prob", "pareto_membership", "selected_rank"))
-        for i, cid in enumerate(ids):
-            writer.writerow([
-                cid,
-                repr(float(result.probs[i])),
-                repr(float(result.pareto_membership[i])),
-                rank.get(i, ""),
-            ])

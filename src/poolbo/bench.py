@@ -7,7 +7,7 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -16,6 +16,7 @@ from .campaign import (
     ACQUISITIONS,
     CampaignConfig,
     build_initial_data,
+    config_from_mapping,
     init_campaign,
     nadir_ref_point,
     run,
@@ -85,22 +86,7 @@ class BenchSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "BenchSpec":
-        if not isinstance(payload, dict):
-            raise ValueError("bench spec must be a mapping")
-        work = dict(payload)
-        gp = work.pop("gp", None)
-        if gp is None:
-            gp = GpConfig()
-        elif not isinstance(gp, GpConfig):
-            gp = GpConfig(**gp)
-        known = {f.name for f in fields(cls)} - {"gp"}
-        unknown = set(work) - known
-        if unknown:
-            raise ValueError(f"unknown bench field(s): {sorted(unknown)}")
-        try:
-            return cls(gp=gp, **work)
-        except TypeError as exc:
-            raise ValueError(str(exc)) from None
+        return config_from_mapping(cls, payload, "bench spec", "bench")
 
 
 @dataclass(frozen=True)

@@ -144,31 +144,28 @@ class CampaignConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CampaignConfig":
-        if not isinstance(payload, dict):
-            raise ValueError("campaign config must be a mapping")
-        work = dict(payload)
-        generator = work.pop("generator", None)
-        if generator is not None and not isinstance(generator, GeneratorConfig):
-            generator = GeneratorConfig(**generator)
-        gp = work.pop("gp", None)
-        if gp is None:
-            gp = GpConfig()
-        elif not isinstance(gp, GpConfig):
-            gp = GpConfig(**gp)
-        ref_point = work.pop("ref_point", None)
-        known = {f.name for f in dataclasses.fields(cls)} - {"generator", "gp", "ref_point"}
-        unknown = set(work) - known
-        if unknown:
-            raise ValueError(f"unknown config field(s): {sorted(unknown)}")
-        try:
-            return cls(
-                generator=generator,
-                gp=gp,
-                ref_point=None if ref_point is None else tuple(ref_point),
-                **work,
-            )
-        except TypeError as exc:
-            raise ValueError(str(exc)) from None
+        return config_from_mapping(cls, payload, "campaign config", "config")
+
+
+def config_from_mapping(cls, payload, noun: str, label: str):
+    """cls built from a JSON mapping, with its `gp` and `generator` mappings
+    built into their configs and a null `gp` read as the default. A
+    non-mapping, an unknown field or a bad argument raises ValueError."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{noun} must be a mapping")
+    unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {label} field(s): {sorted(unknown)}")
+    work = dict(payload)
+    if work.get("gp") is None:
+        work["gp"] = GpConfig()
+    try:
+        for name, build in (("gp", GpConfig), ("generator", GeneratorConfig)):
+            if work.get(name) is not None and not isinstance(work[name], build):
+                work[name] = build(**work[name])
+        return cls(**work)
+    except TypeError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def config_hash(cfg: CampaignConfig) -> str:

@@ -15,8 +15,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from .bench import BenchSpec, run_bench
 from .campaign import (
     CampaignConfig,
@@ -29,7 +27,7 @@ from .campaign import (
     select_next,
 )
 from .generation import load_pool
-from .pareto import build_front
+from .pareto import front_rows, hypervolume
 
 
 def _setup_logging() -> None:
@@ -90,25 +88,8 @@ def cmd_hv(args) -> int:
         ref = tuple(float(v) for v in args.ref.split(","))
     except ValueError:
         raise ValueError(f"--ref must be comma-separated numbers, got {args.ref!r}") from None
-    payload = _load_json(args.front)
-    if isinstance(payload, dict):
-        if "points" not in payload:
-            raise ValueError("front file must contain a 'points' array")
-        points = payload["points"]
-    else:
-        points = payload
-    # saved fronts carry {"id", "values"} entries; bare row lists also work
-    if points and isinstance(points[0], dict):
-        points = [p["values"] for p in points]
-    points = np.asarray(points, dtype=float)
-    if points.size and (points.ndim != 2 or points.shape[1] != len(ref)):
-        raise ValueError(
-            f"front points must be rows of {len(ref)} objectives, got shape {points.shape}"
-        )
-    if points.size == 0:
-        points = points.reshape(0, len(ref))
-    front = build_front(points, [str(i) for i in range(len(points))], ref)
-    print(repr(front.hypervolume()))
+    points = front_rows(_load_json(args.front), len(ref))
+    print(repr(hypervolume(points, ref)))
     return 0
 
 
@@ -146,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(handler=cmd_run)
 
     p_hv = sub.add_parser("hv", help="exact hypervolume of a saved front")
-    p_hv.add_argument("front", help="JSON file with a 'points' array")
+    p_hv.add_argument("front", help="JSON front: a 'points' array or a bare list of rows")
     p_hv.add_argument("--ref", required=True, help="reference point, e.g. 0.0,0.0")
     p_hv.set_defaults(handler=cmd_hv)
 

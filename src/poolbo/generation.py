@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -46,11 +46,6 @@ class Candidate:
 
     def __post_init__(self):
         object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
-
-    @property
-    def key(self) -> str:
-        """Canonical dedup string; genomes are already canonical."""
-        return self.genome
 
 
 @dataclass(frozen=True)
@@ -163,16 +158,6 @@ def parse_predicate(text: str):
     if name not in PREDICATE_FACTORIES:
         raise ValueError(f"unknown constraint predicate: {name}")
     return PREDICATE_FACTORIES[name](*args)
-
-
-def _resolve_predicates(constraints) -> list:
-    return [parse_predicate(c) if isinstance(c, str) else c for c in constraints]
-
-
-def filter_constraints(pool, predicates) -> list:
-    """Order-preserving subset of candidates satisfying every predicate."""
-    predicates = _resolve_predicates(predicates)
-    return [c for c in pool if all(p(c.genome) for p in predicates)]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +291,7 @@ def propose_pool(data: Dataset, model: GpModel | None, cfg: GeneratorConfig, see
         raise ValueError("pool generation needs at least one labeled design")
     if data.genomes is None:
         raise ValueError("dataset must carry genomes to breed from")
-    predicates = _resolve_predicates(cfg.constraints)
+    predicates = [parse_predicate(c) if isinstance(c, str) else c for c in cfg.constraints]
     genomes = list(data.genomes)
     alphabet = genome_alphabet(genomes)
     bitstring = alphabet == "01"

@@ -216,17 +216,16 @@ class GpModel:
         ]
 
 
-def _profile_sigma2(chol: np.ndarray, z: np.ndarray, pinned: float | None) -> float:
+def _profile_sigma2(s: float, n: int, pinned: float | None) -> float:
+    """The signal variance maximising the LML, given s = z' K^-1 z over n points."""
     if pinned is not None:
         return float(pinned)
-    n = z.size
-    s = float(z @ cho_solve((chol, True), z))
     return float(np.clip(s / max(n, 1), *SIGNAL_VARIANCE_BOUNDS))
 
 
-def _lml(chol: np.ndarray, z: np.ndarray, sigma2: float) -> float:
-    n = z.size
-    s = float(z @ cho_solve((chol, True), z))
+def _lml(chol: np.ndarray, s: float, sigma2: float) -> float:
+    """Log marginal likelihood of sigma2 * K, given chol(K) and s = z' K^-1 z."""
+    n = chol.shape[0]
     logdet_base = 2.0 * float(np.log(np.diag(chol)).sum())
     return -0.5 * s / sigma2 - 0.5 * (n * np.log(sigma2) + logdet_base) - 0.5 * n * np.log(2.0 * np.pi)
 
@@ -255,8 +254,8 @@ def _fit_objective(X: np.ndarray, y: np.ndarray, kernel: str, config: GpConfig,
 
         def neg_lml(t):
             chol = factor(np.exp(-0.5 * shared / np.exp(2.0 * t[0])))
-            sigma2 = _profile_sigma2(chol, z, config.signal_variance)
-            return -_lml(chol, z, sigma2)
+            s = float(z @ cho_solve((chol, True), z))
+            return -_lml(chol, s, _profile_sigma2(s, z.size, config.signal_variance))
 
         if config.lengthscale is not None:
             lengthscale = float(config.lengthscale)
@@ -269,8 +268,8 @@ def _fit_objective(X: np.ndarray, y: np.ndarray, kernel: str, config: GpConfig,
             vals = np.array([b[0] for b in best])
             lengthscale = float(np.exp(best[int(np.argmin(vals))][1]))
         chol = factor(rbf_kernel(X, X, lengthscale))
-    sigma2 = _profile_sigma2(chol, z, config.signal_variance)
     alpha = cho_solve((chol, True), z)
+    sigma2 = _profile_sigma2(float(z @ alpha), z.size, config.signal_variance)
     return _ObjectiveGp(
         kernel=kernel, lengthscale=lengthscale, sigma2=sigma2, nugget=state["nugget"],
         out_mean=out_mean, out_std=out_std, alpha=alpha, chol=chol,

@@ -49,12 +49,17 @@ def _as_matrix(points, m: int | None = None) -> np.ndarray:
     return arr
 
 
-def dominates(a, b) -> bool:
-    """Strict Pareto dominance: a >= b in every objective and a > b in at least one."""
-    av, bv = _as_vector(a), _as_vector(b)
-    if av.size != bv.size:
-        raise ValueError(f"objective dimensions must match: {av.size} vs {bv.size}")
-    return bool(np.all(av >= bv) and np.any(av > bv))
+def _dominated_by(points: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Mask of points strictly dominated by at least one row of others, by
+    testing every pair in chunks of points that bound peak memory."""
+    out = np.zeros(points.shape[0], dtype=bool)
+    chunk = max(1, 2 ** 21 // max(1, others.shape[0]))
+    for start in range(0, points.shape[0], chunk):
+        block = points[start:start + chunk, None, :]
+        ge = (others[None, :, :] >= block).all(axis=-1)
+        gt = (others[None, :, :] > block).any(axis=-1)
+        out[start:start + chunk] = (ge & gt).any(axis=1)
+    return out
 
 
 def non_dominated_mask(points) -> np.ndarray:
@@ -78,14 +83,7 @@ def non_dominated_mask(points) -> np.ndarray:
         beyond = np.append(np.maximum.accumulate(top[::-1])[::-1][1:], -np.inf)
         mask[order] = (top[group] <= y) & (beyond[group] < y)
         return mask
-    # pairwise strict-dominance test, chunked to bound peak memory
-    chunk = max(1, int(2 ** 22) // max(1, n))
-    for start in range(0, n, chunk):
-        block = pts[start:start + chunk]
-        ge = (pts[:, None, :] >= block[None, :, :]).all(axis=-1)
-        gt = (pts[:, None, :] > block[None, :, :]).any(axis=-1)
-        mask[start:start + chunk] = ~(ge & gt).any(axis=0)
-    return mask
+    return ~_dominated_by(pts, pts)
 
 
 @dataclass(frozen=True)
@@ -382,14 +380,7 @@ def strictly_dominated_mask(points, front: ParetoFront) -> np.ndarray:
         inside = j < xs.size
         jj = np.minimum(j, xs.size - 1)
         return inside & ((ys[jj] > pts[:, 1]) | ((ys[jj] == pts[:, 1]) & (xs[jj] > pts[:, 0])))
-    out = np.zeros(n, dtype=bool)
-    chunk = max(1, int(2 ** 21) // max(1, front.size))
-    for start in range(0, n, chunk):
-        block = pts[start:start + chunk]
-        ge = (front.points[None, :, :] >= block[:, None, :]).all(axis=-1)
-        gt = (front.points[None, :, :] > block[:, None, :]).any(axis=-1)
-        out[start:start + chunk] = (ge & gt).any(axis=1)
-    return out
+    return _dominated_by(pts, front.points)
 
 
 def fraction_recovered(found_ids: Iterable, true_ids: Iterable) -> float:
@@ -418,28 +409,40 @@ def front_to_dict(front: ParetoFront) -> dict:
     }
 
 
+def front_rows(payload, m: int) -> np.ndarray:
+    """The (n, m) objective rows of a front file: a saved front's {"id",
+    "values"} entries or bare rows, under "points" or as the whole payload."""
+    if isinstance(payload, dict):
+        if "points" not in payload:
+            raise ValueError("front file must contain a 'points' array")
+        payload = payload["points"]
+    try:
+        if payload and isinstance(payload[0], dict):
+            payload = [p["values"] for p in payload]
+        rows = np.asarray(payload, dtype=float)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed front payload: {exc}") from exc
+    if rows.size == 0:
+        return rows.reshape(0, m)
+    if rows.ndim != 2 or rows.shape[1] != m:
+        raise ValueError(f"front points must be rows of {m} objectives, got shape {rows.shape}")
+    return rows
+
+
 def front_from_dict(payload: dict) -> ParetoFront:
     try:
         ref = payload["ref_point"]
-        entries = payload["points"]
-        points = [e["values"] for e in entries]
-        ids = tuple(e["id"] for e in entries)
+        ids = tuple(e["id"] for e in payload["points"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed front payload: {exc}") from exc
     ref = _as_vector(ref)
-    pts = _as_matrix(points, m=ref.size) if points else np.empty((0, ref.size))
-    return ParetoFront(points=pts, ids=ids, ref=ref)
+    return ParetoFront(points=front_rows(payload, ref.size), ids=ids, ref=ref)
 
 
 def save_front(front: ParetoFront, path) -> None:
     with atomic_write(path) as fh:
         json.dump(front_to_dict(front), fh, indent=2)
         fh.write("\n")
-
-
-def load_front(path) -> ParetoFront:
-    with open(path, "r", encoding="utf-8") as fh:
-        return front_from_dict(json.load(fh))
 
 
 @dataclass(frozen=True)

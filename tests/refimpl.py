@@ -34,6 +34,12 @@ def union_box_volume(points, ref) -> float:
     return total
 
 
+def dominates(a, b) -> bool:
+    """Strict Pareto dominance of one pair, compared coordinate by coordinate."""
+    pairs = list(zip(a, b))
+    return all(x >= y for x, y in pairs) and any(x > y for x, y in pairs)
+
+
 def pairwise_non_dominated_mask(points) -> np.ndarray:
     """Points no other point strictly dominates, by testing every pair."""
     pts = np.asarray(points, dtype=float)

@@ -178,6 +178,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="iterations"):
             CampaignConfig.from_dict(payload)
 
+    @pytest.mark.parametrize("section", ["gp", "generator"])
+    def test_unknown_nested_field_is_a_value_error(self, section):
+        payload = gen_cfg().to_dict()
+        payload[section]["bogus"] = 1
+        with pytest.raises(ValueError, match="bogus"):
+            CampaignConfig.from_dict(payload)
+
     @pytest.mark.parametrize("over,msg", [
         (dict(iterations=0), "iterations"),
         (dict(batch_size=0), "batch_size"),

@@ -100,6 +100,17 @@ class TestHv:
     def test_missing_file(self, tmp_path):
         assert main(["hv", str(tmp_path / "nope.json"), "--ref", "0,0"]) == 2
 
+    @pytest.mark.parametrize("payload", [
+        {"points": [{"values": [1.0, 2.0]}, [2.0, 1.0]]},
+        {"points": [{"id": "a"}]},
+        {"points": 5},
+        5,
+    ], ids=["mixed-entries", "no-values", "points-not-a-list", "scalar"])
+    def test_malformed_front_is_a_usage_error(self, tmp_path, capsys, payload):
+        path = write_json(tmp_path / "f.json", payload)
+        assert main(["hv", path, "--ref", "0,0"]) == 2
+        assert "malformed front payload" in capsys.readouterr().err
+
 
 class TestRun:
     def test_writes_all_artifacts(self, tmp_path, pool_csv, capsys):

@@ -1,17 +1,16 @@
 import csv
 import sys
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from poolbo.generation import (
-    Candidate,
     GenerationStarvedError,
     GeneratorConfig,
     PoolFormatError,
     _validate_genome,
-    filter_constraints,
     load_pool,
     make_featurizer,
     parse_predicate,
@@ -156,22 +155,23 @@ class TestPredicates:
             parse_predicate("divisible_by:3")
 
     def test_filter_empty_list_is_identity(self):
-        pool = [Candidate("a", "01", [0.0, 1.0]), Candidate("b", "10", [1.0, 0.0])]
-        assert filter_constraints(pool, []) == pool
+        data = bit_dataset(["110000", "000011", "111100"], [[3.0, 1.0], [1.0, 3.0], [2.0, 2.5]])
+        free = GeneratorConfig(pool_size=12, mutation_rate=0.2, random_fraction=0.5)
+        vacuous = GeneratorConfig(pool_size=12, mutation_rate=0.2, random_fraction=0.5,
+                                  constraints=("min_ones:0",))
+        a, b = propose_pool(data, None, free, seed=4), propose_pool(data, None, vacuous, seed=4)
+        assert [(c.id, c.genome) for c in a] == [(c.id, c.genome) for c in b]
 
     def test_contradictory_predicates_empty_pool(self):
-        pool = [Candidate("a", "01", [0.0, 1.0])]
-        assert filter_constraints(pool, ["min_ones:1", "max_ones:0"]) == []
+        preds = [parse_predicate("min_ones:1"), parse_predicate("max_ones:0")]
+        genomes = ["".join(bits) for bits in product("01", repeat=6)]
+        assert [g for g in genomes if all(p(g) for p in preds)] == []
 
     def test_matches_brute_force_scan(self):
         rng = np.random.default_rng(0)
-        pool = [
-            Candidate(f"c{i}", g, [float(ch) for ch in g])
-            for i, g in enumerate("".join(map(str, rng.integers(0, 2, 6))) for _ in range(40))
-        ]
+        genomes = ["".join(map(str, rng.integers(0, 2, 6))) for _ in range(40)]
         pred = parse_predicate("min_ones:3")
-        got = filter_constraints(pool, [pred])
-        assert got == [c for c in pool if c.genome.count("1") >= 3]
+        assert [g for g in genomes if pred(g)] == [g for g in genomes if g.count("1") >= 3]
 
 
 class TestProposePool:
@@ -207,8 +207,8 @@ class TestProposePool:
         pool = propose_pool(data, None, cfg, seed=7)
         assert len(pool) == 40
         assert all(c.genome[0] == "1" for c in pool)
-        # re-filtering is a no-op, which is the re-checkable form of the claim
-        assert filter_constraints(pool, ["bit_equals:0:1"]) == pool
+        # re-checking with the parsed predicate passes every candidate
+        assert all(parse_predicate("bit_equals:0:1")(c.genome) for c in pool)
 
     def test_uniform_random_acceptance_rate_near_half(self):
         """A first-bit constraint accepts uniform bitstrings about half the time."""
@@ -245,8 +245,7 @@ class TestProposePool:
                               elite_fraction=0.2, random_fraction=0.3)
         pool = propose_pool(data, None, cfg, seed=seed)
         assert len(pool) == pool_size
-        keys = [c.key for c in pool]
-        assert len(set(keys)) == pool_size
+        assert len({c.genome for c in pool}) == pool_size
 
     def test_deterministic_given_seed(self):
         data = self.base_data()

@@ -2,12 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 from poolbo.gp import (
     BASE_NUGGET,
     JITTER_LADDER,
     SAMPLE_BLOCK,
+    SIGNAL_VARIANCE_BOUNDS,
     Dataset,
     FitError,
     GpConfig,
@@ -16,6 +17,7 @@ from poolbo.gp import (
     ScaledBlocks,
     _cross_kernels,
     _escalated_cholesky,
+    _lml,
     _objective_blocks,
     _ObjectiveGp,
     fit,
@@ -212,6 +214,22 @@ class TestFit:
         data = Dataset(tuple(range(12)), x, y, feature_kind="dense_real")
         model = fit(data)
         assert model.parts[0].lengthscale > 0.1
+
+    def test_profiled_variance_and_lml_are_the_closed_form(self):
+        data = toy_dataset(seed=8, n=32, d=4, m=3)
+        model = fit(data)
+        n = data.n
+        for j, part in enumerate(model.parts):
+            y = data.objectives[:, j]
+            z = (y - y.mean()) / y.std()
+            alpha = cho_solve((part.chol, True), z)
+            s = float(z @ alpha)
+            np.testing.assert_array_equal(part.alpha, alpha)
+            assert part.sigma2 == float(np.clip(s / n, *SIGNAL_VARIANCE_BOUNDS))
+            cov = part.sigma2 * (part.chol @ part.chol.T)
+            closed = (-0.5 * z @ np.linalg.solve(cov, z) - 0.5 * np.linalg.slogdet(cov)[1]
+                      - 0.5 * n * np.log(2.0 * np.pi))
+            assert _lml(part.chol, s, part.sigma2) == pytest.approx(closed, rel=1e-9)
 
     def test_tanimoto_objectives_share_one_training_factor(self):
         data = toy_dataset(seed=3, n=9, d=7, m=3, binary=True)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,14 +11,12 @@ from poolbo.pareto import (
     MetricRecord,
     ParetoFront,
     build_front,
-    dominates,
     fraction_recovered,
     front_from_dict,
     front_to_dict,
     hvi,
     hvi_many,
     hypervolume,
-    load_front,
     non_dominated_mask,
     read_metrics_csv,
     relative_hvi,
@@ -27,6 +26,7 @@ from poolbo.pareto import (
     write_metrics_csv,
 )
 from refimpl import (
+    dominates,
     folded_front,
     hvi_by_inclusion_exclusion,
     mc_box_union_volume,
@@ -49,37 +49,50 @@ def unit_arrays(m, max_points, min_points=0):
     return rows.map(lambda r: np.asarray(r, dtype=float).reshape(len(r), m))
 
 
+def mask_dominates(a, b) -> bool:
+    """Whether a strictly dominates b, as both dominance masks decide it."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    by_pair = not non_dominated_mask(np.stack([a, b]))[1]
+    front = ParetoFront(points=a[None, :], ids=("a",), ref=np.minimum(a, b) - 1.0)
+    assert bool(strictly_dominated_mask(b[None, :], front)[0]) == by_pair
+    return by_pair
+
+
 class TestDominates:
     def test_strict_dominance(self):
-        assert dominates((2.0, 3.0), (1.0, 3.0))
-        assert dominates((2.0, 3.0), (1.0, 2.0))
+        assert mask_dominates((2.0, 3.0), (1.0, 3.0))
+        assert mask_dominates((2.0, 3.0), (1.0, 2.0))
+        assert mask_dominates((2.0, 3.0, 1.0), (1.0, 3.0, 1.0))
 
     def test_equal_vectors_do_not_dominate(self):
-        assert not dominates((1.0, 2.0), (1.0, 2.0))
+        assert not mask_dominates((1.0, 2.0), (1.0, 2.0))
+        assert not mask_dominates((1.0, 2.0, 3.0), (1.0, 2.0, 3.0))
 
     def test_incomparable_pair(self):
-        assert not dominates((2.0, 1.0), (1.0, 2.0))
-        assert not dominates((1.0, 2.0), (2.0, 1.0))
+        assert not mask_dominates((2.0, 1.0), (1.0, 2.0))
+        assert not mask_dominates((1.0, 2.0), (2.0, 1.0))
+        assert not mask_dominates((2.0, 1.0, 1.0), (1.0, 1.0, 2.0))
 
     def test_dimension_mismatch_raises(self):
+        front = build_front([(1.0, 2.0)], ["a"], (0.0, 0.0))
         with pytest.raises(ValueError, match="dimensions must match"):
-            dominates((1.0, 2.0), (1.0, 2.0, 3.0))
+            strictly_dominated_mask([(1.0, 2.0, 3.0)], front)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            dominates((np.nan, 1.0), (0.0, 0.0))
+            non_dominated_mask([(np.nan, 1.0), (0.0, 0.0)])
         with pytest.raises(ValueError):
-            dominates((1.0, 1.0), (np.inf, 0.0))
+            strictly_dominated_mask([(np.inf, 0.0)], build_front([(1.0, 1.0)], ["a"], (0.0, 0.0)))
 
     @given(st.lists(coord, min_size=1, max_size=5))
     def test_irreflexive(self, vec):
-        assert not dominates(vec, vec)
+        assert not mask_dominates(vec, vec)
 
     @given(st.lists(st.tuples(coord, coord), min_size=2, max_size=2))
     def test_asymmetric(self, pair):
         a, b = pair
-        if dominates(a, b):
-            assert not dominates(b, a)
+        if mask_dominates(a, b):
+            assert not mask_dominates(b, a)
 
     @given(
         st.lists(coord, min_size=2, max_size=4),
@@ -91,8 +104,8 @@ class TestDominates:
         b = np.asarray(base[:m])
         a = b + np.asarray(up[:m]) + 1e-3
         c = b - np.asarray(down[:m]) - 1e-3
-        assert dominates(a, b) and dominates(b, c)
-        assert dominates(a, c)
+        assert mask_dominates(a, b) and mask_dominates(b, c)
+        assert mask_dominates(a, c)
 
 
 class TestNonDominatedMask:
@@ -125,6 +138,12 @@ class TestNonDominatedMask:
         elif kind == "grid":
             # -0.0 and 0.0 compare equal and must tie like any other pair
             pts = np.array([-0.0, 0.0, 1.0, 2.0])[rng.integers(0, 4, size=(n, 2))]
+        np.testing.assert_array_equal(non_dominated_mask(pts), pairwise_non_dominated_mask(pts))
+
+    def test_three_objective_mask_across_chunks_matches_pairwise(self):
+        # 1,500 rows make the all-pairs loop take two chunks
+        rng = np.random.default_rng(3)
+        pts = rng.integers(0, 6, size=(1500, 3)).astype(float)
         np.testing.assert_array_equal(non_dominated_mask(pts), pairwise_non_dominated_mask(pts))
 
 
@@ -580,7 +599,7 @@ class TestFrontSerialization:
         front = build_front([(1.0, 3.0), (3.0, 1.0)], ["a", "b"], (0.0, 0.0))
         path = tmp_path / "front.json"
         save_front(front, path)
-        loaded = load_front(path)
+        loaded = front_from_dict(json.loads(path.read_text()))
         np.testing.assert_array_equal(loaded.points, front.points)
         assert loaded.ids == front.ids
         np.testing.assert_array_equal(loaded.ref, front.ref)
