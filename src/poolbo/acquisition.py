@@ -242,6 +242,19 @@ def qehvi_mc(post: Posterior, front: ParetoFront, q: int, n_samples: int, seed: 
     return selected
 
 
+def _least_margins(values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Per row of values, min over points p of max_j(v_j - p_j), as running
+    n-vector maxima and minima: no (n, F, m) temporary is made."""
+    cols = np.ascontiguousarray(values.T)
+    margins = np.full(values.shape[0], np.inf)
+    for p in points:
+        worst = cols[0] - p[0]
+        for col, level in zip(cols[1:], p[1:]):
+            np.maximum(worst, col - level, out=worst)
+        np.minimum(margins, worst, out=margins)
+    return margins
+
+
 def thompson_hvi(post: Posterior, front: ParetoFront, q: int, seed: int) -> list:
     """Sequential Thompson batch: draw j's maximizer joins as a fantasy point.
 
@@ -266,7 +279,7 @@ def thompson_hvi(post: Posterior, front: ParetoFront, q: int, seed: int) -> list
         else:
             pts = index.points
             if pts.shape[0]:
-                margins = (values[:, None, :] - pts[None, :, :]).max(axis=2).min(axis=1)
+                margins = _least_margins(values, pts)
             else:
                 margins = (values - front.ref[None, :]).max(axis=1)
             margins[taken] = -np.inf

@@ -146,6 +146,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value such as -1,-1 for an option, so bind it to --ref first
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--ref":
+            argv[i - 1:i + 1] = [f"--ref={argv[i]}"]
     args = _build_parser().parse_args(argv)
     _setup_logging()
     try:

@@ -1,9 +1,11 @@
 """Exact Gaussian-process surrogates: one independent GP per objective.
 
 Targets are normalized per objective before fitting. Hyperparameters maximize
-the log marginal likelihood via bounded multi-start search, with the signal
-variance profiled out in closed form at every evaluation. Kernels: isotropic
-RBF for dense real features, Tanimoto for binary features.
+the log marginal likelihood, with the signal variance profiled out in closed
+form at every evaluation. RBF lengthscales come from one log-spaced grid whose
+kernels are each factored once for all objectives, then a bounded L-BFGS-B
+refinement of each objective's grid maxima. Kernels: isotropic RBF for dense
+real features, Tanimoto for binary features.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ MAX_NUGGET = 1e-2
 JITTER_LADDER = (1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 # draws per zero-padded block that Posterior.sample multiplies by a factor
 SAMPLE_BLOCK = 64
-N_STARTS = 8
+N_STARTS = 21  # lengthscale grid points, four per decade
 
 
 class FitError(RuntimeError):
@@ -108,7 +110,8 @@ class Dataset:
 class GpConfig:
     """Fit settings; lengthscale/signal_variance pin hyperparameters when set.
 
-    Pinned values are on the normalized-target scale.
+    Pinned values are on the normalized-target scale. n_starts counts the
+    points of the RBF lengthscale grid.
     """
 
     kernel: str = "auto"
@@ -230,50 +233,45 @@ def _lml(chol: np.ndarray, s: float, sigma2: float) -> float:
     return -0.5 * s / sigma2 - 0.5 * (n * np.log(sigma2) + logdet_base) - 0.5 * n * np.log(2.0 * np.pi)
 
 
-def _fit_objective(X: np.ndarray, y: np.ndarray, kernel: str, config: GpConfig,
-                   shared) -> _ObjectiveGp:
-    """Fit one objective; `shared` is the Tanimoto training factor and its
-    nugget, or the squared distances the RBF kernel is built from."""
-    out_mean = float(y.mean())
-    out_std = float(y.std())
-    if out_std < 1e-12:
-        out_std = 1.0
-    z = (y - out_mean) / out_std
+def _normalized(y: np.ndarray):
+    """(mean, std, z) of one objective column; a constant column keeps std 1."""
+    out_mean, out_std = float(y.mean()), float(y.std())
+    out_std = out_std if out_std >= 1e-12 else 1.0
+    return out_mean, out_std, (y - out_mean) / out_std
 
-    state = {"nugget": config.nugget}
 
-    def factor(base):
-        chol, nugget = _escalated_cholesky(base, state["nugget"])
-        state["nugget"] = nugget
-        return chol
+def _search_lengthscales(d2: np.ndarray, zs: list, config: GpConfig) -> list:
+    """Each normalized target's LML-maximising RBF lengthscale.
 
-    if kernel == "tanimoto":
-        (chol, state["nugget"]), lengthscale = shared, None
-    else:
-        lo, hi = np.log(LENGTHSCALE_BOUNDS[0]), np.log(LENGTHSCALE_BOUNDS[1])
+    Each kernel on a log-spaced grid is factored once and scores every
+    target with its own solve, so a target's lengthscale depends on it
+    alone. L-BFGS-B then refines each grid point scoring at least as well as
+    both neighbours, bounded by them, and the best refinement is kept.
+    """
+    # a one-point grid sits at the bounds' log-midpoint, off the lower bound's plateau
+    grid = (np.log(np.geomspace(*LENGTHSCALE_BOUNDS, config.n_starts)) if config.n_starts > 1
+            else np.mean(np.log(LENGTHSCALE_BOUNDS), keepdims=True))
+    edges = np.concatenate([np.log(LENGTHSCALE_BOUNDS[:1]), grid, np.log(LENGTHSCALE_BOUNDS[1:])])
 
-        def neg_lml(t):
-            chol = factor(np.exp(-0.5 * shared / np.exp(2.0 * t[0])))
-            s = float(z @ cho_solve((chol, True), z))
-            return -_lml(chol, s, _profile_sigma2(s, z.size, config.signal_variance))
+    def neg_lmls(t, targets):
+        # each factorisation escalates from config.nugget, so LML(t) is a pure function
+        chol = _escalated_cholesky(np.exp(-0.5 * d2 / np.exp(2.0 * t)), config.nugget)[0]
+        ss = [float(z @ cho_solve((chol, True), z)) for z in targets]
+        return [-_lml(chol, s, _profile_sigma2(s, len(d2), config.signal_variance)) for s in ss]
 
-        if config.lengthscale is not None:
-            lengthscale = float(config.lengthscale)
-        else:
-            starts = np.log(np.geomspace(*LENGTHSCALE_BOUNDS, config.n_starts))
-            best = []
-            for t0 in starts:
-                res = minimize(neg_lml, x0=[t0], method="L-BFGS-B", bounds=[(lo, hi)])
-                best.append((float(res.fun), float(res.x[0])))
-            vals = np.array([b[0] for b in best])
-            lengthscale = float(np.exp(best[int(np.argmin(vals))][1]))
-        chol = factor(rbf_kernel(X, X, lengthscale))
-    alpha = cho_solve((chol, True), z)
-    sigma2 = _profile_sigma2(float(z @ alpha), z.size, config.signal_variance)
-    return _ObjectiveGp(
-        kernel=kernel, lengthscale=lengthscale, sigma2=sigma2, nugget=state["nugget"],
-        out_mean=out_mean, out_std=out_std, alpha=alpha, chol=chol,
-    )
+    lengthscales = []
+    for z, f in zip(zs, np.array([neg_lmls(t, zs) for t in grid]).T):
+        on_grid = dict(zip(grid.tolist(), f.tolist()))  # refining factors no grid point again
+        padded = np.concatenate([[np.inf], f, [np.inf]])
+        # a finite-difference step of 1e-5 in log-lengthscale stays above the
+        # rounding noise of an ill-conditioned LML, which 1e-8 does not; a
+        # slope under 1e-3 nats per unit log-lengthscale counts as flat
+        runs = [minimize(lambda t: on_grid[t[0]] if t[0] in on_grid else neg_lmls(t[0], [z])[0],
+                         [grid[i]], method="L-BFGS-B", bounds=[edges[i:i + 3:2]],
+                         options={"eps": 1e-5, "gtol": 1e-3})
+                for i in np.flatnonzero((f <= padded[:-2]) & (f <= padded[2:]))]
+        lengthscales.append(float(np.exp(min(runs, key=lambda r: r.fun).x[0])))
+    return lengthscales
 
 
 def fit(data: Dataset, config: GpConfig = GpConfig()) -> GpModel:
@@ -284,13 +282,23 @@ def fit(data: Dataset, config: GpConfig = GpConfig()) -> GpModel:
     if kernel == "auto":
         kernel = "tanimoto" if data.feature_kind == "binary" else "rbf"
     X = data.features
-    # every Tanimoto objective factors the same gram, so it is factored once
-    shared = (_escalated_cholesky(tanimoto_kernel(X, X), config.nugget) if kernel == "tanimoto"
-              else squared_distances(X, X))
-    parts = [
-        _fit_objective(X, data.objectives[:, j], kernel, config, shared)
-        for j in range(data.m)
-    ]
+    columns = [_normalized(data.objectives[:, j]) for j in range(data.m)]
+    if kernel == "tanimoto":
+        # every Tanimoto objective factors the same gram, so it is factored once
+        lengthscales = [None] * data.m
+        factors = {None: _escalated_cholesky(tanimoto_kernel(X, X), config.nugget)}
+    else:
+        lengthscales = ([float(config.lengthscale)] * data.m if config.lengthscale is not None else
+                        _search_lengthscales(squared_distances(X, X), [c[2] for c in columns], config))
+        # one final factor per distinct lengthscale, with the nugget that lengthscale needs
+        factors = {ls: _escalated_cholesky(rbf_kernel(X, X, ls), config.nugget)
+                   for ls in dict.fromkeys(lengthscales)}
+    parts = []
+    for (out_mean, out_std, z), lengthscale in zip(columns, lengthscales):
+        chol, nugget = factors[lengthscale]
+        alpha = cho_solve((chol, True), z)
+        sigma2 = _profile_sigma2(float(z @ alpha), z.size, config.signal_variance)
+        parts.append(_ObjectiveGp(kernel, lengthscale, sigma2, nugget, out_mean, out_std, alpha, chol))
     return GpModel(data=data, parts=parts)
 
 

@@ -7,9 +7,11 @@ enumeration of joint outcomes. The exceptions are kept as the library wrote
 them before a faster version replaced them, which must match them bit for
 bit: per_draw_qehvi_mc, the greedy select's per-draw loop;
 pairwise_non_dominated_mask, the all-pairs test the two-objective sweep
-replaced; folded_front, build_front as one update_front per point; and
+replaced; folded_front, build_front as one update_front per point;
 scaled_copy_posterior, which stores one scaled copy of the covariance and
-factor per objective.
+factor per objective; and broadcast_margins, Thompson's fallback margin as
+one (n, F, m) temporary. multistart_lengthscale, the per-objective search
+the shared lengthscale grid replaced, is matched in likelihood, not bits.
 """
 from __future__ import annotations
 
@@ -163,6 +165,49 @@ def scaled_copy_posterior(model, Xq):
             np.multiply(np.sqrt(c), factor, out=chol[j])
             jitter[j] = c * base_jitter
     return mean, cov, chol, jitter
+
+
+def multistart_lengthscale(X, z, config, n_starts: int = 8) -> float:
+    """The RBF lengthscale search of one objective before the shared grid:
+    L-BFGS-B over the full log bounds from n_starts log-spaced starts, each
+    evaluation's nugget escalating from where the last one ended."""
+    from scipy.linalg import cho_solve
+    from scipy.optimize import minimize
+
+    from poolbo.gp import (LENGTHSCALE_BOUNDS, _escalated_cholesky, _lml, _profile_sigma2,
+                           squared_distances)
+
+    d2 = squared_distances(X, X)
+    state = {"nugget": config.nugget}
+
+    def neg_lml(t):
+        chol, state["nugget"] = _escalated_cholesky(np.exp(-0.5 * d2 / np.exp(2.0 * t[0])),
+                                                    state["nugget"])
+        s = float(z @ cho_solve((chol, True), z))
+        return -_lml(chol, s, _profile_sigma2(s, z.size, config.signal_variance))
+
+    bounds = [tuple(np.log(LENGTHSCALE_BOUNDS))]
+    runs = [minimize(neg_lml, x0=[t0], method="L-BFGS-B", bounds=bounds)
+            for t0 in np.log(np.geomspace(*LENGTHSCALE_BOUNDS, n_starts))]
+    return float(np.exp(min(runs, key=lambda r: r.fun).x[0]))
+
+
+def lengthscale_lml(X, z, lengthscale: float, config) -> float:
+    """Profiled LML of one normalized target at a lengthscale, the nugget
+    escalating from config.nugget: a pure function of the lengthscale."""
+    from scipy.linalg import cho_solve
+
+    from poolbo.gp import _escalated_cholesky, _lml, _profile_sigma2, rbf_kernel
+
+    chol, _ = _escalated_cholesky(rbf_kernel(X, X, lengthscale), config.nugget)
+    s = float(z @ cho_solve((chol, True), z))
+    return _lml(chol, s, _profile_sigma2(s, z.size, config.signal_variance))
+
+
+def broadcast_margins(values, points) -> np.ndarray:
+    """Each row's least margin over the front, min over points of max_j(v_j - p_j),
+    through one (n, F, m) temporary."""
+    return (values[:, None, :] - points[None, :, :]).max(axis=2).min(axis=1)
 
 
 def scaled_copy_sample(mean, chol, stochastic_idx, n_samples: int, seed: int) -> np.ndarray:

@@ -7,6 +7,7 @@ from poolbo.acquisition import (
     _CONSTRAINT_STREAM,
     AcquisitionResult,
     _attribute,
+    _least_margins,
     constrained_qpmhi,
     estimate_qpmhi,
     estimate_qpo,
@@ -20,7 +21,13 @@ from poolbo.generation import load_pool, read_pool
 from poolbo.gp import Dataset, Posterior, fit, pool_posterior
 from poolbo.pareto import FrontStack, ParetoFront, build_front, hvi_many, strictly_dominated_mask
 from poolbo.seeds import derive_seed
-from refimpl import DiscretePosterior, best_subset_sum, greedy_joint_ehvi_trace, per_draw_qehvi_mc
+from refimpl import (
+    DiscretePosterior,
+    best_subset_sum,
+    broadcast_margins,
+    greedy_joint_ehvi_trace,
+    per_draw_qehvi_mc,
+)
 
 REF = np.array([0.0, 0.0])
 FRONT_PTS = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -512,6 +519,17 @@ class TestThompson:
         post = gaussian([[2.0, 2.0], [2.0, 2.0], [2.0, 2.0], [0.1, 0.1]], seed=10)
         picked = thompson_hvi(post, make_front(), q=4, seed=6)
         assert sorted(picked) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_running_margin_is_the_broadcast_margin(self, m):
+        # coarse levels make ties between coordinates, rows and front points;
+        # a max and a min round nothing, so the running minimum is exact
+        rng = np.random.default_rng(m)
+        for _ in range(50):
+            n, f = int(rng.integers(1, 40)), int(rng.integers(1, 20))
+            values = rng.integers(-3, 4, size=(n, m)) / 2.0
+            points = rng.integers(-3, 4, size=(f, m)) / 2.0
+            assert np.array_equal(_least_margins(values, points), broadcast_margins(values, points))
 
     def test_truncates_and_validates(self):
         post = deterministic([[3.0, 3.0]])

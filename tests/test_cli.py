@@ -84,6 +84,15 @@ class TestHv:
         assert main(["hv", path, "--ref", ",".join(["0"] * 7)]) == 2
         assert "at most 6" in capsys.readouterr().err
 
+    def test_negative_ref_as_separate_value(self, tmp_path, capsys):
+        # a value led by "-" must not be read as an option
+        path = write_json(tmp_path / "f.json", {"points": [[0.0, 0.5, -0.5], [1.0, -0.5, 0.0]]})
+        printed = []
+        for args in (["--ref", "-1.0,-1.0,-1.0"], ["--ref=-1.0,-1.0,-1.0"]):
+            assert main(["hv", path, *args]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] and float(printed[0]) > 0
+
     def test_bad_ref_string(self, tmp_path, capsys):
         path = write_json(tmp_path / "f.json", {"points": [[1.0, 1.0]]})
         assert main(["hv", path, "--ref", "0,north"]) == 2

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve, solve_triangular
 
+import poolbo.gp as gp
 from poolbo.gp import (
     BASE_NUGGET,
     JITTER_LADDER,
+    LENGTHSCALE_BOUNDS,
+    N_STARTS,
     SAMPLE_BLOCK,
     SIGNAL_VARIANCE_BOUNDS,
     Dataset,
@@ -18,17 +21,21 @@ from poolbo.gp import (
     _cross_kernels,
     _escalated_cholesky,
     _lml,
+    _normalized,
     _objective_blocks,
     _ObjectiveGp,
     fit,
     pool_posterior,
     posterior,
     rbf_kernel,
+    squared_distances,
     tanimoto_kernel,
 )
 from poolbo.seeds import child_rng
 from refimpl import (
     gp_posterior_oracle,
+    lengthscale_lml,
+    multistart_lengthscale,
     scaled_copy_posterior,
     scaled_copy_sample,
     tanimoto_similarity,
@@ -104,18 +111,20 @@ def open_pool_posterior(m, seed=0):
 
 
 def grouped_model(case):
-    """(model, data): Tanimoto m=2 in one group, RBF m=3 with a lengthscale
-    each, or RBF objectives 0 and 1 sharing a lengthscale beside objective 2."""
+    """(model, data): Tanimoto m=2 in one group, RBF m=3 with a pinned
+    lengthscale each, or RBF objectives 0 and 1 sharing a pinned lengthscale
+    beside objective 2. Pinning keeps the group count independent of the
+    lengthscale search."""
     binary = case == "tanimoto"
     data = toy_dataset(seed=12, n=10, d=8, m=2 if binary else 3, binary=binary)
-    if case != "mixed":
-        return fit(data, GpConfig(kernel="rbf" if case == "rbf" else "tanimoto")), data
+    if binary:
+        return fit(data, GpConfig(kernel="tanimoto")), data
     def part_of(cols, lengthscale):
         return fit(Dataset(data.ids, data.features, data.objectives[:, cols]),
-                   GpConfig(lengthscale=lengthscale))
+                   GpConfig(lengthscale=lengthscale)).parts
 
-    pair, single = part_of(slice(0, 2), 1.0), part_of(slice(2, 3), 2.0)
-    return GpModel(data=data, parts=pair.parts + single.parts), data
+    pins = {"rbf": [([0], 0.7), ([1], 1.0), ([2], 2.0)], "mixed": [([0, 1], 1.0), ([2], 2.0)]}
+    return GpModel(data=data, parts=[p for cols, ls in pins[case] for p in part_of(cols, ls)]), data
 
 
 class TestDataset:
@@ -208,12 +217,90 @@ class TestFit:
             assert r["signal_variance"] > 0
 
     def test_lengthscale_fit_recovers_scale_regime(self):
-        # a smooth function sampled densely should not produce a tiny lengthscale
+        # a smooth function sampled densely should not produce a tiny lengthscale;
+        # a one-point grid sits at the bounds' log-midpoint and refines over both
+        # bounds, where one start on the lower bound stayed on its plateau
         x = np.linspace(0.0, 4.0, 12)[:, None]
         y = np.sin(x)
         data = Dataset(tuple(range(12)), x, y, feature_kind="dense_real")
+        for config in (GpConfig(), GpConfig(n_starts=1)):
+            assert fit(data, config).parts[0].lengthscale > 0.1
+
+    def test_search_matches_the_multistart_likelihood(self):
+        # 200 fits over three target families; each column's chosen lengthscale
+        # is scored beside the old 8-start optimum under one pure LML
+        config, shortfalls = GpConfig(), []
+        for k in range(200):
+            rng = np.random.default_rng([0, k])
+            n, d, m = int(rng.integers(4, 61)), int(rng.integers(1, 9)), int(rng.integers(1, 4))
+            if k % 3 == 1:  # small-integer counts, as k-gram features and labels
+                X = rng.integers(0, 4, size=(n, d)).astype(float)
+                Y = rng.integers(0, 5, size=(n, m)).astype(float)
+            elif k % 3 == 0:
+                X, Y = rng.normal(size=(n, d)), rng.normal(size=(n, m))
+            else:  # smooth: about one radian of phase per unit of feature spread
+                X, w = rng.normal(size=(n, d)), rng.normal(size=(d, m)) / np.sqrt(d)
+                Y = np.sin(X @ w) + 0.1 * rng.normal(size=(n, m))
+            model = fit(Dataset(tuple(range(n)), X, Y, feature_kind="dense_real"), config)
+            for j, part in enumerate(model.parts):
+                z = _normalized(Y[:, j])[2]
+                reference = multistart_lengthscale(X, z, config)
+                shortfalls.append(lengthscale_lml(X, z, reference, config)
+                                  - lengthscale_lml(X, z, part.lengthscale, config))
+        assert max(shortfalls) < 0.01
+
+    def test_one_column_fits_as_in_all_columns(self):
+        data = toy_dataset(seed=21, n=30, d=3, m=3)
         model = fit(data)
-        assert model.parts[0].lengthscale > 0.1
+        for j, part in enumerate(model.parts):
+            alone = fit(Dataset(data.ids, data.features, data.objectives[:, [j]])).parts[0]
+            assert alone.lengthscale == part.lengthscale and alone.nugget == part.nugget
+            np.testing.assert_array_equal(alone.alpha, part.alpha)
+            np.testing.assert_array_equal(alone.chol, part.chol)
+
+    def test_each_grid_kernel_is_factored_once_for_all_objectives(self, monkeypatch):
+        data = toy_dataset(seed=22, n=25, d=3, m=3)
+        bases = []
+
+        def recording(base, start_nugget):
+            bases.append(base.copy())
+            return _escalated_cholesky(base, start_nugget)
+
+        monkeypatch.setattr(gp, "_escalated_cholesky", recording)
+
+        def factorisations(dataset):
+            bases.clear()
+            model = fit(dataset)
+            return model, list(bases)
+
+        model, calls = factorisations(data)
+        X = data.features
+        lengthscales = list(dict.fromkeys(p.lengthscale for p in model.parts))
+        search, finals = calls[:-len(lengthscales)], calls[-len(lengthscales):]
+        d2 = squared_distances(X, X)
+        grid = [np.exp(-0.5 * d2 / np.exp(2.0 * t))
+                for t in np.log(np.geomspace(*LENGTHSCALE_BOUNDS, N_STARTS))]
+        for k, kernel in enumerate(grid):
+            np.testing.assert_array_equal(search[k], kernel)
+            assert sum(np.array_equal(base, kernel) for base in search) == 1
+        for base, lengthscale in zip(finals, lengthscales):
+            np.testing.assert_array_equal(base, rbf_kernel(X, X, lengthscale))
+        # one objective at a time, every grid kernel and final factor is paid per column
+        alone = sum(len(factorisations(Dataset(data.ids, X, data.objectives[:, [j]]))[1])
+                    for j in range(3))
+        assert alone == len(calls) + 2 * N_STARTS + (3 - len(lengthscales))
+
+    def test_final_nugget_is_the_one_its_lengthscale_needs(self):
+        # clustered far from the origin, the kernel's rounding makes some
+        # lengthscales' factorisations escalate
+        x = np.sort(np.random.default_rng(4).uniform(0.0, 4.0, size=30))[:, None]
+        X = 1e5 + x
+        model = fit(Dataset(tuple(range(30)), X, np.hstack([x, np.sin(x)])))
+        assert max(p.nugget for p in model.parts) > BASE_NUGGET
+        for part in model.parts:
+            chol, nugget = _escalated_cholesky(rbf_kernel(X, X, part.lengthscale), BASE_NUGGET)
+            assert part.nugget == nugget
+            np.testing.assert_array_equal(part.chol, chol)
 
     def test_profiled_variance_and_lml_are_the_closed_form(self):
         data = toy_dataset(seed=8, n=32, d=4, m=3)
