@@ -168,11 +168,6 @@ def constrained_qpmhi(post: Posterior, constraint_post: Posterior, thresholds,
                           constraint_post=constraint_post, thresholds=thresholds)
 
 
-def _ranked(values: np.ndarray, pool: np.ndarray) -> np.ndarray:
-    """Indices from `pool` ordered by descending value, lowest index on ties."""
-    return pool[np.argsort(-values[pool], kind="stable")]
-
-
 def _batch_size(q: int, n: int) -> int:
     """q capped at the pool size n, with a warning when it is capped."""
     if q < 1:
@@ -187,22 +182,17 @@ def select_batch(result: AcquisitionResult, q: int) -> list:
 
     Ranks by descending winner probability; remaining slots fall back to
     descending Pareto-membership probability, then to the improvement of the
-    posterior mean. Ties always break toward the lower index.
+    posterior mean. Ties always break toward the lower index. Each fallback
+    key is zero on the rows an earlier key already ranks, so one sort over
+    the four keys gives the whole order.
     """
-    n = result.n
-    q = _batch_size(q, n)
-    idx = np.arange(n)
-    order = []
-    positive = idx[result.probs > 0]
-    order.extend(_ranked(result.probs, positive))
-    if len(order) < q:
-        rest = idx[(result.probs <= 0) & (result.pareto_membership > 0)]
-        order.extend(_ranked(result.pareto_membership, rest))
-    if len(order) < q:
-        taken = np.zeros(n, dtype=bool)
-        taken[np.asarray(order, dtype=int)] = True
-        rest = idx[~taken]
-        order.extend(_ranked(result.mean_hvi, rest))
+    q = _batch_size(q, result.n)
+    probs, membership = result.probs, result.pareto_membership
+    improving = probs > 0
+    order = np.lexsort((np.arange(result.n),
+                        np.where(improving | (membership > 0), 0.0, -result.mean_hvi),
+                        np.where(improving, 0.0, -membership),
+                        -probs))
     return [int(i) for i in order[:q]]
 
 

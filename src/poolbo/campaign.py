@@ -32,6 +32,7 @@ from .generation import (
     load_pool,
     make_featurizer,
     propose_pool,
+    random_genome,
     read_pool,
 )
 from .gp import Dataset, GpConfig, fit, pool_posterior
@@ -266,7 +267,7 @@ def build_initial_data(cfg: CampaignConfig, oracle=None) -> Dataset:
             attempts += 1
             if attempts > 1000 * count:
                 raise ValueError("could not draw enough distinct init genomes")
-            g = "".join(rng.choice(["0", "1"], size=length))
+            g = random_genome(rng, "01", length)
             if g not in seen:
                 seen.add(g)
                 genomes.append(g)
@@ -435,16 +436,7 @@ def save_checkpoint(path, state: CampaignState, cfg: CampaignConfig) -> None:
             "objectives": state.dataset.objectives.tolist(),
         },
         "front": front_to_dict(state.front),
-        "history": [
-            {
-                "iteration": rec.iteration,
-                "hv": rec.hv,
-                "relative_hvi": rec.relative_hvi,
-                "fraction_recovered": rec.fraction_recovered,
-                "batch_ids": list(rec.batch_ids),
-            }
-            for rec in state.history
-        ],
+        "history": [dataclasses.asdict(rec) for rec in state.history],
     }
     with atomic_write(path) as fh:
         json.dump(payload, fh)

@@ -156,6 +156,11 @@ def tanimoto_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dots
 
 
+def _kernel(kind: str, lengthscale: float | None, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The unit-variance kernel block k(a, b) of one objective's kernel."""
+    return tanimoto_kernel(a, b) if kind == "tanimoto" else rbf_kernel(a, b, lengthscale)
+
+
 def _jittered_cholesky(a: np.ndarray, ladder, error=NumericalError):
     """Factor a + jitter*I for the first jitter on `ladder` that factorizes.
 
@@ -245,8 +250,10 @@ def _search_lengthscales(d2: np.ndarray, zs: list, config: GpConfig) -> list:
 
     Each kernel on a log-spaced grid is factored once and scores every
     target with its own solve, so a target's lengthscale depends on it
-    alone. L-BFGS-B then refines each grid point scoring at least as well as
-    both neighbours, bounded by them, and the best refinement is kept.
+    alone. L-BFGS-B then refines each grid point scoring better than its left
+    neighbour and at least as well as its right one, bounded by them, so a
+    flat run of tied scores is refined once, from its left end; the best
+    refinement is kept.
     """
     # a one-point grid sits at the bounds' log-midpoint, off the lower bound's plateau
     grid = (np.log(np.geomspace(*LENGTHSCALE_BOUNDS, config.n_starts)) if config.n_starts > 1
@@ -269,7 +276,7 @@ def _search_lengthscales(d2: np.ndarray, zs: list, config: GpConfig) -> list:
         runs = [minimize(lambda t: on_grid[t[0]] if t[0] in on_grid else neg_lmls(t[0], [z])[0],
                          [grid[i]], method="L-BFGS-B", bounds=[edges[i:i + 3:2]],
                          options={"eps": 1e-5, "gtol": 1e-3})
-                for i in np.flatnonzero((f <= padded[:-2]) & (f <= padded[2:]))]
+                for i in np.flatnonzero((f < padded[:-2]) & (f <= padded[2:]))]
         lengthscales.append(float(np.exp(min(runs, key=lambda r: r.fun).x[0])))
     return lengthscales
 
@@ -284,15 +291,15 @@ def fit(data: Dataset, config: GpConfig = GpConfig()) -> GpModel:
     X = data.features
     columns = [_normalized(data.objectives[:, j]) for j in range(data.m)]
     if kernel == "tanimoto":
-        # every Tanimoto objective factors the same gram, so it is factored once
         lengthscales = [None] * data.m
-        factors = {None: _escalated_cholesky(tanimoto_kernel(X, X), config.nugget)}
+    elif config.lengthscale is not None:
+        lengthscales = [float(config.lengthscale)] * data.m
     else:
-        lengthscales = ([float(config.lengthscale)] * data.m if config.lengthscale is not None else
-                        _search_lengthscales(squared_distances(X, X), [c[2] for c in columns], config))
-        # one final factor per distinct lengthscale, with the nugget that lengthscale needs
-        factors = {ls: _escalated_cholesky(rbf_kernel(X, X, ls), config.nugget)
-                   for ls in dict.fromkeys(lengthscales)}
+        lengthscales = _search_lengthscales(squared_distances(X, X), [c[2] for c in columns], config)
+    # one final factor per distinct lengthscale (Tanimoto has one, None), with
+    # the nugget that kernel needs
+    factors = {ls: _escalated_cholesky(_kernel(kernel, ls, X, X), config.nugget)
+               for ls in dict.fromkeys(lengthscales)}
     parts = []
     for (out_mean, out_std, z), lengthscale in zip(columns, lengthscales):
         chol, nugget = factors[lengthscale]
@@ -407,21 +414,6 @@ class Posterior:
         return out
 
 
-def _cross_kernels(model: GpModel, Xq: np.ndarray):
-    """Base train-query and query-query kernels, shared across objectives when possible."""
-    X = model.data.features
-    if {p.kernel for p in model.parts} == {"tanimoto"}:
-        return {"cross": tanimoto_kernel(Xq, X), "self": tanimoto_kernel(Xq, Xq)}
-    return {"d2_cross": squared_distances(Xq, X), "d2_self": squared_distances(Xq, Xq)}
-
-
-def _objective_blocks(part: _ObjectiveGp, shared: dict):
-    if part.kernel == "tanimoto":
-        return shared["cross"], shared["self"]
-    ls2 = part.lengthscale ** 2
-    return np.exp(-0.5 * shared["d2_cross"] / ls2), np.exp(-0.5 * shared["d2_self"] / ls2)
-
-
 def posterior(model: GpModel, features) -> Posterior:
     """Exact joint posterior over query features, one covariance block per objective.
 
@@ -436,7 +428,7 @@ def posterior(model: GpModel, features) -> Posterior:
     Xq = np.asarray(features, dtype=float)
     if Xq.ndim != 2 or Xq.shape[1] != model.data.d:
         raise ValueError(f"query features must be (n, {model.data.d}), got {Xq.shape}")
-    shared = _cross_kernels(model, Xq)
+    X = model.data.features
     u = Xq.shape[0]
     mean, jitter = np.empty((u, model.m)), np.empty(model.m)
     scale = np.array([part.signal_variance for part in model.parts])
@@ -444,16 +436,14 @@ def posterior(model: GpModel, features) -> Posterior:
     for j, part in enumerate(model.parts):
         groups.setdefault((part.kernel, part.lengthscale, part.nugget), []).append(j)
     group, covs, factors = np.empty(model.m, dtype=int), [], []
-    for g, members in enumerate(groups.values()):
-        rq, rqq = _objective_blocks(model.parts[members[0]], shared)
-        if g == len(groups) - 1:
-            shared.clear()
+    for g, ((kind, lengthscale, _), members) in enumerate(groups.items()):
+        rq, rqq = _kernel(kind, lengthscale, Xq, X), _kernel(kind, lengthscale, Xq, Xq)
         v = solve_triangular(model.parts[members[0]].chol, rq.T, lower=True)
         # rqq - v^T v is exactly symmetric: v^T v runs as a symmetric rank-k
         # update and both kernels are symmetric by construction
         base = v.T @ v
         np.subtract(rqq, base, out=base)
-        del v, rqq  # frees the query kernel before factoring, unless a later group reads it
+        del v, rqq  # frees the query kernel before factoring
         # factoring leaves the jitter on base's diagonal, as every cov keeps it
         factor, base_jitter = _jittered_cholesky(base, JITTER_LADDER)
         covs.append(base)

@@ -50,8 +50,26 @@ def _as_matrix(points, m: int | None = None) -> np.ndarray:
 
 
 def _dominated_by(points: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Mask of points strictly dominated by at least one row of others, by
-    testing every pair in chunks of points that bound peak memory."""
+    """Mask of points strictly dominated by at least one row of others.
+
+    Two objectives take the Kung, Luccio & Preparata staircase: others
+    collapse to the largest second objective at each distinct first one, and
+    a point is dominated when the best second objective at or beyond its
+    first is larger, or the best one strictly beyond it is at least as large.
+    Other dimensions test every pair, in chunks of points that bound peak
+    memory.
+    """
+    if points.shape[1] == 2:
+        order = np.argsort(others[:, 0])
+        x, y = others[order, 0], others[order, 1]
+        first = np.flatnonzero(x != np.append(np.nan, x[:-1]))  # where each distinct x starts
+        # best[k]: the largest y at the k-th distinct x or beyond; the pads
+        # stand for no x that large
+        xs, top = np.append(x[first], np.nan), np.maximum.reduceat(y, first)
+        best = np.append(np.maximum.accumulate(top[::-1])[::-1], -np.inf)
+        j = np.searchsorted(xs[:-1], points[:, 0])
+        beyond = best[j + (xs[j] == points[:, 0])]
+        return (best[j] > points[:, 1]) | (beyond >= points[:, 1])
     out = np.zeros(points.shape[0], dtype=bool)
     chunk = max(1, 2 ** 21 // max(1, others.shape[0]))
     for start in range(0, points.shape[0], chunk):
@@ -68,21 +86,6 @@ def non_dominated_mask(points) -> np.ndarray:
     Duplicate rows do not dominate each other, so all copies are retained.
     """
     pts = _as_matrix(points)
-    n = pts.shape[0]
-    mask = np.ones(n, dtype=bool)
-    if n == 0:
-        return mask
-    if pts.shape[1] == 2:
-        # sweep by first objective: dominated by a larger second objective at an
-        # equal first one, or by one at least as large at a strictly larger one
-        order = np.lexsort((pts[:, 1], pts[:, 0]))
-        x, y = pts[order, 0], pts[order, 1]
-        last = np.append(x[1:] != x[:-1], True)
-        # the largest y at each distinct x, and the index of each row's x
-        top, group = y[last], np.cumsum(last) - last
-        beyond = np.append(np.maximum.accumulate(top[::-1])[::-1][1:], -np.inf)
-        mask[order] = (top[group] <= y) & (beyond[group] < y)
-        return mask
     return ~_dominated_by(pts, pts)
 
 
@@ -132,8 +135,8 @@ class ParetoFront:
 
     @cached_property
     def index(self) -> "FrontIndex":
-        """Box decomposition behind hypervolume, hvi and hvi_many, built on
-        first use."""
+        """Box decomposition behind hypervolume and hvi_many, built on first
+        use."""
         return FrontIndex(self.points, self.ref)
 
 
@@ -356,31 +359,9 @@ def hvi_many(points, front: ParetoFront) -> np.ndarray:
     return front.index.gains(_as_matrix(points, m=front.m))
 
 
-def hvi(values, front: ParetoFront) -> float:
-    """Hypervolume improvement of a single point: HV(front + point) - HV(front)."""
-    y = _as_vector(values)
-    if y.size != front.m:
-        raise ValueError(f"objective dimensions must match: {y.size} vs {front.m}")
-    return float(front.index.gains(y[None, :])[0])
-
-
 def strictly_dominated_mask(points, front: ParetoFront) -> np.ndarray:
     """Mask of points strictly dominated by at least one front point."""
-    pts = _as_matrix(points, m=front.m)
-    n = pts.shape[0]
-    if n == 0 or front.size == 0:
-        return np.zeros(n, dtype=bool)
-    if front.m == 2:
-        pf = front.points
-        order = np.argsort(pf[:, 0])
-        xs, ys = pf[order, 0], pf[order, 1]
-        # the best second coordinate among front points with first >= u is the
-        # leftmost such point, since the sorted front decreases in y
-        j = np.searchsorted(xs, pts[:, 0], side="left")
-        inside = j < xs.size
-        jj = np.minimum(j, xs.size - 1)
-        return inside & ((ys[jj] > pts[:, 1]) | ((ys[jj] == pts[:, 1]) & (xs[jj] > pts[:, 0])))
-    return _dominated_by(pts, front.points)
+    return _dominated_by(_as_matrix(points, m=front.m), front.points)
 
 
 def fraction_recovered(found_ids: Iterable, true_ids: Iterable) -> float:

@@ -9,8 +9,9 @@ bit: per_draw_qehvi_mc, the greedy select's per-draw loop;
 pairwise_non_dominated_mask, the all-pairs test the two-objective sweep
 replaced; folded_front, build_front as one update_front per point;
 scaled_copy_posterior, which stores one scaled copy of the covariance and
-factor per objective; and broadcast_margins, Thompson's fallback margin as
-one (n, F, m) temporary. multistart_lengthscale, the per-objective search
+factor per objective; broadcast_margins, Thompson's fallback margin as
+one (n, F, m) temporary; and tiered_batch, select_batch's three ranked
+passes. multistart_lengthscale, the per-objective search
 the shared lengthscale grid replaced, is matched in likelihood, not bits.
 """
 from __future__ import annotations
@@ -142,17 +143,20 @@ def scaled_copy_posterior(model, Xq):
     multiplied out by its raw signal variance c and by sqrt(c)."""
     from scipy.linalg import solve_triangular
 
-    from poolbo.gp import JITTER_LADDER, _cross_kernels, _jittered_cholesky, _objective_blocks
+    from poolbo.gp import JITTER_LADDER, _jittered_cholesky, rbf_kernel, tanimoto_kernel
 
-    shared = _cross_kernels(model, Xq)
+    X = model.data.features
     u = Xq.shape[0]
     mean, jitter = np.empty((u, model.m)), np.empty(model.m)
     cov, chol = np.empty((model.m, u, u)), np.empty((model.m, u, u))
     groups: dict = {}
     for j, part in enumerate(model.parts):
         groups.setdefault((part.kernel, part.lengthscale, part.nugget), []).append(j)
-    for members in groups.values():
-        rq, rqq = _objective_blocks(model.parts[members[0]], shared)
+    for (kernel, lengthscale, _), members in groups.items():
+        if kernel == "tanimoto":
+            rq, rqq = tanimoto_kernel(Xq, X), tanimoto_kernel(Xq, Xq)
+        else:
+            rq, rqq = rbf_kernel(Xq, X, lengthscale), rbf_kernel(Xq, Xq, lengthscale)
         v = solve_triangular(model.parts[members[0]].chol, rq.T, lower=True)
         base = v.T @ v
         np.subtract(rqq, base, out=base)
@@ -208,6 +212,22 @@ def broadcast_margins(values, points) -> np.ndarray:
     """Each row's least margin over the front, min over points of max_j(v_j - p_j),
     through one (n, F, m) temporary."""
     return (values[:, None, :] - points[None, :, :]).max(axis=2).min(axis=1)
+
+
+def tiered_batch(result, q: int) -> list:
+    """select_batch as three ranked passes: the candidates with positive
+    probability by descending probability, then those with positive
+    membership by descending membership, then the rest by descending mean
+    improvement; each pass breaks ties toward the lower index."""
+    def ranked(values, pool):
+        return list(pool[np.argsort(-values[pool], kind="stable")])
+
+    idx = np.arange(result.n)
+    first = result.probs > 0
+    second = ~first & (result.pareto_membership > 0)
+    order = (ranked(result.probs, idx[first]) + ranked(result.pareto_membership, idx[second])
+             + ranked(result.mean_hvi, idx[~first & ~second]))
+    return [int(i) for i in order[:q]]
 
 
 def scaled_copy_sample(mean, chol, stochastic_idx, n_samples: int, seed: int) -> np.ndarray:

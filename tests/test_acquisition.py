@@ -27,6 +27,7 @@ from refimpl import (
     broadcast_margins,
     greedy_joint_ehvi_trace,
     per_draw_qehvi_mc,
+    tiered_batch,
 )
 
 REF = np.array([0.0, 0.0])
@@ -230,6 +231,19 @@ class TestSelectBatch:
         res = self.result([1.0], [1.0], [1.0])
         with pytest.raises(ValueError):
             select_batch(res, 0)
+
+    def test_one_sort_is_the_three_ranked_passes(self):
+        # tie-heavy scores on a few levels, -0.0 among them, for every q up to n + 1
+        rng = np.random.default_rng(13)
+        probs_levels = np.array([-0.0, 0.0, 0.0, 0.25, 0.5])
+        levels = np.array([-0.0, 0.0, 0.5, 1.0])
+        for _ in range(10_000):
+            n = int(rng.integers(1, 9))
+            res = self.result(probs_levels[rng.integers(0, 5, size=n)],
+                              levels[rng.integers(0, 4, size=n)],
+                              levels[rng.integers(0, 4, size=n)])
+            for q in range(1, n + 2):
+                assert select_batch(res, q) == tiered_batch(res, q)
 
 
 class TestQpo:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve, solve_triangular
+from scipy.optimize import minimize
 
 import poolbo.gp as gp
 from poolbo.gp import (
@@ -18,11 +19,9 @@ from poolbo.gp import (
     GpModel,
     Posterior,
     ScaledBlocks,
-    _cross_kernels,
     _escalated_cholesky,
     _lml,
     _normalized,
-    _objective_blocks,
     _ObjectiveGp,
     fit,
     pool_posterior,
@@ -249,6 +248,27 @@ class TestFit:
                                   - lengthscale_lml(X, z, part.lengthscale, config))
         assert max(shortfalls) < 0.01
 
+    def test_a_flat_run_of_grid_scores_is_refined_once(self, monkeypatch):
+        # features ten apart make every grid kernel below a lengthscale of
+        # about 0.25 exactly the identity, so those grid points tie exactly
+        x = 10.0 * np.arange(20.0)[:, None]
+        y = np.random.default_rng(7).normal(size=(20, 1))
+        starts = []
+
+        def recording(fun, x0, **kwargs):
+            starts.append(x0[0])
+            return minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(gp, "minimize", recording)
+        fit(Dataset(tuple(range(20)), x, y, feature_kind="dense_real"))
+        grid = np.log(np.geomspace(*LENGTHSCALE_BOUNDS, N_STARTS))
+        z = _normalized(y[:, 0])[2]
+        scores = np.array([lengthscale_lml(x, z, ls, GpConfig()) for ls in np.exp(grid)])
+        run = np.cumsum(np.append(True, scores[1:] != scores[:-1]))
+        assert np.sum(run == 1) >= 3 and starts[0] == grid[0]
+        started = [run[np.flatnonzero(grid == t)[0]] for t in starts]
+        assert len(started) == len(set(started))
+
     def test_one_column_fits_as_in_all_columns(self):
         data = toy_dataset(seed=21, n=30, d=3, m=3)
         model = fit(data)
@@ -459,8 +479,11 @@ class TestPosterior:
         Xq = rng.normal(size=(150, 8))
         if binary:
             Xq = (Xq > 0).astype(float)
-        shared = _cross_kernels(model, Xq)
-        rq, rqq = _objective_blocks(part, shared)
+        if kernel == "tanimoto":
+            rq, rqq = tanimoto_kernel(Xq, model.data.features), tanimoto_kernel(Xq, Xq)
+        else:
+            rq = rbf_kernel(Xq, model.data.features, part.lengthscale)
+            rqq = rbf_kernel(Xq, Xq, part.lengthscale)
         v = solve_triangular(part.chol, rq.T, lower=True)
         base = rqq - v.T @ v
         np.testing.assert_array_equal(base, base.T)

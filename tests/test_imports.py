@@ -1,9 +1,12 @@
-"""Every module-level import in the library is used by its module.
+"""Every module-level import in the library is used by its module, and every
+module-level private helper by the library.
 
 Standard library only: each module is parsed with ast, and an imported name
 counts as used when it appears as a name anywhere else in the module.
 `__future__` imports, package `__init__` re-exports and lines marked
-`# noqa: F401` are exempt.
+`# noqa: F401` are exempt. A `_`-prefixed module-level function or class
+counts as used when some library module names it, as a name, an attribute
+or an import, outside its own definition.
 """
 import ast
 from pathlib import Path
@@ -12,6 +15,19 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "poolbo"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _names(node) -> list:
+    """Every name, attribute and imported name under node, with repeats."""
+    out = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.append(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.append(n.attr)
+        elif isinstance(n, ast.alias):
+            out.append(n.name)
+    return out
 
 
 def unused_imports(source: str) -> list:
@@ -32,6 +48,33 @@ def unused_imports(source: str) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_helpers(sources: dict) -> list:
+    """The `_`-prefixed module-level functions and classes of {module: source}
+    that no module names outside their own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    names = [name for tree in trees.values() for name in _names(tree)]
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+                    and names.count(node.name) == _names(node).count(node.name)):
+                dead.append(f"{module}.{node.name}")
+    return sorted(dead)
+
+
+def test_no_dead_private_helpers():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert dead_helpers(sources) == []
+
+
+def test_checker_flags_a_dead_helper():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _dead(n):\n    return _dead(n - 1)\n\nclass _Gone:\n    pass\n",
+        "b": "from .a import _used\n\ndef _called():\n    pass\n\nclass C:\n    x = _called\n",
+    }
+    assert dead_helpers(sources) == ["a._Gone", "a._dead"]
 
 
 def test_checker_flags_an_unused_import_and_honours_noqa():

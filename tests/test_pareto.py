@@ -14,7 +14,6 @@ from poolbo.pareto import (
     fraction_recovered,
     front_from_dict,
     front_to_dict,
-    hvi,
     hvi_many,
     hypervolume,
     non_dominated_mask,
@@ -106,6 +105,28 @@ class TestDominates:
         c = b - np.asarray(down[:m]) - 1e-3
         assert mask_dominates(a, b) and mask_dominates(b, c)
         assert mask_dominates(a, c)
+
+
+class TestDominanceMasksOnTies:
+    """Both public masks against the pairwise definition on half-integer
+    levels, where first-objective ties, duplicates and -0.0 are common."""
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_masks_match_pairwise_dominance(self, m):
+        rng = np.random.default_rng(m)
+        levels = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+        ref = np.full(m, -2.0)
+        for _ in range(500):
+            n, k = rng.integers(0, 10, size=2)
+            pts = levels[rng.integers(0, 6, size=(n, m))]
+            others = levels[rng.integers(0, 6, size=(k, m))]
+            if n and rng.random() < 0.5:  # others repeat some points exactly
+                others = np.vstack([others, pts[rng.integers(0, n, size=3)]])
+            front = build_front(others, range(len(others)), ref)
+            expected = [any(dominates(p, y) for p in others) for y in pts]
+            assert np.array_equal(strictly_dominated_mask(pts, front), expected)
+            assert np.array_equal(non_dominated_mask(pts),
+                                  [not any(dominates(p, y) for p in pts) for y in pts])
 
 
 class TestNonDominatedMask:
@@ -297,7 +318,7 @@ class TestHypervolume:
         assert front.hypervolume() == (0.7 if m == 1 else 0.0)
         index = vars(front)["index"]
         hvi_many(np.ones((3, m)), front)
-        assert hvi(np.ones(m), front) > 0.0
+        assert hvi_many([np.ones(m)], front)[0] > 0.0
         assert front.index is index
 
     @given(point_lists(3, max_points=6), st.tuples(coord, coord, coord))
@@ -314,49 +335,49 @@ class TestHvi:
 
     def test_extending_point(self):
         # pinned by inclusion-exclusion on the enlarged union
-        assert hvi((2.0, 2.0), self.front()) == pytest.approx(1.0, abs=1e-15)
+        assert hvi_many([(2.0, 2.0)], self.front())[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_gap_filling_point(self):
-        assert hvi((1.5, 1.5), self.front()) == pytest.approx(0.25, abs=1e-15)
+        assert hvi_many([(1.5, 1.5)], self.front())[0] == pytest.approx(0.25, abs=1e-15)
 
     def test_dominated_point_zero(self):
-        assert hvi((0.5, 0.5), self.front()) == 0.0
+        assert hvi_many([(0.5, 0.5)], self.front())[0] == 0.0
 
     def test_duplicate_of_front_point_zero(self):
-        assert hvi((1.0, 2.0), self.front()) == 0.0
+        assert hvi_many([(1.0, 2.0)], self.front())[0] == 0.0
 
     def test_point_below_ref_zero(self):
-        assert hvi((-1.0, 5.0), self.front()) == 0.0
+        assert hvi_many([(-1.0, 5.0)], self.front())[0] == 0.0
 
     def test_empty_front_gives_box_volume(self):
         front = ParetoFront.empty((0.0, 0.0))
-        assert hvi((2.0, 3.0), front) == pytest.approx(6.0)
+        assert hvi_many([(2.0, 3.0)], front)[0] == pytest.approx(6.0)
 
     def test_single_objective_is_shortfall_to_best(self):
         front = build_front([(0.7,)], ["a"], (0.0,))
-        assert hvi((0.9,), front) == 0.9 - 0.7
-        assert hvi((0.7,), front) == 0.0
-        assert hvi((0.2,), front) == 0.0
+        assert hvi_many([(0.9,)], front)[0] == 0.9 - 0.7
+        assert hvi_many([(0.7,)], front)[0] == 0.0
+        assert hvi_many([(0.2,)], front)[0] == 0.0
         assert np.array_equal(
             hvi_many(np.array([[0.9], [0.2], [-1.0]]), front),
             [0.9 - 0.7, 0.0, 0.0],
         )
         empty = ParetoFront.empty((0.5,))
-        assert hvi((0.9,), empty) == pytest.approx(0.4)
+        assert hvi_many([(0.9,)], empty)[0] == pytest.approx(0.4)
 
     @given(point_lists(2, max_points=7), st.tuples(coord, coord))
     def test_consistent_with_hv_difference(self, pts, y):
         ref = (-9.0, -9.0)
         front = build_front(pts, range(len(pts)), ref)
         direct = union_box_volume(list(front.points) + [y], ref) - union_box_volume(front.points, ref)
-        assert hvi(y, front) == pytest.approx(direct, rel=1e-10, abs=1e-10)
+        assert hvi_many([y], front)[0] == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
     @given(point_lists(3, max_points=5), st.tuples(coord, coord, coord))
     def test_consistent_with_oracle_three_objectives(self, pts, y):
         ref = (-9.0, -9.0, -9.0)
         front = build_front(pts, range(len(pts)), ref)
         expected = hvi_by_inclusion_exclusion(y, front.points, ref)
-        assert hvi(y, front) == pytest.approx(expected, rel=1e-10, abs=1e-10)
+        assert hvi_many([y], front)[0] == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
     @given(point_lists(2, max_points=7), st.lists(st.tuples(coord, coord), max_size=20))
     def test_hvi_many_matches_loop(self, pts, queries):
@@ -365,14 +386,14 @@ class TestHvi:
         queries = np.asarray(queries, dtype=float).reshape(len(queries), 2)
         batch = hvi_many(queries, front)
         for row, expected in zip(queries, batch):
-            assert hvi(row, front) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            assert hvi_many([row], front)[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_zero_iff_dominated_or_below_ref(self):
         rng = np.random.default_rng(3)
         front = build_front(rng.uniform(0, 3, size=(6, 2)), range(6), (0.0, 0.0))
         for _ in range(200):
             y = rng.uniform(-0.5, 3.5, size=2)
-            value = hvi(y, front)
+            value = hvi_many([y], front)[0]
             weakly_dominated = bool(np.any(np.all(front.points >= y, axis=1)))
             expect_zero = weakly_dominated or not np.all(y > front.ref)
             assert (value == 0.0) == expect_zero
