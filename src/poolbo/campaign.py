@@ -439,7 +439,7 @@ def save_checkpoint(path, state: CampaignState, cfg: CampaignConfig) -> None:
         "history": [dataclasses.asdict(rec) for rec in state.history],
     }
     with atomic_write(path) as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))  # one-shot: the C encoder, same bytes as json.dump
 
 
 def load_checkpoint(path) -> tuple:

@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import blas, cho_solve, solve_triangular
+from scipy.linalg import blas, cho_solve, lapack, solve_triangular
 from scipy.optimize import minimize
 
 from .seeds import child_rng
@@ -28,6 +28,8 @@ MAX_NUGGET = 1e-2
 JITTER_LADDER = (1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 # draws per zero-padded block that Posterior.sample multiplies by a factor
 SAMPLE_BLOCK = 64
+# a u x u block is built through temporaries of at most TILE x TILE entries
+TILE = 256
 N_STARTS = 21  # lengthscale grid points, four per decade
 
 
@@ -144,16 +146,24 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, lengthscale: float) -> np.ndarray:
 def tanimoto_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Unit-variance Tanimoto similarity for non-negative (binary) vectors.
 
-    The all-zero pair has similarity 1 so k(x, x) stays constant.
+    The all-zero pair has similarity 1 so k(x, x) stays constant. The
+    denominators are formed a few rows at a time in one buffer of at most
+    TILE * TILE entries, so the result is the only len(a) x len(b) array.
     """
-    dots = a @ b.T
+    out = a @ b.T
     na = (a * a).sum(axis=1)
     nb = (b * b).sum(axis=1)
-    denom = na[:, None] + nb[None, :]
-    denom -= dots  # in place: two len(a) x len(b) arrays at most
-    np.divide(dots, denom, out=dots, where=denom != 0)
-    dots[denom == 0] = 1.0
-    return dots
+    step = max(1, TILE * TILE // max(1, len(b)))
+    buf = np.empty((min(step, len(a)), len(b)))
+    with np.errstate(invalid="ignore"):  # 0 / 0 at the all-zero pairs, set below
+        for start in range(0, len(a), step):
+            rows = out[start:start + step]
+            denom = np.add(na[start:start + step, None], nb, out=buf[:len(rows)])
+            denom -= rows
+            rows /= denom
+    # non-negative rows have a zero denominator only when both are all zero
+    out[np.ix_(na == 0, nb == 0)] = 1.0
+    return out
 
 
 def _kernel(kind: str, lengthscale: float | None, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -161,27 +171,45 @@ def _kernel(kind: str, lengthscale: float | None, a: np.ndarray, b: np.ndarray) 
     return tanimoto_kernel(a, b) if kind == "tanimoto" else rbf_kernel(a, b, lengthscale)
 
 
-def _jittered_cholesky(a: np.ndarray, ladder, error=NumericalError):
-    """Factor a + jitter*I for the first jitter on `ladder` that factorizes.
+def _mirror_lower(a: np.ndarray) -> None:
+    """Copy the strict lower triangle of the square `a` over its strict upper
+    one, one TILE x TILE tile at a time; `_mirror_lower(a.T)` copies back."""
+    for r in range(0, len(a), TILE):
+        rows = slice(r, r + TILE)
+        for c in range(0, r, TILE):
+            a[c:c + TILE, rows] = a[rows, c:c + TILE].T
+        tile = a[rows, rows]
+        np.copyto(tile, tile.T, where=np.tri(len(tile), k=-1, dtype=bool).T)
 
-    Returns (factor, jitter). Every rung jitters the original diagonal, so the
-    factored matrix is exactly a + jitter*I; `a` is overwritten with it.
+
+def _jittered_cholesky(a: np.ndarray, ladder, error=NumericalError):
+    """Factor a + jitter*I in place for the first jitter on `ladder` that factorizes.
+
+    `a` is C-ordered and symmetric. LAPACK dpotrf leaves the lower factor in
+    its lower triangle and the matrix in its strict upper one, from which a
+    failed rung restores the lower triangle. Every rung jitters the original
+    diagonal, so the factored matrix is exactly a + jitter*I. Returns
+    (diagonal, jitter): the factored matrix's diagonal and the jitter.
     """
     diag = a.diagonal().copy()
-    for jitter in ladder:
+    for k, jitter in enumerate(ladder):
+        if k:
+            _mirror_lower(a.T)
         np.fill_diagonal(a, diag + jitter)
-        try:
-            return np.linalg.cholesky(a), jitter
-        except np.linalg.LinAlgError:
-            continue
+        # a.T is F-ordered, so LAPACK works in place: its upper factor is a's lower one
+        if not lapack.dpotrf(a.T, lower=0, clean=0, overwrite_a=1)[1]:
+            return diag + jitter, jitter
     raise error(f"matrix singular: not positive definite with jitter up to {ladder[-1]:.0e}")
 
 
 def _escalated_cholesky(base: np.ndarray, start_nugget: float):
-    """Cholesky of base + nugget*I, doubling the nugget until it succeeds."""
+    """(lower factor, nugget) of base + nugget*I, doubling the nugget until it
+    factorizes; base, symmetric, is left as it was."""
     doubling = (start_nugget * 2.0 ** k for k in itertools.count())
     ladder = list(itertools.takewhile(lambda nugget: nugget <= MAX_NUGGET, doubling))
-    return _jittered_cholesky(base.copy(), ladder, FitError)
+    a = base.copy()
+    nugget = _jittered_cholesky(a, ladder, FitError)[1]
+    return np.tril(a), nugget
 
 
 @dataclass
@@ -310,21 +338,37 @@ def fit(data: Dataset, config: GpConfig = GpConfig()) -> GpModel:
 
 
 class ScaledBlocks:
-    """Read-only (m, u, u) stack whose block j is scale[j] * blocks[group[j]]:
-    `[j]` and np.asarray build bitwise what one scaled copy per objective
-    held. By default each block is one objective's, at scale 1 (exact)."""
+    """Read-only (m, u, u) stack whose block j is scale[j] times a view of
+    group group[j]'s C-ordered array: `[j]` and np.asarray build bitwise
+    what one scaled copy per objective held.
 
-    def __init__(self, blocks, scale=None, group=None):
+    Each array keeps a lower factor in its lower triangle and, above it, the
+    strict upper triangle of the symmetric matrix it factors. With `diag`,
+    one vector per array, a block is that matrix with the diagonal restored
+    from `diag`; without, it is the factor, the lower triangle. By default
+    each block is one objective's, at scale 1 (exact).
+    """
+
+    def __init__(self, blocks, scale=None, group=None, diag=None):
         self.blocks = blocks
         self.scale = np.ones(len(blocks)) if scale is None else scale
         self.group = np.arange(len(blocks)) if group is None else group
+        self.diag = diag
 
     @property
     def shape(self) -> tuple:
         return (len(self.group),) + self.blocks[0].shape
 
     def __getitem__(self, j) -> np.ndarray:
-        return np.multiply(self.scale[j], self.blocks[self.group[j]])
+        g = self.group[j]
+        if self.diag is None:
+            out = np.tril(self.blocks[g])
+        else:
+            out = np.triu(self.blocks[g], 1)
+            out += out.T
+            np.fill_diagonal(out, self.diag[g])
+        out *= self.scale[j]
+        return out
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.stack(list(self)).astype(dtype or float, copy=False)
@@ -335,12 +379,14 @@ class Posterior:
     """Joint posterior over a candidate pool.
 
     `cov` holds one covariance block per objective over the stochastic
-    subset of the pool, as ScaledBlocks or an (m, u, u) array;
-    `stochastic_idx` of None means the full pool is stochastic. Rows
-    outside the subset are deterministic at `mean`. `chol` holds the lower
-    factors, scaled by the square roots of cov's scales, and `jitter` the
-    diagonal jitter each block needed to factorize; both are computed on
-    first use when not given.
+    subset of the pool, as ScaledBlocks or an (m, u, u) array whose lower
+    triangles are taken as the blocks; `stochastic_idx` of None means the
+    full pool is stochastic. Rows outside the subset are deterministic at
+    `mean`. `chol` holds the lower factors, scaled by the square roots of
+    cov's scales, and `jitter` the diagonal jitter each block needed to
+    factorize. For a cov given as an array both are computed on first use,
+    the factors in place in cov's own copy of the blocks; posterior() gives
+    them with its ScaledBlocks.
     """
 
     mean: np.ndarray
@@ -351,13 +397,17 @@ class Posterior:
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
-        if not isinstance(self.cov, ScaledBlocks):
-            self.cov = ScaledBlocks(np.asarray(self.cov, dtype=float))
         if self.mean.ndim != 2:
             raise ValueError(f"mean must be 2-d, got shape {self.mean.shape}")
-        if len(self.cov.shape) != 3 or self.cov.shape[0] != self.mean.shape[1]:
+        shape = self.cov.shape if isinstance(self.cov, ScaledBlocks) else np.shape(self.cov)
+        if len(shape) != 3 or shape[0] != self.mean.shape[1] or shape[1] != shape[2]:
             raise ValueError("cov must be one square block per objective")
-        u = self.cov.shape[1]
+        if not isinstance(self.cov, ScaledBlocks):
+            blocks = [np.array(b, dtype=float, order="C") for b in np.asarray(self.cov)]
+            for b in blocks:
+                _mirror_lower(b)
+            self.cov = ScaledBlocks(blocks, diag=[b.diagonal().copy() for b in blocks])
+        u = shape[1]
         if self.stochastic_idx is None:
             if u != self.mean.shape[0]:
                 raise ValueError("cov block size must match the pool when stochastic_idx is None")
@@ -377,10 +427,10 @@ class Posterior:
     def _factors(self) -> ScaledBlocks:
         if self.chol is None:
             # an exactly-degenerate block keeps a zero factor, which reproduces the mean
-            pairs = [_jittered_cholesky(b.copy(), (0.0,) + JITTER_LADDER) if b.any()
-                     else (np.zeros_like(b), 0.0) for b in self.cov.blocks]
-            self.chol = ScaledBlocks([f for f, _ in pairs], np.sqrt(self.cov.scale), self.cov.group)
-            self.jitter = self.cov.scale * np.array([jit for _, jit in pairs])[self.cov.group]
+            jitter = [_jittered_cholesky(b, (0.0,) + JITTER_LADDER)[1] if b.any() else 0.0
+                      for b in self.cov.blocks]
+            self.chol = ScaledBlocks(self.cov.blocks, np.sqrt(self.cov.scale), self.cov.group)
+            self.jitter = self.cov.scale * np.array(jitter)[self.cov.group]
         return self.chol
 
     def sample(self, n_samples: int, seed: int) -> np.ndarray:
@@ -390,8 +440,9 @@ class Posterior:
         multiplied by each factor as column ell % SAMPLE_BLOCK of a
         zero-padded block of SAMPLE_BLOCK columns. Every draw thus meets a
         product of the same shape in the same column whatever n_samples is,
-        so any single draw is bitwise reproducible in isolation. BLAS trmm
-        multiplies each block in place by the scaled factor's lower triangle.
+        so any single draw is bitwise reproducible in isolation. The normals
+        are drawn one block at a time, and BLAS trmm multiplies each block in
+        place by the scaled factor's lower triangle.
         """
         if n_samples < 1:
             raise ValueError("n_samples must be at least 1")
@@ -402,15 +453,16 @@ class Posterior:
         if u == 0:
             return out
         w = SAMPLE_BLOCK
-        zs = np.zeros((-(-n_samples // w), self.m, w, u))
-        for ell in range(n_samples):
-            zs[ell // w, :, ell % w] = child_rng(seed, ell).standard_normal((u, self.m)).T
-        for j in range(self.m):
-            for b, start in enumerate(range(0, n_samples, w)):
+        for start in range(0, n_samples, w):
+            stop = min(start + w, n_samples)
+            zs = np.zeros((self.m, w, u))
+            for ell in range(start, stop):
+                zs[:, ell - start] = child_rng(seed, ell).standard_normal((u, self.m)).T
+            for j in range(self.m):
                 # .T of each C-ordered array is F-ordered, so BLAS copies neither
-                blas.dtrmm(factors.scale[j], factors.blocks[factors.group[j]].T, zs[b, j].T,
+                blas.dtrmm(factors.scale[j], factors.blocks[factors.group[j]].T, zs[j].T,
                            lower=0, trans_a=1, overwrite_b=1)
-                out[start:start + w, idx, j] += zs[b, j, :n_samples - start]
+                out[start:stop, idx, j] += zs[j, :stop - start]
         return out
 
 
@@ -420,10 +472,13 @@ def posterior(model: GpModel, features) -> Posterior:
     Objectives that share a kernel, lengthscale and nugget share one
     training factor and so one normalized covariance, which is factored
     once with a diagonal jitter (1e-8, escalating tenfold to at most 1e-4)
-    on the normalized scale. The posterior keeps that block and factor
-    once per group; each member reads them scaled by its raw signal
-    variance c (the factor by sqrt(c)), so `jitter` records c times the
-    normalized jitter and no jitter depends on the objectives' units.
+    on the normalized scale. Each group's covariance is built, factored and
+    kept in one u x u array (see ScaledBlocks): BLAS syrk subtracts v^T v
+    from the query kernel's lower triangle, which is mirrored above the
+    diagonal, and LAPACK factors it in place. Each member reads the group's
+    array scaled by its raw signal variance c (the factor by sqrt(c)), so
+    `jitter` records c times the normalized jitter and no jitter depends on
+    the objectives' units.
     """
     Xq = np.asarray(features, dtype=float)
     if Xq.ndim != 2 or Xq.shape[1] != model.data.d:
@@ -435,25 +490,27 @@ def posterior(model: GpModel, features) -> Posterior:
     groups: dict = {}
     for j, part in enumerate(model.parts):
         groups.setdefault((part.kernel, part.lengthscale, part.nugget), []).append(j)
-    group, covs, factors = np.empty(model.m, dtype=int), [], []
+    group, blocks, diags = np.empty(model.m, dtype=int), [], []
     for g, ((kind, lengthscale, _), members) in enumerate(groups.items()):
-        rq, rqq = _kernel(kind, lengthscale, Xq, X), _kernel(kind, lengthscale, Xq, Xq)
-        v = solve_triangular(model.parts[members[0]].chol, rq.T, lower=True)
-        # rqq - v^T v is exactly symmetric: v^T v runs as a symmetric rank-k
-        # update and both kernels are symmetric by construction
-        base = v.T @ v
-        np.subtract(rqq, base, out=base)
-        del v, rqq  # frees the query kernel before factoring
-        # factoring leaves the jitter on base's diagonal, as every cov keeps it
-        factor, base_jitter = _jittered_cholesky(base, JITTER_LADDER)
-        covs.append(base)
-        factors.append(factor)
-        group[members], jitter[members] = g, scale[members] * base_jitter
+        rq = _kernel(kind, lengthscale, Xq, X)
         for j in members:
             part = model.parts[j]
             mean[:, j] = part.out_mean + part.out_std * (rq @ part.alpha)
-    return Posterior(mean, ScaledBlocks(covs, scale, group),
-                     chol=ScaledBlocks(factors, np.sqrt(scale), group), jitter=jitter)
+        v = solve_triangular(model.parts[members[0]].chol, rq.T, lower=True)
+        del rq
+        blk = _kernel(kind, lengthscale, Xq, Xq)
+        if u:  # BLAS rejects empty arrays
+            # v and blk.T are F-ordered, so BLAS copies neither; blk's lower
+            # triangle becomes rqq - v^T v
+            blas.dsyrk(-1.0, v, beta=1.0, c=blk.T, trans=1, lower=0, overwrite_c=1)
+        del v
+        _mirror_lower(blk)
+        diag, base_jitter = _jittered_cholesky(blk, JITTER_LADDER)
+        blocks.append(blk)
+        diags.append(diag)
+        group[members], jitter[members] = g, scale[members] * base_jitter
+    return Posterior(mean, ScaledBlocks(blocks, scale, group, diags),
+                     chol=ScaledBlocks(blocks, np.sqrt(scale), group), jitter=jitter)
 
 
 def pool_posterior(model: GpModel, features, known_idx, known_values) -> Posterior:

@@ -56,9 +56,10 @@ def _dominated_by(points: np.ndarray, others: np.ndarray) -> np.ndarray:
     collapse to the largest second objective at each distinct first one, and
     a point is dominated when the best second objective at or beyond its
     first is larger, or the best one strictly beyond it is at least as large.
-    Other dimensions test every pair, in chunks of points that bound peak
-    memory.
+    Other dimensions test every pair. Both walk points in chunks that bound
+    peak memory.
     """
+    out = np.zeros(points.shape[0], dtype=bool)
     if points.shape[1] == 2:
         order = np.argsort(others[:, 0])
         x, y = others[order, 0], others[order, 1]
@@ -67,10 +68,12 @@ def _dominated_by(points: np.ndarray, others: np.ndarray) -> np.ndarray:
         # stand for no x that large
         xs, top = np.append(x[first], np.nan), np.maximum.reduceat(y, first)
         best = np.append(np.maximum.accumulate(top[::-1])[::-1], -np.inf)
-        j = np.searchsorted(xs[:-1], points[:, 0])
-        beyond = best[j + (xs[j] == points[:, 0])]
-        return (best[j] > points[:, 1]) | (beyond >= points[:, 1])
-    out = np.zeros(points.shape[0], dtype=bool)
+        chunk = 2 ** 16
+        for start in range(0, points.shape[0], chunk):
+            px, py = points[start:start + chunk, 0], points[start:start + chunk, 1]
+            j = np.searchsorted(xs[:-1], px)
+            out[start:start + chunk] = (best[j] > py) | (best[j + (xs[j] == px)] >= py)
+        return out
     chunk = max(1, 2 ** 21 // max(1, others.shape[0]))
     for start in range(0, points.shape[0], chunk):
         block = points[start:start + chunk, None, :]

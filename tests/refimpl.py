@@ -140,8 +140,10 @@ def tanimoto_similarity(a, b) -> np.ndarray:
 def scaled_copy_posterior(model, Xq):
     """(mean, cov, chol, jitter) of the posterior with one scaled copy per
     objective: cov and chol are (m, u, u), each objective's block and factor
-    multiplied out by its raw signal variance c and by sqrt(c)."""
-    from scipy.linalg import solve_triangular
+    multiplied out by its raw signal variance c and by sqrt(c). Each group's
+    normalized block is BLAS syrk's update of the query kernel's lower
+    triangle, made symmetric and factored by the library's ladder."""
+    from scipy.linalg import blas, solve_triangular
 
     from poolbo.gp import JITTER_LADDER, _jittered_cholesky, rbf_kernel, tanimoto_kernel
 
@@ -158,9 +160,12 @@ def scaled_copy_posterior(model, Xq):
         else:
             rq, rqq = rbf_kernel(Xq, X, lengthscale), rbf_kernel(Xq, Xq, lengthscale)
         v = solve_triangular(model.parts[members[0]].chol, rq.T, lower=True)
-        base = v.T @ v
-        np.subtract(rqq, base, out=base)
-        factor, base_jitter = _jittered_cholesky(base, JITTER_LADDER)
+        blas.dsyrk(-1.0, v, beta=1.0, c=rqq.T, trans=1, lower=0, overwrite_c=1)
+        base = np.tril(rqq) + np.tril(rqq, -1).T
+        factor = base.copy()
+        base_jitter = _jittered_cholesky(factor, JITTER_LADDER)[1]
+        base[np.diag_indices(u)] += base_jitter
+        factor = np.tril(factor)
         for j in members:
             part = model.parts[j]
             c = part.signal_variance

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import blas, cho_solve, lapack, solve_triangular
 from scipy.optimize import minimize
 
 import poolbo.gp as gp
@@ -13,6 +13,7 @@ from poolbo.gp import (
     N_STARTS,
     SAMPLE_BLOCK,
     SIGNAL_VARIANCE_BOUNDS,
+    TILE,
     Dataset,
     FitError,
     GpConfig,
@@ -20,6 +21,7 @@ from poolbo.gp import (
     Posterior,
     ScaledBlocks,
     _escalated_cholesky,
+    _jittered_cholesky,
     _lml,
     _normalized,
     _ObjectiveGp,
@@ -57,9 +59,10 @@ def reference_posterior(model, Xq):
     """(mean, cov, chol, jitter) from the closed form one objective at a time,
     with the kernels recomputed here and a fresh jitter ladder per block.
 
-    The jitter goes on the normalized covariance rqq - v^T v; the block and
-    its factor are then scaled by the raw signal variance c, and the
-    recorded jitter is c times the normalized one.
+    The normalized covariance rqq - v^T v is BLAS syrk's update of the query
+    kernel's lower triangle, made symmetric here; the library's ladder puts
+    the jitter on it. The block and its factor are then scaled by the raw
+    signal variance c, and the recorded jitter is c times the normalized one.
     """
     X = model.data.features
     means, covs, chols, jitters = [], [], [], []
@@ -70,18 +73,15 @@ def reference_posterior(model, Xq):
             rq, rqq = rbf_kernel(Xq, X, part.lengthscale), rbf_kernel(Xq, Xq, part.lengthscale)
         mean_z = rq @ part.alpha
         v = solve_triangular(part.chol, rq.T, lower=True)
-        base = rqq - v.T @ v
-        for jitter in JITTER_LADDER:
-            try:
-                factor = np.linalg.cholesky(base + jitter * np.eye(base.shape[0]))
-                base = base + jitter * np.eye(base.shape[0])
-                break
-            except np.linalg.LinAlgError:
-                continue
+        blas.dsyrk(-1.0, v, beta=1.0, c=rqq.T, trans=1, lower=0, overwrite_c=1)
+        base = np.tril(rqq) + np.tril(rqq, -1).T
+        factor = base.copy()
+        jitter = _jittered_cholesky(factor, JITTER_LADDER)[1]
+        base = base + jitter * np.eye(base.shape[0])
         c = part.sigma2 * part.out_std ** 2
         means.append(part.out_mean + part.out_std * mean_z)
         covs.append(c * base)
-        chols.append(np.sqrt(c) * factor)
+        chols.append(np.sqrt(c) * np.tril(factor))
         jitters.append(c * jitter)
     return np.stack(means, axis=1), np.stack(covs), np.stack(chols), np.array(jitters)
 
@@ -469,26 +469,53 @@ class TestPosterior:
         np.testing.assert_array_equal(post.cov, cov)
         np.testing.assert_array_equal(post.chol, chol)
 
+    def test_rung_failing_past_the_first_pivot_restores_the_lower_triangle(self):
+        # the first rung fails at the third pivot, after LAPACK has
+        # overwritten the first two columns of the lower triangle with
+        # factor entries; the second rung must factor the matrix itself
+        M = np.array([[4.0, 2.0, 0.0], [2.0, 2.0, 1.0], [0.0, 1.0, 1.0 - 5e-8]])
+        assert lapack.dpotrf(M + 1e-8 * np.eye(3))[1] == 3
+        a, fresh = M.copy(), M.copy()
+        diag, jitter = _jittered_cholesky(a, (1e-8, 1e-7))
+        assert jitter == 1e-7 and _jittered_cholesky(fresh, (1e-7,))[1] == 1e-7
+        np.testing.assert_array_equal(a, fresh)
+        np.testing.assert_array_equal(np.triu(a, 1), np.triu(M, 1))
+        np.testing.assert_array_equal(diag, M.diagonal() + 1e-7)
+
+    def test_posterior_rung_failing_at_the_second_pivot(self):
+        # one part of the second-rung model, with the training input queried
+        # second: the first rung fails at its pivot after LAPACK has
+        # overwritten the first column
+        data = Dataset(("a",), [[0.0]], [[0.0]], feature_kind="dense_real")
+        part = _ObjectiveGp(kernel="rbf", lengthscale=1.0, sigma2=1.0, nugget=BASE_NUGGET,
+                            out_mean=0.0, out_std=1.0, alpha=np.array([0.5]),
+                            chol=np.array([[np.sqrt(1.0 / (1.0 + 5e-8))]]))
+        post = posterior(GpModel(data=data, parts=[part]), np.array([[0.3], [0.0]]))
+        cov = post.cov[0]
+        step = JITTER_LADDER[1] - JITTER_LADDER[0]
+        assert post.jitter[0] == JITTER_LADDER[1]
+        assert lapack.dpotrf(cov - step * np.eye(2))[1] == 2
+        fresh = cov.copy()
+        lapack.dpotrf(fresh.T, lower=0, overwrite_a=1)
+        np.testing.assert_array_equal(post.chol[0], np.tril(fresh))
+
     @pytest.mark.parametrize("kernel,binary", [("tanimoto", True), ("rbf", False)])
     def test_normalized_query_block_is_exactly_symmetric(self, kernel, binary):
-        # why posterior() needs no symmetrize step before factoring
+        # the kernels are exactly symmetric, so the jitter ladder can take
+        # fit's kernels as they are; the posterior's covariance is symmetric
+        # by construction and its factor lower triangular
         data = toy_dataset(seed=5, n=30, d=8, m=1, binary=binary)
         model = fit(data, GpConfig(kernel=kernel))
         part = model.parts[0]
         rng = np.random.default_rng(8)
-        Xq = rng.normal(size=(150, 8))
+        Xq = rng.normal(size=(300, 8))
         if binary:
             Xq = (Xq > 0).astype(float)
-        if kernel == "tanimoto":
-            rq, rqq = tanimoto_kernel(Xq, model.data.features), tanimoto_kernel(Xq, Xq)
-        else:
-            rq = rbf_kernel(Xq, model.data.features, part.lengthscale)
-            rqq = rbf_kernel(Xq, Xq, part.lengthscale)
-        v = solve_triangular(part.chol, rq.T, lower=True)
-        base = rqq - v.T @ v
-        np.testing.assert_array_equal(base, base.T)
+        rqq = tanimoto_kernel(Xq, Xq) if kernel == "tanimoto" else rbf_kernel(Xq, Xq, part.lengthscale)
+        np.testing.assert_array_equal(rqq, rqq.T)
         post = posterior(model, Xq)
         np.testing.assert_array_equal(post.cov[0], post.cov[0].T)
+        np.testing.assert_array_equal(post.chol[0], np.tril(post.chol[0]))
 
     def test_tanimoto_kernel_is_bitwise_the_reference_formula(self):
         rng = np.random.default_rng(6)
@@ -496,9 +523,42 @@ class TestPosterior:
         b = rng.integers(0, 3, size=(25, 12)).astype(float)  # k-gram counts
         a[[0, 7]] = 0.0
         b[3] = 0.0
-        for x, y in ((a, b), (a, a), (b, a)):
+        # the denominators are formed a few rows at a time: all-zero rows of
+        # the larger pair sit on both sides of its chunk boundaries
+        big_a = (rng.random((700, 24)) < 0.4).astype(float)
+        big_b = rng.integers(0, 3, size=(300, 24)).astype(float)
+        step = TILE * TILE // len(big_b)
+        assert len(big_a) > 2 * step
+        big_a[[0, step - 1, step, 2 * step, 699]] = 0.0
+        big_b[[0, 150, 299]] = 0.0
+        for x, y in ((a, b), (a, a), (b, a), (big_a, big_b), (big_a, big_a), (big_b, big_a)):
             np.testing.assert_array_equal(tanimoto_kernel(x, y), tanimoto_similarity(x, y))
         assert tanimoto_kernel(a, b)[0, 3] == tanimoto_kernel(a, a)[0, 7] == 1.0
+        assert tanimoto_kernel(big_a, big_b)[step, 150] == 1.0
+
+    def test_no_open_rows(self):
+        data = toy_dataset(seed=6, n=5, d=3, m=2)
+        model = fit(data)
+        post = pool_posterior(model, data.features, np.arange(5), data.objectives)
+        assert post.cov.shape == (2, 0, 0) and np.asarray(post.cov).shape == (2, 0, 0)
+        assert post.chol[1].shape == (0, 0)
+        np.testing.assert_array_equal(post.jitter, post.cov.scale * JITTER_LADDER[0])
+        np.testing.assert_array_equal(post.sample(3, seed=1), np.repeat(data.objectives[None], 3, axis=0))
+
+    @pytest.mark.parametrize("kernel,binary", [("tanimoto", True), ("rbf", False)])
+    def test_one_open_row(self, kernel, binary):
+        data = toy_dataset(seed=6, n=5, d=6, m=2, binary=binary)
+        model = fit(data, GpConfig(kernel=kernel))
+        Xq = np.random.default_rng(1).normal(size=(1, 6))
+        if binary:
+            Xq = (Xq > 0).astype(float)
+        post = posterior(model, Xq)
+        mean, cov, chol, jitter = reference_posterior(model, Xq)
+        np.testing.assert_array_equal(post.mean, mean)
+        np.testing.assert_array_equal(post.cov, cov)
+        np.testing.assert_array_equal(post.chol, chol)
+        np.testing.assert_array_equal(post.jitter, jitter)
+        assert post.sample(SAMPLE_BLOCK + 1, seed=2).shape == (SAMPLE_BLOCK + 1, 1, 2)
 
     @pytest.mark.parametrize("n_samples", [1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 4 * SAMPLE_BLOCK])
     @pytest.mark.parametrize("case,n_groups", [("tanimoto", 1), ("rbf", 3), ("mixed", 2)])
@@ -579,10 +639,27 @@ class TestSampling:
         se = np.sqrt(np.stack([np.diag(post.cov[j]) for j in range(2)], axis=1) / n)
         np.testing.assert_array_less(np.abs(samples.mean(axis=0) - post.mean), 4.0 * se + 1e-12)
 
+    def test_posterior_allocates_one_block_per_group(self):
+        # the query kernel becomes the covariance, and LAPACK factors it in
+        # place: beyond that one u x u array the temporaries stay small
+        u, n = 800, 40
+        data = toy_dataset(seed=2, n=n, d=24, m=2, binary=True)
+        model = fit(data)
+        Xq = (np.random.default_rng(0).random((u, 24)) < 0.5).astype(float)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            post = posterior(model, Xq)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert len(post.cov.blocks) == 1
+        assert peak <= 1.3 * u * u * 8
+
     def test_pool_draws_peak_below_four_blocks(self):
-        # the posterior holds one normalized block and factor per group and
-        # frees the query kernel before factoring; sampling adds no u x u
-        # array. One scaled copy of both per objective peaked at seven.
+        # the posterior holds one array per group, which keeps both the
+        # covariance and its factor; sampling adds no u x u array. One
+        # scaled copy of both per objective peaked at seven.
         u, n = 1500, 40
         data = toy_dataset(seed=2, n=n, d=24, m=2, binary=True)
         model = fit(data)
