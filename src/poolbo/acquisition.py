@@ -204,7 +204,9 @@ def qehvi_mc(post: Posterior, front: ParetoFront, q: int, n_samples: int, seed: 
     per-draw augmented fronts. Stale gains are re-evaluated lazily, which is
     exact because incremental improvements only shrink as the batch grows;
     a re-evaluation scores the candidate against every draw's front at once
-    (pareto.FrontStack).
+    (pareto.FrontStack): one box-major product over a padded box array of
+    at least two columns, summing each draw's boxes in order, so a per-draw
+    gain is bitwise FrontIndex.gains of that draw alone.
     """
     q = _batch_size(q, post.n)
     if post.m != front.m:

@@ -176,7 +176,8 @@ def read_pool(path) -> list:
     featurizing; objectives is [] for an unlabeled pool.
 
     Rows with a previously seen genome are dropped (first occurrence wins);
-    duplicate ids and malformed rows are errors naming the offending row.
+    duplicate ids, ids empty or holding metrics.csv's batch separator ';',
+    and malformed rows are errors naming the offending row.
     """
     seen_keys = set()
     seen_ids = set()
@@ -200,6 +201,8 @@ def read_pool(path) -> list:
                 objs = [float(v) for v in row[2:]]
             except ValueError as exc:
                 raise PoolFormatError(f"row {row_num}: bad objective value ({exc})") from None
+            if not cid or ";" in cid:
+                raise PoolFormatError(f"row {row_num}: id {cid!r} must be non-empty and free of ';'")
             if cid in seen_ids:
                 raise PoolFormatError(f"row {row_num}: duplicate id {cid!r}")
             seen_ids.add(cid)

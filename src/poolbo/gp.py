@@ -202,14 +202,17 @@ def _jittered_cholesky(a: np.ndarray, ladder, error=NumericalError):
     raise error(f"matrix singular: not positive definite with jitter up to {ladder[-1]:.0e}")
 
 
-def _escalated_cholesky(base: np.ndarray, start_nugget: float):
-    """(lower factor, nugget) of base + nugget*I, doubling the nugget until it
-    factorizes; base, symmetric, is left as it was."""
+def _escalated_cholesky(a: np.ndarray, start_nugget: float):
+    """(lower factor, nugget) of a + nugget*I, doubling the nugget until it
+    factorizes. a, symmetric and C-ordered, becomes the factor in place: its
+    strict upper triangle is zeroed a tile at a time, making no n x n copy."""
     doubling = (start_nugget * 2.0 ** k for k in itertools.count())
     ladder = list(itertools.takewhile(lambda nugget: nugget <= MAX_NUGGET, doubling))
-    a = base.copy()
     nugget = _jittered_cholesky(a, ladder, FitError)[1]
-    return np.tril(a), nugget
+    for r in range(0, len(a), TILE):
+        a[r:r + TILE, r + TILE:] = 0.0
+        a[r:r + TILE, r:r + TILE] = np.tril(a[r:r + TILE, r:r + TILE])
+    return a, nugget
 
 
 @dataclass
@@ -291,7 +294,7 @@ def _search_lengthscales(d2: np.ndarray, zs: list, config: GpConfig) -> list:
     def neg_lmls(t, targets):
         # each factorisation escalates from config.nugget, so LML(t) is a pure function
         chol = _escalated_cholesky(np.exp(-0.5 * d2 / np.exp(2.0 * t)), config.nugget)[0]
-        ss = [float(z @ cho_solve((chol, True), z)) for z in targets]
+        ss = [float(z @ cho_solve((chol.T, False), z)) for z in targets]
         return [-_lml(chol, s, _profile_sigma2(s, len(d2), config.signal_variance)) for s in ss]
 
     lengthscales = []
@@ -331,7 +334,8 @@ def fit(data: Dataset, config: GpConfig = GpConfig()) -> GpModel:
     parts = []
     for (out_mean, out_std, z), lengthscale in zip(columns, lengthscales):
         chol, nugget = factors[lengthscale]
-        alpha = cho_solve((chol, True), z)
+        # LAPACK solves with chol.T, the F-ordered upper factor, without a copy
+        alpha = cho_solve((chol.T, False), z)
         sigma2 = _profile_sigma2(float(z @ alpha), z.size, config.signal_variance)
         parts.append(_ObjectiveGp(kernel, lengthscale, sigma2, nugget, out_mean, out_std, alpha, chol))
     return GpModel(data=data, parts=parts)

@@ -232,20 +232,21 @@ def _boxes(points: np.ndarray, ref: np.ndarray):
 def _covered(points, lo, hi, acc, side) -> np.ndarray:
     """Per row of points, the sum over boxes of prod_j clip(min(y_j, hi_j) - lo_j, 0).
 
-    lo[j] and hi[j] are (boxes,) or one (boxes,) row per point. The product
-    builds one objective at a time in the (rows, boxes) buffers acc and side,
-    which callers keep for reuse (fresh buffers of 2**16 elements made m = 3
-    scoring about 60 % slower), and each row's sum is the pairwise sum numpy
-    gives a lone contiguous row.
+    Box-major: row r fills column r of the C-ordered (boxes, columns)
+    buffers acc and side, kept by callers (fresh 2**16-element buffers made
+    m = 3 scoring about 60 % slower); lo[j], hi[j] are (boxes, 1) for one
+    front, (boxes, columns) for one per column. numpy sums axis 0 one box at
+    a time, in order, so a pad box at lo = hi = +inf adds exactly +0.0. A
+    lone column it sums pairwise, so buffers keep at least two columns.
     """
     for j in range(points.shape[1]):
         f = side if j else acc
-        np.minimum(points[:, j, None], hi[j], out=f)
+        np.minimum(points[:, j], hi[j], out=f)
         f -= lo[j]
         np.maximum(f, 0.0, out=f)
         if j:
             acc *= side
-    return acc.sum(axis=1)
+    return acc.sum(axis=0)[:points.shape[0]]
 
 
 class FrontIndex:
@@ -265,19 +266,21 @@ class FrontIndex:
     def gains(self, points) -> np.ndarray:
         """Hypervolume improvement of each row of points.
 
-        The product builds one objective at a time in a (rows, boxes) buffer
-        of about 2**16 elements, so memory stays flat in the point count.
+        Rows go in blocks of about 2**16 box-row pairs, so memory stays flat
+        in the point count. A block is one _covered product in (boxes, rows)
+        views of the buffers' heads, at least two columns wide, so every gain
+        sums its boxes in order.
         """
         pts = np.asarray(points, dtype=float)
         n, boxes = pts.shape[0], self.lo.shape[1]
-        rows = max(1, 2 ** 16 // boxes)
-        acc = np.empty((min(rows, n), boxes))
-        side = np.empty_like(acc)
+        rows = max(2, 2 ** 16 // boxes)
+        buffers = np.empty((2, boxes * max(2, min(rows, n))))
+        lo, hi = self.lo[:, :, None], self.hi[:, :, None]
         out = np.empty(n)
         for start in range(0, n, rows):
             block = pts[start:start + rows]
-            k = block.shape[0]
-            out[start:start + k] = _covered(block, self.lo, self.hi, acc[:k], side[:k])
+            acc, side = buffers[:, :boxes * max(2, len(block))].reshape(2, boxes, -1)
+            out[start:start + len(block)] = _covered(block, lo, hi, acc, side)
         return out
 
     def hypervolume(self) -> float:
@@ -309,52 +312,39 @@ class FrontIndex:
 class FrontStack:
     """One front per Monte Carlo draw, each grown by the draw's own values.
 
-    Draws whose fronts have equal box counts share a group: their box arrays
-    are stacked into one (m, draws, boxes) lo/hi pair, kept with the draw
-    indices and two (draws, boxes) buffers, so a group is scored by one
-    clipped product. Groups are never padded to a common box count,
-    since zero boxes would reorder the row sums; so every per-draw gain is
-    bitwise FrontIndex.gains of that draw's value alone.
+    boxes is one (m, B, draws) lo/hi pair: column ell holds draw ell's boxes
+    in FrontIndex order, then pad boxes at lo = hi = +inf. gains is one
+    _covered product with at least two buffer columns, so each per-draw gain
+    is bitwise FrontIndex.gains of that draw's value alone.
     """
 
     def __init__(self, index: FrontIndex, n_draws: int):
         self.indexes = [index] * n_draws
-        self.groups: dict = {}
-        self._regroup({index.lo.shape[1]})
+        self.boxes = np.repeat(np.stack((index.lo, index.hi))[..., None], n_draws, axis=3)
+        self.buffers = np.empty((2, index.lo.shape[1], max(2, n_draws)))
 
     def gains(self, values) -> np.ndarray:
         """Hypervolume improvement of values[ell] against draw ell's front."""
-        out = np.empty(len(self.indexes))
-        for draws, lo, hi, acc, side in self.groups.values():
-            out[draws] = _covered(values[draws], lo, hi, acc, side)
-        return out
+        return _covered(values, *self.boxes, *self.buffers)
 
     def insert(self, values) -> None:
-        """Fold values[ell] into draw ell's front by update_front's rules; only
-        groups a changed front leaves or joins are rebuilt."""
+        """Fold values[ell] into draw ell's front by update_front's rules,
+        rewriting only changed draws' columns; B grows only when a changed
+        draw needs more boxes."""
         sizes = [index.points.shape[0] for index in self.indexes]
         owner = np.repeat(np.arange(len(sizes)), sizes)
         points = np.concatenate([index.points for index in self.indexes])
         # _admitted's rejection test for every draw at once
         covered = np.bincount(owner[(points >= values[owner]).all(axis=1)], minlength=len(sizes))
-        touched = set()
         for ell in np.flatnonzero((covered == 0) & (values > self.indexes[0].ref).all(axis=1)):
-            index = self.indexes[ell]
-            self.indexes[ell] = index.insert(values[ell])
-            touched.update((index.lo.shape[1], self.indexes[ell].lo.shape[1]))
-        self._regroup(touched)
-
-    def _regroup(self, box_counts) -> None:
-        boxes = np.array([index.lo.shape[1] for index in self.indexes])
-        for b in box_counts:
-            draws = np.flatnonzero(boxes == b)
-            if draws.size:
-                members = [self.indexes[d] for d in draws]
-                lo = np.stack([f.lo for f in members], axis=1)
-                hi = np.stack([f.hi for f in members], axis=1)
-                self.groups[b] = (draws, lo, hi, np.empty(lo.shape[1:]), np.empty(lo.shape[1:]))
-            else:
-                self.groups.pop(b, None)
+            index = self.indexes[ell] = self.indexes[ell].insert(values[ell])
+            b = index.lo.shape[1]
+            if b > self.boxes.shape[2]:
+                pad = ((0, 0), (0, 0), (0, b - self.boxes.shape[2]), (0, 0))
+                self.boxes = np.pad(self.boxes, pad, constant_values=np.inf)
+                self.buffers = np.empty((2, b, self.buffers.shape[2]))
+            self.boxes[:, :, :b, ell] = index.lo, index.hi
+            self.boxes[:, :, b:, ell] = np.inf
 
 
 def hvi_many(points, front: ParetoFront) -> np.ndarray:

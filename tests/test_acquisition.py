@@ -486,17 +486,17 @@ class TestQehvi:
 
     def test_pick_that_changes_no_front_leaves_gains_unchanged(self, monkeypatch):
         """Once (3, 3) joins every draw, the second pick is dominated in all of
-        them: no front or group is rebuilt and every candidate scores as before."""
+        them: no front or box is rewritten and every candidate scores as before."""
         steps = []
 
         class Recording(FrontStack):
             def insert(self, values):
-                indexes, groups = list(self.indexes), dict(self.groups)
+                indexes, boxes = list(self.indexes), self.boxes.copy()
                 super().insert(values)
                 gains = [self.gains(samples[:, i]) for i in range(samples.shape[1])]
                 unchanged = all(a is b for a, b in zip(indexes, self.indexes))
-                kept = all(self.groups.get(b) is group for b, group in groups.items())
-                steps.append((gains, unchanged, kept and self.groups.keys() == groups.keys()))
+                kept = np.array_equal(boxes, self.boxes)
+                steps.append((gains, unchanged, kept))
 
         post = deterministic([[3.0, 3.0], [2.9, 2.9], [1.5, 2.5], [0.5, 0.5]])
         samples = post.sample(5, 2)

@@ -197,6 +197,15 @@ class TestRun:
         assert main(["run", write_json(tmp_path / "b.json", payload), "--resume"]) == 2
         assert "does not match" in capsys.readouterr().err
 
+    def test_pool_id_with_the_batch_separator_exits_2(self, tmp_path, pool_csv, capsys):
+        lines = pool_csv.read_text().splitlines()
+        lines[1] = "a;b," + lines[1].split(",", 1)[1]
+        pool_csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "camp"
+        assert main(["run", write_json(tmp_path / "c.json", run_config(pool_csv, out))]) == 2
+        assert "row 2: id 'a;b'" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
     def test_missing_output_dir(self, tmp_path, pool_csv, capsys):
         payload = run_config(pool_csv, tmp_path / "camp")
         del payload["output_dir"]

@@ -91,6 +91,12 @@ class TestLoadPool:
         with pytest.raises(PoolFormatError, match="duplicate id"):
             load_pool(path)
 
+    @pytest.mark.parametrize("cid", ["a;b", ";", ""])
+    def test_id_that_metrics_csv_cannot_round_trip_names_row(self, tmp_path, cid):
+        path = write_csv(tmp_path / "p.csv", f"id,genome\nc,0101\n{cid},1111\n")
+        with pytest.raises(PoolFormatError, match="row 3: id .* non-empty and free of ';'"):
+            read_pool(path)
+
     def test_wrong_field_count_names_row(self, tmp_path):
         path = write_csv(tmp_path / "p.csv", "id,genome\na,0101,9.0\n")
         with pytest.raises(PoolFormatError, match="row 2"):

@@ -349,9 +349,36 @@ class TestFit:
 
     def test_escalated_cholesky_doubles_until_pd(self):
         base = np.diag([1.0, -4e-3])
-        chol, nugget = _escalated_cholesky(base, BASE_NUGGET)
+        chol, nugget = _escalated_cholesky(base.copy(), BASE_NUGGET)
         assert nugget > 4e-3
         np.testing.assert_allclose(chol @ chol.T, base + nugget * np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 300, 700])
+    def test_escalated_cholesky_is_tril_of_the_factored_kernel(self, n):
+        # the upper triangle is zeroed a tile at a time: the factor is
+        # bitwise np.tril of LAPACK's in-place result
+        X = (np.random.default_rng(n).random((n, 24)) < 0.5).astype(float)
+        kernel = tanimoto_kernel(X, X)
+        factored = kernel.copy()
+        chol, nugget = _escalated_cholesky(kernel, BASE_NUGGET)
+        _jittered_cholesky(factored, [nugget])
+        assert chol is kernel
+        np.testing.assert_array_equal(chol, np.tril(factored))
+
+    def test_fit_holds_one_kernel_sized_array(self):
+        # the final factor is the kernel factored in place: beyond that one
+        # n x n array the temporaries stay small
+        n = 800
+        data = toy_dataset(seed=5, n=n, d=24, m=2, binary=True)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            model = fit(data)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert model.parts[0].chol.shape == (n, n)
+        assert peak <= 1.3 * n * n * 8
 
     def test_escalation_failure_raises(self):
         with pytest.raises(FitError, match="singular"):

@@ -400,16 +400,34 @@ class TestHvi:
 
 
 def staircase_gains(front, pts):
-    """Two-objective improvement exactly as the staircase formula computed it
-    before the box engine: one product per segment, summed over segments."""
+    """Two-objective improvement by the staircase formula: one product per
+    segment, added in order of ascending first objective."""
     order = np.argsort(front.points[:, 0])
     xs, ys = front.points[order, 0], front.points[order, 1]
     left = np.concatenate(([front.ref[0]], xs))
     right = np.concatenate((xs, [np.inf]))
     height = np.concatenate((ys, [front.ref[1]]))
-    width = np.clip(np.minimum(pts[:, 0, None], right[None, :]) - left[None, :], 0.0, None)
-    gain = np.clip(pts[:, 1, None] - height[None, :], 0.0, None)
-    return (width * gain).sum(axis=1)
+    out = np.zeros(pts.shape[0])
+    for lo_x, hi_x, lo_y in zip(left, right, height):
+        width = np.clip(np.minimum(pts[:, 0], hi_x) - lo_x, 0.0, None)
+        out += width * np.clip(pts[:, 1] - lo_y, 0.0, None)
+    return out
+
+
+def in_order_sum(terms):
+    """Column sums of a (boxes, k) array, one row at a time from the first."""
+    out = np.zeros(terms.shape[1])
+    for row in terms:
+        out = out + row
+    return out
+
+
+def in_order_gains(index, pts):
+    """FrontIndex gains as an explicit in-order sum over its boxes."""
+    terms = np.ones((index.lo.shape[1], pts.shape[0]))
+    for j in range(pts.shape[1]):
+        terms *= np.clip(np.minimum(pts[:, j], index.hi[j][:, None]) - index.lo[j][:, None], 0.0, None)
+    return in_order_sum(terms)
 
 
 class TestFrontIndex:
@@ -515,38 +533,89 @@ def grown_stack(m, n_draws, steps, seed):
     return stack, alone
 
 
-class TestFrontStack:
-    @pytest.mark.parametrize("m", [2, 3])
-    @pytest.mark.parametrize("n_draws", [1, 7, 65, 256])
-    def test_grouped_gains_bitwise_equal_single_row_gains(self, m, n_draws):
-        stack, _ = grown_stack(m, n_draws, steps=12, seed=m * 1000 + n_draws)
-        if n_draws > 7:
-            assert len(stack.groups) > 2
-            assert max(group[0].size for group in stack.groups.values()) > 1
-        queries = np.random.default_rng(n_draws).uniform(0.0, 3.0, size=(20, n_draws, m))
-        for values in queries:
-            expected = [index.gains(y[None, :])[0] for index, y in zip(stack.indexes, values)]
-            assert np.array_equal(stack.gains(values), expected)
+def sphere_stack(m, n_draws, n_points, seed):
+    """A FrontStack whose draws each took n_points distinct points of the
+    positive unit sphere, so every point joins its front and the box count
+    grows with each insert."""
+    rng = np.random.default_rng(seed)
+    stack = FrontStack(FrontIndex(np.empty((0, m)), np.zeros(m)), n_draws)
+    for _ in range(n_points):
+        values = np.abs(rng.normal(size=(n_draws, m)))
+        stack.insert(values / np.linalg.norm(values, axis=1, keepdims=True))
+    return stack
+
+
+class TestReductionOrder:
+    """Every HVI score rests on numpy summing axis 0 of a C-ordered
+    (boxes, k) array one box at a time, in order, for k >= 2."""
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 64, 257])
+    def test_axis_zero_sum_is_in_order(self, k):
+        rng = np.random.default_rng(k)
+        for boxes in range(1, 301):
+            # zeros stand for pad boxes; the spread of magnitudes makes any
+            # other summation order round differently
+            terms = rng.uniform(0.0, 1.0, size=(boxes, k)) * 10.0 ** rng.integers(-8, 8, size=(boxes, k))
+            terms[rng.random((boxes, k)) < 0.3] = 0.0
+            assert np.array_equal(terms.sum(axis=0), in_order_sum(terms))
 
     @pytest.mark.parametrize("m", [2, 3])
-    def test_fronts_and_groups_match_draws_grown_alone(self, m):
-        stack, alone = grown_stack(m, 64, steps=8, seed=m)
-        for index, single in zip(stack.indexes, alone):
-            assert np.array_equal(index.points, single.points)
-        seen = np.concatenate([group[0] for group in stack.groups.values()])
-        assert np.array_equal(np.sort(seen), np.arange(64))
-        for boxes, (draws, lo, hi, _, _) in stack.groups.items():
-            for k, ell in enumerate(draws):
-                assert np.array_equal(lo[:, k], stack.indexes[ell].lo)
-                assert np.array_equal(hi[:, k], stack.indexes[ell].hi)
-                assert stack.indexes[ell].lo.shape[1] == boxes
+    def test_one_row_gains_and_one_draw_stack_sum_in_order(self, m):
+        rng = np.random.default_rng(40 + m)
+        stack = sphere_stack(m, 1, n_points=40, seed=m)
+        index = stack.indexes[0]
+        assert index.lo.shape[1] > 40
+        for y in rng.uniform(0.0, 1.2, size=(200, 1, m)):
+            expected = in_order_gains(index, y)
+            assert np.array_equal(index.gains(y), expected)
+            assert np.array_equal(stack.gains(y), expected)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_gains_sum_in_order_across_blocks(self, m):
+        rng = np.random.default_rng(50 + m)
+        index = sphere_stack(m, 1, n_points=60, seed=10 + m).indexes[0]
+        rows = 2 ** 16 // index.lo.shape[1]
+        # the last block holds one row
+        queries = rng.uniform(0.0, 1.2, size=(2 * rows + 1, m))
+        assert np.array_equal(index.gains(queries), in_order_gains(index, queries))
+
+
+class TestFrontStack:
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("n_draws", [1, 2, 7, 65, 256])
+    def test_grouped_gains_bitwise_equal_single_row_gains(self, m, n_draws):
+        """Every draw scored at once, in one padded box array, equals each
+        draw scored alone and the explicit in-order sum."""
+        stack, _ = grown_stack(m, n_draws, steps=12, seed=m * 1000 + n_draws)
+        if n_draws > 7:
+            assert len({index.lo.shape[1] for index in stack.indexes}) > 2
+        queries = np.random.default_rng(n_draws).uniform(0.0, 3.0, size=(20, n_draws, m))
+        for k, values in enumerate(queries):
+            expected = [index.gains(y[None, :])[0] for index, y in zip(stack.indexes, values)]
+            assert np.array_equal(stack.gains(values), expected)
+            if k < 3:
+                assert np.array_equal(expected, [in_order_gains(index, y[None, :])[0]
+                                                 for index, y in zip(stack.indexes, values)])
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_each_column_holds_its_draws_boxes_then_pad(self, m):
+        for n_draws in (1, 64):
+            stack, alone = grown_stack(m, n_draws, steps=8, seed=m)
+            boxes = max(index.lo.shape[1] for index in stack.indexes)
+            assert stack.boxes.shape == (2, m, boxes, n_draws)
+            for ell, (index, single) in enumerate(zip(stack.indexes, alone)):
+                assert np.array_equal(index.points, single.points)
+                b = index.lo.shape[1]
+                assert np.array_equal(stack.boxes[0, :, :b, ell], index.lo)
+                assert np.array_equal(stack.boxes[1, :, :b, ell], index.hi)
+                assert np.all(stack.boxes[:, :, b:, ell] == np.inf)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_insert_that_changes_no_front_rebuilds_nothing(self, m):
         stack, _ = grown_stack(m, 32, steps=6, seed=7 + m)
         queries = np.random.default_rng(m).uniform(0.0, 3.0, size=(10, 32, m))
         before = [stack.gains(values) for values in queries]
-        indexes, groups = list(stack.indexes), dict(stack.groups)
+        indexes, boxes, copied = list(stack.indexes), stack.boxes, stack.boxes.copy()
         # each value equals or is dominated by a point of its own draw's
         # front, or sits on the reference in its first objective
         edge = np.full(m, 10.0)
@@ -554,8 +623,7 @@ class TestFrontStack:
         stack.insert(np.stack([(index.points[0], index.points[0] * 0.5, edge)[ell % 3]
                                for ell, index in enumerate(stack.indexes)]))
         assert all(a is b for a, b in zip(stack.indexes, indexes))
-        assert stack.groups.keys() == groups.keys()
-        assert all(stack.groups[b] is groups[b] for b in groups)
+        assert stack.boxes is boxes and np.array_equal(boxes, copied)
         for values, gains in zip(queries, before):
             assert np.array_equal(stack.gains(values), gains)
 
