@@ -206,7 +206,9 @@ def qehvi_mc(post: Posterior, front: ParetoFront, q: int, n_samples: int, seed: 
     a re-evaluation scores the candidate against every draw's front at once
     (pareto.FrontStack): one box-major product over a padded box array of
     at least two columns, summing each draw's boxes in order, so a per-draw
-    gain is bitwise FrontIndex.gains of that draw alone.
+    gain is bitwise FrontIndex.gains of that draw alone. At m = 2 a pick is
+    spliced into every draw's column of that array at once; m >= 3 rebuilds
+    each changed draw's front.
     """
     q = _batch_size(q, post.n)
     if post.m != front.m:

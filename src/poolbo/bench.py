@@ -222,12 +222,16 @@ def run_bench(spec: BenchSpec, workers: int = 1) -> dict:
     cell measures hypervolume against one reference point resolved from the
     full pool, so curves are comparable across both axes. Cells are
     independent, which is what makes `workers > 1` safe; each one rewrites
-    its own file, so reruns are idempotent.
+    its own file, so reruns are idempotent. The executor may start every
+    worker at once, so there are never more workers than cells.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     table = read_pool_table(spec.pool_path, spec.ref_rule, spec.true_front_ids)
     os.makedirs(spec.output_dir, exist_ok=True)
     cells = [(acq, seed) for acq in spec.acquisitions for seed in spec.seeds]
     acqs, seeds = zip(*cells)
+    workers = min(workers, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_cell, repeat(spec), acqs, seeds, repeat(table)))

@@ -131,34 +131,46 @@ class GpConfig:
             raise ValueError(f"nugget must lie in (0, {MAX_NUGGET}]")
 
 
+def _norm_sums(out: np.ndarray, na: np.ndarray, nb: np.ndarray):
+    """(rows of out, na_i + nb_k over those rows), a few rows at a time; the
+    sums share one buffer of at most TILE * TILE entries."""
+    step = max(1, TILE * TILE // max(1, out.shape[1]))
+    buf = np.empty((min(step, len(out)), out.shape[1]))
+    for start in range(0, len(out), step):
+        rows = out[start:start + step]
+        yield rows, np.add(na[start:start + step, None], nb, out=buf[:len(rows)])
+
+
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aa = (a * a).sum(axis=1)
-    bb = (b * b).sum(axis=1)
-    d2 = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(d2, 0.0)
+    """max(|a_i|^2 + |b_k|^2 - 2 a_i.b_k, 0), formed in place in a @ b.T."""
+    out = a @ b.T
+    out *= 2.0
+    for rows, sums in _norm_sums(out, (a * a).sum(axis=1), (b * b).sum(axis=1)):
+        np.subtract(sums, rows, out=rows)
+        np.maximum(rows, 0.0, out=rows)
+    return out
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, lengthscale: float) -> np.ndarray:
-    """Unit-variance isotropic RBF kernel matrix."""
-    return np.exp(-0.5 * squared_distances(a, b) / lengthscale ** 2)
+    """Unit-variance isotropic RBF kernel matrix, formed in place."""
+    out = squared_distances(a, b)
+    out *= -0.5
+    out /= lengthscale ** 2
+    return np.exp(out, out=out)
 
 
 def tanimoto_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Unit-variance Tanimoto similarity for non-negative (binary) vectors.
 
     The all-zero pair has similarity 1 so k(x, x) stays constant. The
-    denominators are formed a few rows at a time in one buffer of at most
-    TILE * TILE entries, so the result is the only len(a) x len(b) array.
+    denominators are formed a few rows at a time (_norm_sums), so the result
+    is the only len(a) x len(b) array.
     """
     out = a @ b.T
     na = (a * a).sum(axis=1)
     nb = (b * b).sum(axis=1)
-    step = max(1, TILE * TILE // max(1, len(b)))
-    buf = np.empty((min(step, len(a)), len(b)))
     with np.errstate(invalid="ignore"):  # 0 / 0 at the all-zero pairs, set below
-        for start in range(0, len(a), step):
-            rows = out[start:start + step]
-            denom = np.add(na[start:start + step, None], nb, out=buf[:len(rows)])
+        for rows, denom in _norm_sums(out, na, nb):
             denom -= rows
             rows /= denom
     # non-negative rows have a zero denominator only when both are all zero

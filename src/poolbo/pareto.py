@@ -315,11 +315,14 @@ class FrontStack:
     boxes is one (m, B, draws) lo/hi pair: column ell holds draw ell's boxes
     in FrontIndex order, then pad boxes at lo = hi = +inf. gains is one
     _covered product with at least two buffer columns, so each per-draw gain
-    is bitwise FrontIndex.gains of that draw's value alone.
+    is bitwise FrontIndex.gains of that draw's value alone. At m = 2 an
+    accepted point is spliced into every draw's column at once; other m
+    rebuild each changed draw's FrontIndex.
     """
 
     def __init__(self, index: FrontIndex, n_draws: int):
-        self.indexes = [index] * n_draws
+        self.ref = index.ref
+        self.indexes = None if index.ref.size == 2 else [index] * n_draws
         self.boxes = np.repeat(np.stack((index.lo, index.hi))[..., None], n_draws, axis=3)
         self.buffers = np.empty((2, index.lo.shape[1], max(2, n_draws)))
 
@@ -331,20 +334,49 @@ class FrontStack:
         """Fold values[ell] into draw ell's front by update_front's rules,
         rewriting only changed draws' columns; B grows only when a changed
         draw needs more boxes."""
+        if self.indexes is None:
+            return self._splice(values)
         sizes = [index.points.shape[0] for index in self.indexes]
         owner = np.repeat(np.arange(len(sizes)), sizes)
         points = np.concatenate([index.points for index in self.indexes])
         # _admitted's rejection test for every draw at once
         covered = np.bincount(owner[(points >= values[owner]).all(axis=1)], minlength=len(sizes))
-        for ell in np.flatnonzero((covered == 0) & (values > self.indexes[0].ref).all(axis=1)):
+        for ell in np.flatnonzero((covered == 0) & (values > self.ref).all(axis=1)):
             index = self.indexes[ell] = self.indexes[ell].insert(values[ell])
             b = index.lo.shape[1]
-            if b > self.boxes.shape[2]:
-                pad = ((0, 0), (0, 0), (0, b - self.boxes.shape[2]), (0, 0))
-                self.boxes = np.pad(self.boxes, pad, constant_values=np.inf)
-                self.buffers = np.empty((2, b, self.buffers.shape[2]))
+            self._reserve(b)
             self.boxes[:, :, :b, ell] = index.lo, index.hi
             self.boxes[:, :, b:, ell] = np.inf
+
+    def _reserve(self, b: int) -> None:
+        """Grow boxes, with pad boxes, and buffers to at least b boxes."""
+        if b > self.boxes.shape[2]:
+            pad = ((0, 0), (0, 0), (0, b - self.boxes.shape[2]), (0, 0))
+            self.boxes = np.pad(self.boxes, pad, constant_values=np.inf)
+            self.buffers = np.empty((2, b, self.buffers.shape[2]))
+
+    def _splice(self, values) -> None:
+        """insert at m = 2, for every draw at once. Column ell's points are its
+        boxes' (hi_0, lo_1) but for the last box and the pads, at hi_0 = +inf."""
+        (_, y), (x, _) = self.boxes
+        real = x < np.inf
+        rejected = (real & (x >= values[:, 0]) & (y >= values[:, 1])).any(axis=0)
+        cols = np.flatnonzero(~rejected & (values > self.ref).all(axis=1))
+        if not cols.size:
+            return
+        x, y, v = x[:, cols], y[:, cols], values[cols]
+        # the points v does not weakly dominate, and v: no two share an x or
+        # a y, so ascending x, _boxes' order, is descending y
+        keep = real[:, cols] & ((x > v[:, 0]) | (y > v[:, 1]))
+        xs = np.sort(np.vstack((np.where(keep, x, np.inf), v[:, 0])), axis=0)
+        ys = -np.sort(np.vstack((np.where(keep, -y, np.inf), -v[:, 1])), axis=0)
+        size = (xs < np.inf).sum(axis=0)
+        row = np.arange(len(xs))[:, None]
+        new = np.full((2, 2, len(xs), cols.size), np.inf)
+        new[0, 0, 0], new[0, 0, 1:], new[1, 0] = self.ref[0], xs[:-1], xs
+        new[0, 1] = np.where(row < size, ys, np.where(row == size, self.ref[1], np.inf))
+        self._reserve(int(size.max()) + 1)
+        self.boxes[..., cols] = new[:, :, :self.boxes.shape[2]]
 
 
 def hvi_many(points, front: ParetoFront) -> np.ndarray:

@@ -275,6 +275,37 @@ class TestRunBench:
         assert len(loads) == cells
         assert len(featurized) == cells * (len(read(small_pool)) + spec.init_size)
 
+    def test_starts_at_most_one_worker_per_cell(self, small_pool, tmp_path, monkeypatch):
+        # a recording stand-in runs the cells in this process, so no worker
+        # process is started whatever count is asked for
+        started = []
+
+        class Serial:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", Serial)
+        spec = small_spec(small_pool, tmp_path / "out", seeds=(0,))
+        seq = run_bench(replace(spec, output_dir=str(tmp_path / "seq")))
+        assert run_bench(spec, workers=5000)["records"] == seq["records"]
+        assert run_bench(spec, workers=2)["records"] == seq["records"]
+        assert started == [2, 2]
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_fewer_than_one_worker(self, small_pool, tmp_path, workers):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_bench(small_spec(small_pool, tmp_path / "out"), workers=workers)
+        assert not (tmp_path / "out").exists()
+
     def test_worker_pool_matches_sequential(self, small_pool, tmp_path):
         seq = run_bench(small_spec(small_pool, tmp_path / "seq", seeds=(0,)))
         par = run_bench(small_spec(small_pool, tmp_path / "par", seeds=(0,)), workers=2)

@@ -255,6 +255,12 @@ class TestBench:
         assert "2 cells" in stdout
         assert (tmp_path / "bench" / "summary.csv").exists()
 
+    def test_zero_workers_exits_2(self, tmp_path, pool_csv, capsys):
+        spec = {"pool_path": str(pool_csv), "output_dir": str(tmp_path / "b"),
+                "batch_size": 3, "init_size": 4, "seeds": [0], "iterations": 1}
+        assert main(["bench", write_json(tmp_path / "spec.json", spec), "--workers", "0"]) == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
+
     def test_bad_spec_field(self, tmp_path, pool_csv, capsys):
         spec = {"pool_path": str(pool_csv), "output_dir": str(tmp_path / "b"),
                 "batch_size": 3, "init_size": 4, "sedes": [0]}

@@ -155,6 +155,20 @@ class TestKernels:
         np.testing.assert_allclose(np.diag(K), 1.0, atol=1e-12)
         assert np.all(K > 0) and np.all(K <= 1.0 + 1e-12)
 
+    def test_rbf_kernel_is_bitwise_the_formula(self):
+        # the sums of squared norms are formed a few rows at a time: the
+        # larger pairs span several of those chunks, the last one partial
+        rng = np.random.default_rng(7)
+        small, big_a, big_b = rng.normal(size=(9, 5)), rng.normal(size=(700, 5)), rng.normal(size=(300, 5))
+        assert len(big_a) > 2 * (TILE * TILE // len(big_b))
+        for x, y in ((small, small), (small, big_b), (big_a, big_b), (big_b, big_a), (big_a, big_a)):
+            aa, bb = (x * x).sum(axis=1), (y * y).sum(axis=1)
+            d2 = np.maximum(aa[:, None] + bb[None, :] - 2.0 * (x @ y.T), 0.0)
+            np.testing.assert_array_equal(squared_distances(x, y), d2)
+            for lengthscale in (0.3, 1.0, 2.5):
+                np.testing.assert_array_equal(rbf_kernel(x, y, lengthscale),
+                                              np.exp(-0.5 * d2 / lengthscale ** 2))
+
     def test_tanimoto_identity_and_bounds(self):
         X = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
         K = tanimoto_kernel(X, X)
@@ -681,6 +695,21 @@ class TestSampling:
         finally:
             tracemalloc.stop()
         assert len(post.cov.blocks) == 1
+        assert peak <= 1.3 * u * u * 8
+
+    def test_rbf_posterior_allocates_one_block(self):
+        # the RBF query kernel is formed in place in its one u x u array
+        u, n = 800, 40
+        model = fit(toy_dataset(seed=2, n=n, d=24, m=1), GpConfig(kernel="rbf"))
+        Xq = np.random.default_rng(0).normal(size=(u, 24))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            post = posterior(model, Xq)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert model.parts[0].kernel == "rbf" and len(post.cov.blocks) == 1
         assert peak <= 1.3 * u * u * 8
 
     def test_pool_draws_peak_below_four_blocks(self):

@@ -523,7 +523,7 @@ def grown_stack(m, n_draws, steps, seed):
     that includes the reference, so values tie with incumbents and with ref."""
     rng = np.random.default_rng(seed)
     stack = FrontStack(FrontIndex(np.empty((0, m)), np.zeros(m)), n_draws)
-    alone = list(stack.indexes)
+    alone = [FrontIndex(np.empty((0, m)), np.zeros(m))] * n_draws
     for step in range(steps):
         values = rng.uniform(0.0, 2.5, size=(n_draws, m))
         if step % 2:
@@ -536,13 +536,16 @@ def grown_stack(m, n_draws, steps, seed):
 def sphere_stack(m, n_draws, n_points, seed):
     """A FrontStack whose draws each took n_points distinct points of the
     positive unit sphere, so every point joins its front and the box count
-    grows with each insert."""
+    grows with each insert, and each draw's index grown alone."""
     rng = np.random.default_rng(seed)
     stack = FrontStack(FrontIndex(np.empty((0, m)), np.zeros(m)), n_draws)
+    alone = [FrontIndex(np.empty((0, m)), np.zeros(m))] * n_draws
     for _ in range(n_points):
         values = np.abs(rng.normal(size=(n_draws, m)))
-        stack.insert(values / np.linalg.norm(values, axis=1, keepdims=True))
-    return stack
+        values /= np.linalg.norm(values, axis=1, keepdims=True)
+        stack.insert(values)
+        alone = [index.insert(y) for index, y in zip(alone, values)]
+    return stack, alone
 
 
 class TestReductionOrder:
@@ -562,8 +565,7 @@ class TestReductionOrder:
     @pytest.mark.parametrize("m", [2, 3])
     def test_one_row_gains_and_one_draw_stack_sum_in_order(self, m):
         rng = np.random.default_rng(40 + m)
-        stack = sphere_stack(m, 1, n_points=40, seed=m)
-        index = stack.indexes[0]
+        stack, (index,) = sphere_stack(m, 1, n_points=40, seed=m)
         assert index.lo.shape[1] > 40
         for y in rng.uniform(0.0, 1.2, size=(200, 1, m)):
             expected = in_order_gains(index, y)
@@ -573,7 +575,7 @@ class TestReductionOrder:
     @pytest.mark.parametrize("m", [2, 3])
     def test_gains_sum_in_order_across_blocks(self, m):
         rng = np.random.default_rng(50 + m)
-        index = sphere_stack(m, 1, n_points=60, seed=10 + m).indexes[0]
+        _, (index,) = sphere_stack(m, 1, n_points=60, seed=10 + m)
         rows = 2 ** 16 // index.lo.shape[1]
         # the last block holds one row
         queries = rng.uniform(0.0, 1.2, size=(2 * rows + 1, m))
@@ -586,43 +588,87 @@ class TestFrontStack:
     def test_grouped_gains_bitwise_equal_single_row_gains(self, m, n_draws):
         """Every draw scored at once, in one padded box array, equals each
         draw scored alone and the explicit in-order sum."""
-        stack, _ = grown_stack(m, n_draws, steps=12, seed=m * 1000 + n_draws)
+        stack, alone = grown_stack(m, n_draws, steps=12, seed=m * 1000 + n_draws)
         if n_draws > 7:
-            assert len({index.lo.shape[1] for index in stack.indexes}) > 2
+            assert len({index.lo.shape[1] for index in alone}) > 2
         queries = np.random.default_rng(n_draws).uniform(0.0, 3.0, size=(20, n_draws, m))
         for k, values in enumerate(queries):
-            expected = [index.gains(y[None, :])[0] for index, y in zip(stack.indexes, values)]
+            expected = [index.gains(y[None, :])[0] for index, y in zip(alone, values)]
             assert np.array_equal(stack.gains(values), expected)
             if k < 3:
                 assert np.array_equal(expected, [in_order_gains(index, y[None, :])[0]
-                                                 for index, y in zip(stack.indexes, values)])
+                                                 for index, y in zip(alone, values)])
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_each_column_holds_its_draws_boxes_then_pad(self, m):
         for n_draws in (1, 64):
             stack, alone = grown_stack(m, n_draws, steps=8, seed=m)
-            boxes = max(index.lo.shape[1] for index in stack.indexes)
+            boxes = max(index.lo.shape[1] for index in alone)
             assert stack.boxes.shape == (2, m, boxes, n_draws)
-            for ell, (index, single) in enumerate(zip(stack.indexes, alone)):
-                assert np.array_equal(index.points, single.points)
-                b = index.lo.shape[1]
-                assert np.array_equal(stack.boxes[0, :, :b, ell], index.lo)
-                assert np.array_equal(stack.boxes[1, :, :b, ell], index.hi)
+            if m == 3:
+                assert all(np.array_equal(index.points, single.points)
+                           for index, single in zip(stack.indexes, alone))
+            for ell, single in enumerate(alone):
+                b = single.lo.shape[1]
+                assert np.array_equal(stack.boxes[0, :, :b, ell], single.lo)
+                assert np.array_equal(stack.boxes[1, :, :b, ell], single.hi)
                 assert np.all(stack.boxes[:, :, b:, ell] == np.inf)
+
+    @pytest.mark.parametrize("n_draws", [1, 2, 63, 64, 65, 256])
+    def test_two_objective_splice_equals_each_draw_grown_alone(self, n_draws):
+        """At m = 2 an insert splices every draw's column at once. After each
+        one the box array is bitwise each draw's boxes grown alone by
+        FrontIndex.insert, padded with +inf, and B is the most boxes any draw
+        has held, so it never shrinks. Values tie: half-integer levels, the
+        reference, a duplicate, one coordinate of a front point, or the
+        corner of a run of front points, which it weakly dominates."""
+        rng = np.random.default_rng(n_draws)
+        ref = np.zeros(2)
+        stack = FrontStack(FrontIndex(np.empty((0, 2)), ref), n_draws)
+        alone = [FrontIndex(np.empty((0, 2)), ref)] * n_draws
+        most = 1
+        for _ in range(60):
+            # half-integer levels near x + y = 8.5, the reference among them
+            x = rng.integers(0, 17, n_draws) / 2.0
+            values = np.c_[x, 8.5 - x - rng.integers(0, 2, n_draws) / 2.0]
+            for ell, index in enumerate(alone):
+                kind, pts = rng.integers(8), index.points[np.argsort(index.points[:, 0])]
+                if kind in (3, 4):
+                    x = rng.uniform(0.0, 8.0)
+                    values[ell] = x, 8.25 - x + rng.uniform(-0.25, 0.25)
+                elif kind > 4 and len(pts):
+                    k, j = rng.integers(len(pts)), rng.integers(2)
+                    if kind == 5:
+                        values[ell] = pts[k]
+                    elif kind == 6:
+                        values[ell, j] = pts[k, j]
+                    else:  # the corner of a run of two or three points
+                        values[ell] = pts[k:k + 2 + (rng.random() < 0.2)].max(axis=0)
+            stack.insert(values)
+            alone = [index.insert(y) for index, y in zip(alone, values)]
+            b = stack.boxes.shape[2]
+            assert b >= most
+            most = max(most, *(index.lo.shape[1] for index in alone))
+            assert b == most
+            expected = np.full((2, 2, b, n_draws), np.inf)
+            for ell, index in enumerate(alone):
+                expected[:, :, :index.lo.shape[1], ell] = index.lo, index.hi
+            assert np.array_equal(stack.boxes, expected)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_insert_that_changes_no_front_rebuilds_nothing(self, m):
-        stack, _ = grown_stack(m, 32, steps=6, seed=7 + m)
+        stack, alone = grown_stack(m, 32, steps=6, seed=7 + m)
         queries = np.random.default_rng(m).uniform(0.0, 3.0, size=(10, 32, m))
         before = [stack.gains(values) for values in queries]
-        indexes, boxes, copied = list(stack.indexes), stack.boxes, stack.boxes.copy()
+        # at m = 2 the box array is the only per-draw state
+        indexes, boxes, copied = list(stack.indexes or ()), stack.boxes, stack.boxes.copy()
         # each value equals or is dominated by a point of its own draw's
         # front, or sits on the reference in its first objective
         edge = np.full(m, 10.0)
         edge[0] = 0.0
         stack.insert(np.stack([(index.points[0], index.points[0] * 0.5, edge)[ell % 3]
-                               for ell, index in enumerate(stack.indexes)]))
-        assert all(a is b for a, b in zip(stack.indexes, indexes))
+                               for ell, index in enumerate(alone)]))
+        assert all(a is b for a, b in zip(stack.indexes or (), indexes))
         assert stack.boxes is boxes and np.array_equal(boxes, copied)
         for values, gains in zip(queries, before):
             assert np.array_equal(stack.gains(values), gains)
