@@ -68,9 +68,11 @@ def _attribute(deltas: np.ndarray, n_samples: int, feasible: np.ndarray | None =
 
     A draw's winner is the feasible candidate with the largest strictly
     positive improvement, lowest index on ties; draws without one go
-    unattributed.
+    unattributed, as every draw does when there are no candidates.
     """
     n = deltas.shape[1]
+    if n == 0:
+        return np.zeros(0), 0.0
     masked = deltas if feasible is None else np.where(feasible, deltas, -np.inf)
     winners = np.argmax(masked, axis=1)
     best = masked[np.arange(deltas.shape[0]), winners]
@@ -99,7 +101,8 @@ def estimate_qpmhi(post: Posterior, front: ParetoFront, n_samples: int, seed: in
 
     Improvements are measured against the fixed current front; the front is
     never updated within a draw, and only draws it does not strictly
-    dominate are scored, since no other draw can win.
+    dominate are scored, since no other draw can win. Those are copied out
+    and the draws released before scoring.
 
     With `constraint_post` and `thresholds`, each draw also samples the
     constraints, and a candidate is eligible to win a draw only when every
@@ -124,7 +127,11 @@ def estimate_qpmhi(post: Posterior, front: ParetoFront, n_samples: int, seed: in
         feasible = np.all(con_samples >= thresholds[None, None, :], axis=-1)
     flat = post.sample(n_samples, seed).reshape(-1, post.m)
     dominated = strictly_dominated_mask(flat, front)
-    deltas = _undominated_hvi(flat, front, dominated).reshape(n_samples, post.n)
+    undominated = flat[~dominated]
+    del flat  # _undominated_hvi's scores, with the draws freed before scoring
+    deltas = np.zeros((n_samples, post.n))
+    deltas.reshape(-1)[~dominated] = hvi_many(undominated, front)
+    del undominated
     probs, improving_fraction = _attribute(deltas, n_samples, feasible=feasible)
     membership = 1.0 - dominated.reshape(n_samples, post.n).mean(axis=0)
     return AcquisitionResult(

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acquisition import (
+    AcquisitionResult,
     estimate_qpmhi,
     estimate_qpo,
     qehvi_mc,
@@ -45,8 +46,10 @@ from .pareto import (
     fraction_recovered,
     front_from_dict,
     front_to_dict,
+    hvi_many,
     relative_hvi,
     save_front,
+    strictly_dominated_mask,
     update_front,
     write_metrics_csv,
 )
@@ -300,14 +303,54 @@ def build_initial_data(cfg: CampaignConfig, oracle=None) -> Dataset:
     )
 
 
+def _pool_scores(state: CampaignState, cfg: CampaignConfig, post, open_idx,
+                 seed: int) -> AcquisitionResult:
+    """qpmhi or qpo scores of every pool row, estimated over the rows in
+    `open_idx` alone (every row when it is None).
+
+    Every other row is labeled and sits at its observation, which the front
+    (for qpo, the best observation) already covers, so its improvement is
+    exactly 0 in every draw: it never wins, and its membership and mean
+    improvement are those of L identical draws. The open rows' draws do not
+    depend on the other rows, and open_idx is ascending, so every score is
+    bitwise the whole pool's.
+    """
+    view = post
+    if open_idx is not None:
+        view = dataclasses.replace(post, mean=post.mean[open_idx], stochastic_idx=None)
+    if cfg.acquisition == "qpmhi":
+        scored = estimate_qpmhi(view, state.front, cfg.mc_samples, seed)
+    else:
+        best = float(state.dataset.objectives[:, 0].max())
+        scored = estimate_qpo(view, best, cfg.mc_samples, seed)
+    if open_idx is None:
+        return scored
+    known = np.ones(post.n, dtype=bool)
+    known[open_idx] = False
+    y = post.mean[known]
+    if cfg.acquisition == "qpmhi":
+        filled = (1.0 - strictly_dominated_mask(y, state.front), hvi_many(y, state.front))
+    else:
+        filled = (y[:, 0] >= best, np.maximum(0.0, y[:, 0] - best))
+    scores = []
+    for open_values, known_values in zip(
+            (scored.probs, scored.pareto_membership, scored.mean_hvi), (0.0,) + filled):
+        full = np.empty(post.n)
+        full[open_idx], full[known] = open_values, known_values
+        scores.append(full)
+    return AcquisitionResult(*scores, scored.improving_fraction, scored.n_samples, scored.seed)
+
+
 def select_next(state: CampaignState, cfg: CampaignConfig, pool: list, model=None,
                 posterior_fn=None) -> list:
     """Indices into `pool` of the batch that iteration state.iteration + 1 queries.
 
     Pool rows whose genome is already labeled are pinned at their observed
-    objectives. The surrogate is fitted on state.dataset unless `model`, a
-    fit of that same dataset, is given; `posterior_fn(dataset, pool)`
-    replaces the fitted posterior altogether.
+    objectives, and qpmhi and qpo estimate only the other rows (see
+    _pool_scores). The surrogate is fitted on state.dataset unless `model`,
+    a fit of that same dataset, is given; `posterior_fn(dataset, pool)`
+    replaces the fitted posterior altogether, and then every row is
+    estimated.
     """
     acq_seed = derive_seed(derive_seed(cfg.seed, state.iteration + 1), _STAGE_ACQUISITION)
     q = cfg.batch_size
@@ -323,11 +366,9 @@ def select_next(state: CampaignState, cfg: CampaignConfig, pool: list, model=Non
         known_values = state.dataset.objectives[[labeled_row[pool[i].genome] for i in known_idx]]
         post = pool_posterior(model, np.stack([c.features for c in pool]), known_idx,
                               known_values)
-    if cfg.acquisition == "qpmhi":
-        return select_batch(estimate_qpmhi(post, state.front, cfg.mc_samples, acq_seed), q)
-    if cfg.acquisition == "qpo":
-        best = float(state.dataset.objectives[:, 0].max())
-        return select_batch(estimate_qpo(post, best, cfg.mc_samples, acq_seed), q)
+    if cfg.acquisition in ("qpmhi", "qpo"):
+        open_idx = post.stochastic_idx if posterior_fn is None else None
+        return select_batch(_pool_scores(state, cfg, post, open_idx, acq_seed), q)
     if cfg.acquisition == "qehvi_mc":
         return qehvi_mc(post, state.front, q, cfg.mc_samples, acq_seed)
     if cfg.acquisition == "thompson":

@@ -458,13 +458,14 @@ class Posterior:
         product of the same shape in the same column whatever n_samples is,
         so any single draw is bitwise reproducible in isolation. The normals
         are drawn one block at a time, and BLAS trmm multiplies each block in
-        place by the scaled factor's lower triangle.
+        place by the scaled factor's lower triangle. With every row stochastic
+        each product is added into a slice of the output in place.
         """
         if n_samples < 1:
             raise ValueError("n_samples must be at least 1")
         factors = self._factors()
         u = self.cov.shape[1]
-        idx = np.arange(self.n) if self.stochastic_idx is None else self.stochastic_idx
+        idx = slice(None) if self.stochastic_idx is None else self.stochastic_idx
         out = np.repeat(self.mean[None, :, :], n_samples, axis=0)
         if u == 0:
             return out

@@ -281,6 +281,23 @@ class TestQpo:
             estimate_qpo(post, 0.0, n_samples=8, seed=0)
 
 
+class TestNoCandidates:
+    """A pool whose rows are all labeled leaves no open row to score."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_estimators_return_empty_scores(self, m):
+        post = Posterior(mean=np.zeros((0, m)), cov=np.zeros((m, 0, 0)))
+        results = [estimate_qpmhi(post, build_front(np.ones((1, m)), ["a"], np.zeros(m)),
+                                  n_samples=16, seed=3)]
+        if m == 1:
+            results.append(estimate_qpo(post, 1.0, n_samples=16, seed=3))
+        for res in results:
+            assert res.n == 0
+            assert res.probs.shape == res.pareto_membership.shape == res.mean_hvi.shape == (0,)
+            assert res.improving_fraction == 0.0
+            assert (res.n_samples, res.seed) == (16, 3)
+
+
 class TestConstrained:
     def objective(self):
         return DiscretePosterior(ATOM_VALUES[:3], ATOM_PROBS[:3])

@@ -23,12 +23,15 @@ from poolbo.campaign import (
     resolve_ref_point,
     run,
     save_checkpoint,
+    select_next,
 )
-from poolbo.generation import GeneratorConfig, load_pool, make_featurizer
+from poolbo.acquisition import estimate_qpmhi, estimate_qpo, select_batch
+from poolbo.generation import Candidate, GeneratorConfig, load_pool, make_featurizer
 from poolbo.gp import Dataset, Posterior
 from poolbo.oracles import LookupOracle, OracleError
 from poolbo.files import atomic_write
 from poolbo.pareto import METRICS_HEADER, hvi_many, read_metrics_csv, save_front, write_metrics_csv
+from poolbo.seeds import derive_seed
 
 FEAT = make_featurizer("identity")
 
@@ -558,6 +561,164 @@ class TestZeroVariancePosterior:
         top_q = {f"p{i}" for i in np.argsort(-gains)[:2]}
         assert set(batch) == top_q == {"p0", "p1"}
         assert batch[0] == "p0"  # the certain argmax fills the first slot
+
+
+# labeled designs of the open-row campaigns, with the role each plays at m = 2
+OPEN_ROW_LABELS = {
+    "000011": [4.0, 1.0],  # on the front
+    "001100": [1.0, 4.0],  # on the front
+    "000111": [4.0, 0.5],  # dominated by a front point whose first objective it shares
+    "111000": [1.0, 4.0],  # a copy of a front point: weakly dominated only
+    "110000": [0.0, 5.0],  # on the reference in its first objective
+}
+# labeled and open genomes interleaved; "000011" and "101010" appear twice
+OPEN_ROW_POOL = ["101010", "000011", "010101", "110000", "101010", "000111", "011011",
+                 "001100", "111000", "000011", "100110"]
+
+
+def open_row_campaign(acq):
+    m = 2 if acq == "qpmhi" else 1
+    genomes = list(OPEN_ROW_LABELS)
+    initial = Dataset(
+        ids=tuple(f"l{i}" for i in range(len(genomes))),
+        features=np.stack([FEAT(g) for g in genomes]),
+        objectives=np.array([OPEN_ROW_LABELS[g][:m] for g in genomes]),
+        genomes=tuple(genomes),
+    )
+    cfg = CampaignConfig(iterations=1, batch_size=3, mc_samples=64, n_objectives=m,
+                         acquisition=acq, ref_rule="explicit", ref_point=(0.0,) * m,
+                         pool_path="unread.csv", seed=7)
+    pool = [Candidate(id=f"p{i}", genome=g, features=FEAT(g))
+            for i, g in enumerate(OPEN_ROW_POOL)]
+    return init_campaign(cfg, initial), cfg, pool
+
+
+def spy_on_scoring(monkeypatch, make_posterior=None):
+    """Record select_next's pool posterior (built by make_posterior when
+    given), each estimator call's posterior and the result it ranks."""
+    seen = {"estimated": []}
+    build = make_posterior or campaign_mod.pool_posterior
+
+    def pool_posterior(*args):
+        seen["args"] = args
+        seen["post"] = build(*args)
+        return seen["post"]
+
+    for name in ("estimate_qpmhi", "estimate_qpo"):
+        def estimate(post, *args, _real=getattr(campaign_mod, name)):
+            seen["estimated"].append(post)
+            return _real(post, *args)
+        monkeypatch.setattr(campaign_mod, name, estimate)
+
+    def ranked(result, q):
+        seen["result"] = result
+        return select_batch(result, q)
+
+    monkeypatch.setattr(campaign_mod, "pool_posterior", pool_posterior)
+    monkeypatch.setattr(campaign_mod, "select_batch", ranked)
+    return seen
+
+
+def whole_pool_estimate(post, state, cfg, seed):
+    if cfg.acquisition == "qpmhi":
+        return estimate_qpmhi(post, state.front, cfg.mc_samples, seed)
+    return estimate_qpo(post, float(state.dataset.objectives[:, 0].max()), cfg.mc_samples, seed)
+
+
+def assert_bitwise_equal(result, expected):
+    for name in ("probs", "pareto_membership", "mean_hvi"):
+        assert np.array_equal(getattr(result, name), getattr(expected, name)), name
+    assert result.improving_fraction == expected.improving_fraction
+    assert (result.n_samples, result.seed) == (expected.n_samples, expected.seed)
+
+
+class TestOpenRowScoring:
+    """qpmhi and qpo estimate only the open pool rows and fill the labeled
+    rows from their observations: the result select_batch ranks is bitwise
+    the estimate over the whole pool posterior."""
+
+    @pytest.mark.parametrize("acq", ["qpmhi", "qpo"])
+    def test_scores_are_bitwise_the_whole_pool_estimate(self, monkeypatch, acq):
+        state, cfg, pool = open_row_campaign(acq)
+        seen = spy_on_scoring(monkeypatch)
+        batch = select_next(state, cfg, pool)
+        post, result = seen["post"], seen["result"]
+        open_idx = post.stochastic_idx
+        assert [p.n for p in seen["estimated"]] == [open_idx.size]
+        assert 0 < open_idx.size < len(pool)
+        expected = whole_pool_estimate(post, state, cfg, result.seed)
+        assert_bitwise_equal(result, expected)
+        assert batch == select_batch(expected, cfg.batch_size)
+        assert result.improving_fraction > 0
+        known = np.setdiff1d(np.arange(len(pool)), open_idx)
+        # the labeled rows reach both membership values
+        assert set(result.pareto_membership[known]) == {0.0, 1.0}
+
+    @pytest.mark.parametrize("acq", ["qpmhi", "qpo"])
+    def test_exact_ties_go_to_the_lowest_pool_row(self, monkeypatch, acq):
+        # with zero variance every draw is the mean, so the two copies of
+        # the open genome "101010" tie in every draw
+        state, cfg, pool = open_row_campaign(acq)
+        m = cfg.n_objectives
+        values = dict(OPEN_ROW_LABELS, **{"101010": [5.0, 5.0], "010101": [4.5, 2.0],
+                                          "011011": [0.5, 0.5], "100110": [2.0, 4.5]})
+
+        def exact_pool_posterior(model, features, known_idx, known_values):
+            mean = np.array([values[c.genome][:m] for c in pool])
+            open_idx = np.setdiff1d(np.arange(len(pool)), known_idx)
+            return Posterior(mean=mean, cov=np.zeros((m, open_idx.size, open_idx.size)),
+                             stochastic_idx=open_idx)
+
+        seen = spy_on_scoring(monkeypatch, exact_pool_posterior)
+        batch = select_next(state, cfg, pool)
+        result = seen["result"]
+        expected = whole_pool_estimate(exact_pool_posterior(*seen["args"]), state, cfg,
+                                       result.seed)
+        assert_bitwise_equal(result, expected)
+        assert result.probs[0] == 1.0 and result.probs[4] == 0.0
+        assert batch[0] == 0
+
+    def test_posterior_fn_rows_are_all_estimated(self, tmp_path):
+        # a posterior_fn's deterministic rows need not lie on the front:
+        # here the largest improver is one of them, and it leads the batch
+        table = {"0001": [4.0, 1.0], "0010": [1.0, 4.0], "0100": [5.0, 5.0],
+                 "1000": [4.5, 2.0], "0011": [3.0, 0.5], "0101": [0.5, 3.9]}
+        unlabeled = ["0100", "1000", "0011", "0101"]
+        pool_path = tmp_path / "pool.csv"
+        pool_path.write_text("\n".join(["id,genome"] + [f"p{i},{g}" for i, g in
+                                                         enumerate(unlabeled)]) + "\n")
+        cfg = CampaignConfig(iterations=1, batch_size=2, mc_samples=32,
+                             ref_rule="explicit", ref_point=(0.0, 0.0),
+                             pool_path=str(pool_path), seed=4)
+        initial = Dataset(ids=("a", "b"), features=np.stack([FEAT("0001"), FEAT("0010")]),
+                          objectives=np.array([[4.0, 1.0], [1.0, 4.0]]),
+                          genomes=("0001", "0010"))
+
+        def pinned_first_row(dataset, pool):
+            # row 0 is deterministic, the others carry a small covariance
+            mean = np.array([table[c.genome] for c in pool], dtype=float)
+            cov = np.stack([0.05 * np.eye(len(pool) - 1)] * 2)
+            return Posterior(mean=mean, cov=cov, stochastic_idx=np.arange(1, len(pool)))
+
+        state = init_campaign(cfg, initial)
+        pool = load_pool(str(pool_path), "identity")
+        seed = derive_seed(derive_seed(cfg.seed, 1), campaign_mod._STAGE_ACQUISITION)
+        expected = select_batch(estimate_qpmhi(pinned_first_row(None, pool), state.front,
+                                               cfg.mc_samples, seed), cfg.batch_size)
+        state = run(state, cfg, oracle=LookupOracle(table, m=2), posterior_fn=pinned_first_row)
+        assert list(state.history[0].batch_ids) == [f"p{i}" for i in expected]
+        assert expected[0] == 0
+
+    def test_estimates_once_per_iteration_down_to_no_open_row(self, tmp_path, monkeypatch):
+        pool = write_labeled_pool(tmp_path / "pool.csv", n=8)
+        cfg = static_cfg(pool, iterations=4, batch_size=4, init={"pool_sample": 2})
+        oracle = LookupOracle.from_pool_csv(pool)
+        seen = spy_on_scoring(monkeypatch)
+        state = run(start(cfg, oracle), cfg, oracle=oracle)
+        assert state.dataset.n == 8
+        sizes = [p.n for p in seen["estimated"]]
+        assert len(sizes) == cfg.iterations and sizes[-1] == 0
+        assert seen["result"].n == 8 and seen["result"].improving_fraction == 0.0
 
 
 class TestCheckpoints:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.linalg import blas, cho_solve, lapack, solve_triangular
 from scipy.optimize import minimize
 
 import poolbo.gp as gp
+from poolbo.acquisition import estimate_qpmhi
 from poolbo.gp import (
     BASE_NUGGET,
     JITTER_LADDER,
@@ -32,6 +34,7 @@ from poolbo.gp import (
     squared_distances,
     tanimoto_kernel,
 )
+from poolbo.pareto import build_front
 from poolbo.seeds import child_rng
 from refimpl import (
     gp_posterior_oracle,
@@ -696,6 +699,29 @@ class TestSampling:
             tracemalloc.stop()
         assert len(post.cov.blocks) == 1
         assert peak <= 1.3 * u * u * 8
+
+    def test_qpmhi_frees_its_draws_before_scoring(self):
+        # the open-row view that campaign.select_next scores: once the
+        # undominated draws are copied out, the draws are freed, so the
+        # screen's and the scoring's temporaries never sit beside them
+        # (here 1.56x the draws; keeping them through the scoring, 2.13x)
+        u, n, n_samples = 800, 40, 256
+        data = toy_dataset(seed=2, n=n, d=24, m=2, binary=True)
+        model = fit(data)
+        fresh = (np.random.default_rng(0).random((u, 24)) < 0.5).astype(float)
+        post = pool_posterior(model, np.vstack([data.features, fresh]), np.arange(n),
+                              data.objectives)
+        view = dataclasses.replace(post, mean=post.mean[post.stochastic_idx], stochastic_idx=None)
+        front = build_front(data.objectives, data.ids, data.objectives.min(axis=0) - 1e-6)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = estimate_qpmhi(view, front, n_samples, seed=3)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert result.improving_fraction > 0
+        assert peak <= 1.75 * n_samples * u * 2 * 8
 
     def test_rbf_posterior_allocates_one_block(self):
         # the RBF query kernel is formed in place in its one u x u array
