@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gp import Posterior
-from .pareto import FrontStack, ParetoFront, hvi_many, strictly_dominated_mask
+from .pareto import FrontStack, ParetoFront, hvi_many, strictly_dominated_mask, update_front
 from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -83,15 +83,16 @@ def _attribute(deltas: np.ndarray, n_samples: int, feasible: np.ndarray | None =
     return probs, float(improving_fraction)
 
 
-def _undominated_hvi(flat: np.ndarray, front: ParetoFront, dominated: np.ndarray) -> np.ndarray:
-    """hvi_many over the rows the front does not strictly dominate.
+def _undominated_hvi(rows: np.ndarray, dominated: np.ndarray, front: ParetoFront) -> np.ndarray:
+    """HVI of every point a dominance mask screened, given the rows it left.
 
-    The other rows get exactly 0.0, which is what the box engine gives any
-    weakly dominated point, so the result is bitwise hvi_many(flat, front).
+    rows are the points where dominated is False, in order; the others get
+    exactly 0.0, which is what the box engine gives any weakly dominated
+    point, so the result is bitwise hvi_many of all the points. Callers pass
+    only the rows, so they may free the points before scoring.
     """
-    out = np.zeros(flat.shape[0])
-    scored = ~dominated
-    out[scored] = hvi_many(flat[scored], front)
+    out = np.zeros(dominated.size)
+    out[~dominated] = hvi_many(rows, front)
     return out
 
 
@@ -128,9 +129,8 @@ def estimate_qpmhi(post: Posterior, front: ParetoFront, n_samples: int, seed: in
     flat = post.sample(n_samples, seed).reshape(-1, post.m)
     dominated = strictly_dominated_mask(flat, front)
     undominated = flat[~dominated]
-    del flat  # _undominated_hvi's scores, with the draws freed before scoring
-    deltas = np.zeros((n_samples, post.n))
-    deltas.reshape(-1)[~dominated] = hvi_many(undominated, front)
+    del flat
+    deltas = _undominated_hvi(undominated, dominated, front).reshape(n_samples, post.n)
     del undominated
     probs, improving_fraction = _attribute(deltas, n_samples, feasible=feasible)
     membership = 1.0 - dominated.reshape(n_samples, post.n).mean(axis=0)
@@ -213,19 +213,19 @@ def qehvi_mc(post: Posterior, front: ParetoFront, q: int, n_samples: int, seed: 
     a re-evaluation scores the candidate against every draw's front at once
     (pareto.FrontStack): one box-major product over a padded box array of
     at least two columns, summing each draw's boxes in order, so a per-draw
-    gain is bitwise FrontIndex.gains of that draw alone. At m = 2 a pick is
-    spliced into every draw's column of that array at once; m >= 3 rebuilds
-    each changed draw's front.
+    gain is bitwise hvi_many against that draw's front alone. At m = 2 a
+    pick is spliced into every draw's column of that array at once; m >= 3
+    rebuilds each changed draw's front.
     """
     q = _batch_size(q, post.n)
     if post.m != front.m:
         raise ValueError(f"objective dimensions must match: {post.m} vs {front.m}")
     n = post.n
     samples = post.sample(n_samples, seed)
-    fronts = FrontStack(front.index, n_samples)
+    fronts = FrontStack(front, n_samples)
     flat = samples.reshape(-1, post.m)
-    gains = _undominated_hvi(flat, front, strictly_dominated_mask(flat, front))
-    gains = gains.reshape(n_samples, n).mean(axis=0)
+    dominated = strictly_dominated_mask(flat, front)
+    gains = _undominated_hvi(flat[~dominated], dominated, front).reshape(n_samples, n).mean(axis=0)
     heap = [(-gains[i], i) for i in range(n)]
     heapq.heapify(heap)
     stamp = np.zeros(n, dtype=int)
@@ -260,34 +260,30 @@ def thompson_hvi(post: Posterior, front: ParetoFront, q: int, seed: int) -> list
     """Sequential Thompson batch: draw j's maximizer joins as a fantasy point.
 
     Step j maximizes the sampled hypervolume improvement against the front
-    augmented with earlier fantasies; when nothing improves, the candidate
-    whose draw is least dominated (largest non-domination margin) is taken.
+    augmented with earlier fantasies, scoring only the draws that front does
+    not strictly dominate; when nothing improves, the candidate whose draw
+    is least dominated (largest non-domination margin; against the
+    reference point while the front is empty) is taken.
     """
     q = _batch_size(q, post.n)
     if post.m != front.m:
         raise ValueError(f"objective dimensions must match: {post.m} vs {front.m}")
-    n = post.n
     samples = post.sample(q, seed)
-    index = front.index
-    taken = np.zeros(n, dtype=bool)
+    taken = np.zeros(post.n, dtype=bool)
     selected: list = []
-    for j in range(q):
-        values = samples[j]
-        deltas = index.gains(values)
+    for values in samples:
+        dominated = strictly_dominated_mask(values, front)
+        deltas = _undominated_hvi(values[~dominated], dominated, front)
         deltas[taken] = -np.inf
         if deltas.max() > 0:
             pick = int(np.argmax(deltas))
         else:
-            pts = index.points
-            if pts.shape[0]:
-                margins = _least_margins(values, pts)
-            else:
-                margins = (values - front.ref[None, :]).max(axis=1)
+            margins = _least_margins(values, front.points if front.size else front.ref[None, :])
             margins[taken] = -np.inf
             pick = int(np.argmax(margins))
         selected.append(pick)
         taken[pick] = True
-        index = index.insert(values[pick])
+        front = update_front(front, values[pick])
     return selected
 
 

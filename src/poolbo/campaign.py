@@ -303,34 +303,29 @@ def build_initial_data(cfg: CampaignConfig, oracle=None) -> Dataset:
     )
 
 
-def _pool_scores(state: CampaignState, cfg: CampaignConfig, post, open_idx,
+def _pool_scores(state: CampaignState, cfg: CampaignConfig, post,
                  seed: int) -> AcquisitionResult:
-    """qpmhi or qpo scores of every pool row, estimated over the rows in
-    `open_idx` alone (every row when it is None).
+    """qpmhi or qpo scores of every pool row, estimated over the open rows
+    (post.stochastic_idx) alone.
 
     Every other row is labeled and sits at its observation, which the front
     (for qpo, the best observation) already covers, so its improvement is
     exactly 0 in every draw: it never wins, and its membership and mean
     improvement are those of L identical draws. The open rows' draws do not
-    depend on the other rows, and open_idx is ascending, so every score is
-    bitwise the whole pool's.
+    depend on the other rows, and stochastic_idx is ascending, so every
+    score is bitwise the whole pool's.
     """
-    view = post
-    if open_idx is not None:
-        view = dataclasses.replace(post, mean=post.mean[open_idx], stochastic_idx=None)
-    if cfg.acquisition == "qpmhi":
-        scored = estimate_qpmhi(view, state.front, cfg.mc_samples, seed)
-    else:
-        best = float(state.dataset.objectives[:, 0].max())
-        scored = estimate_qpo(view, best, cfg.mc_samples, seed)
-    if open_idx is None:
-        return scored
+    open_idx = post.stochastic_idx
+    view = dataclasses.replace(post, mean=post.mean[open_idx], stochastic_idx=None)
     known = np.ones(post.n, dtype=bool)
     known[open_idx] = False
     y = post.mean[known]
     if cfg.acquisition == "qpmhi":
+        scored = estimate_qpmhi(view, state.front, cfg.mc_samples, seed)
         filled = (1.0 - strictly_dominated_mask(y, state.front), hvi_many(y, state.front))
     else:
+        best = float(state.dataset.objectives[:, 0].max())
+        scored = estimate_qpo(view, best, cfg.mc_samples, seed)
         filled = (y[:, 0] >= best, np.maximum(0.0, y[:, 0] - best))
     scores = []
     for open_values, known_values in zip(
@@ -341,34 +336,26 @@ def _pool_scores(state: CampaignState, cfg: CampaignConfig, post, open_idx,
     return AcquisitionResult(*scores, scored.improving_fraction, scored.n_samples, scored.seed)
 
 
-def select_next(state: CampaignState, cfg: CampaignConfig, pool: list, model=None,
-                posterior_fn=None) -> list:
+def select_next(state: CampaignState, cfg: CampaignConfig, pool: list, model=None) -> list:
     """Indices into `pool` of the batch that iteration state.iteration + 1 queries.
 
     Pool rows whose genome is already labeled are pinned at their observed
     objectives, and qpmhi and qpo estimate only the other rows (see
     _pool_scores). The surrogate is fitted on state.dataset unless `model`,
-    a fit of that same dataset, is given; `posterior_fn(dataset, pool)`
-    replaces the fitted posterior altogether, and then every row is
-    estimated.
+    a fit of that same dataset, is given.
     """
     acq_seed = derive_seed(derive_seed(cfg.seed, state.iteration + 1), _STAGE_ACQUISITION)
     q = cfg.batch_size
     if cfg.acquisition == "random":
         return random_select(len(pool), q, acq_seed)
-    if posterior_fn is not None:
-        post = posterior_fn(state.dataset, pool)
-    else:
-        if model is None:
-            model = fit(state.dataset, cfg.gp)
-        labeled_row = {g: i for i, g in enumerate(state.dataset.genomes)}
-        known_idx = [i for i, c in enumerate(pool) if c.genome in labeled_row]
-        known_values = state.dataset.objectives[[labeled_row[pool[i].genome] for i in known_idx]]
-        post = pool_posterior(model, np.stack([c.features for c in pool]), known_idx,
-                              known_values)
+    if model is None:
+        model = fit(state.dataset, cfg.gp)
+    labeled_row = {g: i for i, g in enumerate(state.dataset.genomes)}
+    known_idx = [i for i, c in enumerate(pool) if c.genome in labeled_row]
+    known_values = state.dataset.objectives[[labeled_row[pool[i].genome] for i in known_idx]]
+    post = pool_posterior(model, np.stack([c.features for c in pool]), known_idx, known_values)
     if cfg.acquisition in ("qpmhi", "qpo"):
-        open_idx = post.stochastic_idx if posterior_fn is None else None
-        return select_batch(_pool_scores(state, cfg, post, open_idx, acq_seed), q)
+        return select_batch(_pool_scores(state, cfg, post, acq_seed), q)
     if cfg.acquisition == "qehvi_mc":
         return qehvi_mc(post, state.front, q, cfg.mc_samples, acq_seed)
     if cfg.acquisition == "thompson":
@@ -377,15 +364,13 @@ def select_next(state: CampaignState, cfg: CampaignConfig, pool: list, model=Non
 
 
 def run(state: CampaignState, cfg: CampaignConfig, *, oracle=None, metrics_path=None,
-        front_path=None, checkpoint_path=None, true_front_ids=None,
-        posterior_fn=None) -> CampaignState:
+        front_path=None, checkpoint_path=None, true_front_ids=None) -> CampaignState:
     """Advance the campaign from state.iteration to cfg.iterations.
 
     Artifacts, when paths are given, are rewritten after every iteration so
     an interrupted run resumes from the last completed iteration. Candidates
     whose genome is already labeled consume their batch slot but are never
-    re-queried. `posterior_fn(dataset, pool)` overrides the fitted surrogate,
-    which keeps tests and what-if replays cheap.
+    re-queried.
     """
     oracle = resolve_oracle(cfg, oracle)
     static_pool = None
@@ -409,7 +394,7 @@ def run(state: CampaignState, cfg: CampaignConfig, *, oracle=None, metrics_path=
             pool = propose_pool(
                 state.dataset, model, cfg.generator, derive_seed(it_seed, _STAGE_GENERATION)
             )
-        batch = [pool[i] for i in select_next(state, cfg, pool, model, posterior_fn)]
+        batch = [pool[i] for i in select_next(state, cfg, pool, model)]
         new = [c for c in batch if c.genome not in labeled]
         if len(new) < len(batch):
             logger.info(

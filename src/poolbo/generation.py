@@ -177,11 +177,13 @@ def read_pool(path) -> list:
 
     Rows with a previously seen genome are dropped (first occurrence wins);
     duplicate ids, ids empty or holding metrics.csv's batch separator ';',
-    and malformed rows are errors naming the offending row.
+    non-finite objective values and malformed rows are errors naming the
+    offending row.
     """
     seen_keys = set()
     seen_ids = set()
     out = []
+    values = []  # every row's objectives, checked in one call: a call per row tripled the read
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -201,6 +203,7 @@ def read_pool(path) -> list:
                 objs = [float(v) for v in row[2:]]
             except ValueError as exc:
                 raise PoolFormatError(f"row {row_num}: bad objective value ({exc})") from None
+            values.extend(objs)
             if not cid or ";" in cid:
                 raise PoolFormatError(f"row {row_num}: id {cid!r} must be non-empty and free of ';'")
             if cid in seen_ids:
@@ -209,6 +212,11 @@ def read_pool(path) -> list:
             if genome not in seen_keys:
                 seen_keys.add(genome)
                 out.append((row_num, cid, genome, objs))
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite)) // n_obj
+        raise PoolFormatError(f"row {k + 2}: objective values must be finite, "
+                              f"got {values[k * n_obj:(k + 1) * n_obj]}")
     return out
 
 

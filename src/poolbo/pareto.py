@@ -68,7 +68,7 @@ def _dominated_by(points: np.ndarray, others: np.ndarray) -> np.ndarray:
         # stand for no x that large
         xs, top = np.append(x[first], np.nan), np.maximum.reduceat(y, first)
         best = np.append(np.maximum.accumulate(top[::-1])[::-1], -np.inf)
-        chunk = 2 ** 16
+        chunk = 2 ** 12  # 2**16-row chunks' temporaries outgrew a few hundred rows' draws
         for start in range(0, points.shape[0], chunk):
             px, py = points[start:start + chunk, 0], points[start:start + chunk, 1]
             j = np.searchsorted(xs[:-1], px)
@@ -310,7 +310,8 @@ class FrontIndex:
 
 
 class FrontStack:
-    """One front per Monte Carlo draw, each grown by the draw's own values.
+    """One front per Monte Carlo draw, each starting at front and grown by
+    the draw's own values.
 
     boxes is one (m, B, draws) lo/hi pair: column ell holds draw ell's boxes
     in FrontIndex order, then pad boxes at lo = hi = +inf. gains is one
@@ -320,7 +321,8 @@ class FrontStack:
     rebuild each changed draw's FrontIndex.
     """
 
-    def __init__(self, index: FrontIndex, n_draws: int):
+    def __init__(self, front: ParetoFront, n_draws: int):
+        index = front.index
         self.ref = index.ref
         self.indexes = None if index.ref.size == 2 else [index] * n_draws
         self.boxes = np.repeat(np.stack((index.lo, index.hi))[..., None], n_draws, axis=3)

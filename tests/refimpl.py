@@ -6,6 +6,7 @@ from explicit matrix inversion, and acquisition probabilities from exhaustive
 enumeration of joint outcomes. The exceptions are kept as the library wrote
 them before a faster version replaced them, which must match them bit for
 bit: per_draw_qehvi_mc, the greedy select's per-draw loop;
+per_step_thompson, Thompson scoring every row against a growing FrontIndex;
 pairwise_non_dominated_mask, the all-pairs test the two-objective sweep
 replaced; folded_front, build_front as one update_front per point;
 scaled_copy_posterior, which stores one scaled copy of the covariance and
@@ -414,8 +415,8 @@ def per_draw_qehvi_mc(post, front, q: int, n_samples: int, seed: int) -> list:
     # one index per draw; a draw's index is replaced as its batch grows
     fronts = [front.index] * n_samples
     flat = samples.reshape(-1, post.m)
-    gains = _undominated_hvi(flat, front, strictly_dominated_mask(flat, front))
-    gains = gains.reshape(n_samples, n).mean(axis=0)
+    dominated = strictly_dominated_mask(flat, front)
+    gains = _undominated_hvi(flat[~dominated], dominated, front).reshape(n_samples, n).mean(axis=0)
     heap = [(-gains[i], i) for i in range(n)]
     heapq.heapify(heap)
     stamp = np.zeros(n, dtype=int)
@@ -433,4 +434,34 @@ def per_draw_qehvi_mc(post, front, q: int, n_samples: int, seed: int) -> list:
             heapq.heappush(heap, (-fresh, i))
         for ell in range(n_samples):
             fronts[ell] = fronts[ell].insert(samples[ell, selected[-1]])
+    return selected
+
+
+def per_step_thompson(post, front, q: int, seed: int) -> list:
+    """thompson_hvi scoring every pool row of each step's draw with
+    FrontIndex.gains, and growing the fantasy front by FrontIndex.insert."""
+    from poolbo.acquisition import _batch_size, _least_margins
+
+    q = _batch_size(q, post.n)
+    if post.m != front.m:
+        raise ValueError(f"objective dimensions must match: {post.m} vs {front.m}")
+    samples = post.sample(q, seed)
+    index = front.index
+    taken = np.zeros(post.n, dtype=bool)
+    selected: list = []
+    for values in samples:
+        deltas = index.gains(values)
+        deltas[taken] = -np.inf
+        if deltas.max() > 0:
+            pick = int(np.argmax(deltas))
+        else:
+            if index.points.shape[0]:
+                margins = _least_margins(values, index.points)
+            else:
+                margins = (values - front.ref[None, :]).max(axis=1)
+            margins[taken] = -np.inf
+            pick = int(np.argmax(margins))
+        selected.append(pick)
+        taken[pick] = True
+        index = index.insert(values[pick])
     return selected

@@ -27,6 +27,7 @@ from refimpl import (
     broadcast_margins,
     greedy_joint_ehvi_trace,
     per_draw_qehvi_mc,
+    per_step_thompson,
     tiered_batch,
 )
 
@@ -559,6 +560,50 @@ class TestThompson:
             values = rng.integers(-3, 4, size=(n, m)) / 2.0
             points = rng.integers(-3, 4, size=(f, m)) / 2.0
             assert np.array_equal(_least_margins(values, points), broadcast_margins(values, points))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("empty", [True, False])
+    def test_matches_per_step_reference(self, m, empty):
+        rng = np.random.default_rng(20 + m)
+        ref = np.zeros(m)
+        front = (ParetoFront.empty(ref) if empty
+                 else build_front(rng.uniform(0.5, 2.0, size=(6, m)), range(6), ref))
+        for seed in range(4):
+            post = gaussian(rng.uniform(-0.2, 2.5, size=(30, m)), scale=0.2, seed=seed)
+            picked = thompson_hvi(post, front, q=12, seed=seed)
+            assert picked == per_step_thompson(post, front, q=12, seed=seed)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_pinned_pool_posterior_matches_per_step_reference(self, scored_pool, m):
+        cands, objectives, labeled = scored_pool
+        # a third objective drawn per row, so the m = 3 pool has labels too
+        extra = np.random.default_rng(4).random((len(cands), 1))
+        y = np.hstack([objectives, extra])[labeled, :m]
+        post, front = pinned_posterior(cands, y, labeled)
+        picked = thompson_hvi(post, front, q=40, seed=11)
+        assert not set(picked) & set(labeled.tolist())
+        assert picked == per_step_thompson(post, front, q=40, seed=11)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("empty", [True, False])
+    def test_margin_fallback_matches_per_step_reference(self, m, empty):
+        """Zero-variance draws on a coarse grid: once the best rows join the
+        fantasy front nothing improves, so later steps take the margin
+        fallback; with an empty front and every row below the reference in
+        some objective, every step does, against the reference point."""
+        rng = np.random.default_rng(m)
+        ref = np.zeros(m)
+        front = ParetoFront.empty(ref) if empty else build_front(np.ones((1, m)), ["a"], ref)
+        mean = rng.integers(-2, 5, size=(25, m)) / 2.0
+        if empty:
+            mean[np.arange(25), rng.integers(m, size=25)] = rng.integers(-2, 1, size=25) / 2.0
+        # a row that improves nothing now never does, so taking it is a fallback
+        zero = hvi_many(mean, front) == 0.0
+        assert zero.all() if empty else zero.sum() > 5
+        post = deterministic(mean)
+        picked = thompson_hvi(post, front, q=25, seed=0)
+        assert sorted(picked) == list(range(25))
+        assert picked == per_step_thompson(post, front, q=25, seed=0)
 
     def test_truncates_and_validates(self):
         post = deterministic([[3.0, 3.0]])

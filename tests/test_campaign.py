@@ -31,7 +31,6 @@ from poolbo.gp import Dataset, Posterior
 from poolbo.oracles import LookupOracle, OracleError
 from poolbo.files import atomic_write
 from poolbo.pareto import METRICS_HEADER, hvi_many, read_metrics_csv, save_front, write_metrics_csv
-from poolbo.seeds import derive_seed
 
 FEAT = make_featurizer("identity")
 
@@ -521,7 +520,7 @@ class TestZeroVariancePosterior:
     candidates by posterior-mean hypervolume improvement, when exactly q of
     them improve at all."""
 
-    def test_batch_is_the_top_q_improvement_set(self, tmp_path):
+    def test_batch_is_the_top_q_improvement_set(self, tmp_path, monkeypatch):
         table = {
             "0001": [4.0, 1.0],   # labeled, on the front
             "0010": [1.0, 4.0],   # labeled, on the front
@@ -550,11 +549,16 @@ class TestZeroVariancePosterior:
         )
         state = init_campaign(cfg, initial)
 
-        def exact_posterior(dataset, pool):
-            mean = np.array([table[c.genome] for c in pool], dtype=float)
-            return Posterior(mean=mean, cov=np.zeros((2, len(pool), len(pool))))
+        pool = load_pool(str(pool_path), "identity")
 
-        state = run(state, cfg, oracle=oracle, posterior_fn=exact_posterior)
+        def exact_pool_posterior(model, features, known_idx, known_values):
+            mean = np.array([table[c.genome] for c in pool], dtype=float)
+            open_idx = np.setdiff1d(np.arange(len(pool)), known_idx)
+            return Posterior(mean=mean, cov=np.zeros((2, open_idx.size, open_idx.size)),
+                             stochastic_idx=open_idx)
+
+        monkeypatch.setattr(campaign_mod, "pool_posterior", exact_pool_posterior)
+        state = run(state, cfg, oracle=oracle)
         batch = state.history[0].batch_ids
         mean = np.array([table[g] for g in unlabeled])
         gains = hvi_many(mean, state.front)  # front only grew, gains ranking unchanged
@@ -677,37 +681,6 @@ class TestOpenRowScoring:
         assert_bitwise_equal(result, expected)
         assert result.probs[0] == 1.0 and result.probs[4] == 0.0
         assert batch[0] == 0
-
-    def test_posterior_fn_rows_are_all_estimated(self, tmp_path):
-        # a posterior_fn's deterministic rows need not lie on the front:
-        # here the largest improver is one of them, and it leads the batch
-        table = {"0001": [4.0, 1.0], "0010": [1.0, 4.0], "0100": [5.0, 5.0],
-                 "1000": [4.5, 2.0], "0011": [3.0, 0.5], "0101": [0.5, 3.9]}
-        unlabeled = ["0100", "1000", "0011", "0101"]
-        pool_path = tmp_path / "pool.csv"
-        pool_path.write_text("\n".join(["id,genome"] + [f"p{i},{g}" for i, g in
-                                                         enumerate(unlabeled)]) + "\n")
-        cfg = CampaignConfig(iterations=1, batch_size=2, mc_samples=32,
-                             ref_rule="explicit", ref_point=(0.0, 0.0),
-                             pool_path=str(pool_path), seed=4)
-        initial = Dataset(ids=("a", "b"), features=np.stack([FEAT("0001"), FEAT("0010")]),
-                          objectives=np.array([[4.0, 1.0], [1.0, 4.0]]),
-                          genomes=("0001", "0010"))
-
-        def pinned_first_row(dataset, pool):
-            # row 0 is deterministic, the others carry a small covariance
-            mean = np.array([table[c.genome] for c in pool], dtype=float)
-            cov = np.stack([0.05 * np.eye(len(pool) - 1)] * 2)
-            return Posterior(mean=mean, cov=cov, stochastic_idx=np.arange(1, len(pool)))
-
-        state = init_campaign(cfg, initial)
-        pool = load_pool(str(pool_path), "identity")
-        seed = derive_seed(derive_seed(cfg.seed, 1), campaign_mod._STAGE_ACQUISITION)
-        expected = select_batch(estimate_qpmhi(pinned_first_row(None, pool), state.front,
-                                               cfg.mc_samples, seed), cfg.batch_size)
-        state = run(state, cfg, oracle=LookupOracle(table, m=2), posterior_fn=pinned_first_row)
-        assert list(state.history[0].batch_ids) == [f"p{i}" for i in expected]
-        assert expected[0] == 0
 
     def test_estimates_once_per_iteration_down_to_no_open_row(self, tmp_path, monkeypatch):
         pool = write_labeled_pool(tmp_path / "pool.csv", n=8)

@@ -206,6 +206,15 @@ class TestRun:
         assert "row 2: id 'a;b'" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
+    def test_non_finite_pool_label_exits_2(self, tmp_path, pool_csv, capsys):
+        lines = pool_csv.read_text().splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + ",nan"
+        pool_csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "camp"
+        assert main(["run", write_json(tmp_path / "c.json", run_config(pool_csv, out))]) == 2
+        assert "row 6: objective values must be finite" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
     def test_missing_output_dir(self, tmp_path, pool_csv, capsys):
         payload = run_config(pool_csv, tmp_path / "camp")
         del payload["output_dir"]

@@ -120,6 +120,12 @@ class TestLoadPool:
         with pytest.raises(PoolFormatError, match="row 2"):
             load_pool(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_objective_value_names_row(self, tmp_path, value):
+        path = write_csv(tmp_path / "p.csv", f"id,genome,obj_1,obj_2\na,01,1.0,2.0\nb,10,0.5,{value}\n")
+        with pytest.raises(PoolFormatError, match="row 3: objective values must be finite"):
+            read_pool(path)
+
     def test_unlabeled_pool_has_no_objectives(self, tmp_path):
         path = write_csv(tmp_path / "p.csv", "id,genome\na,01\n")
         assert read_pool(path) == [(2, "a", "01", [])]

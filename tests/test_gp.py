@@ -700,12 +700,15 @@ class TestSampling:
         assert len(post.cov.blocks) == 1
         assert peak <= 1.3 * u * u * 8
 
-    def test_qpmhi_frees_its_draws_before_scoring(self):
+    @pytest.mark.parametrize("u", [300, 800])
+    def test_qpmhi_frees_its_draws_before_scoring(self, u):
         # the open-row view that campaign.select_next scores: once the
         # undominated draws are copied out, the draws are freed, so the
         # screen's and the scoring's temporaries never sit beside them
-        # (here 1.56x the draws; keeping them through the scoring, 2.13x)
-        u, n, n_samples = 800, 40, 256
+        # (1.50x the draws; keeping them through the scoring, 2.13x at
+        # u = 800). At u = 300 the m = 2 screen's chunk temporaries set the
+        # peak: 2.40x the draws with 2**16-row chunks.
+        n, n_samples = 40, 256
         data = toy_dataset(seed=2, n=n, d=24, m=2, binary=True)
         model = fit(data)
         fresh = (np.random.default_rng(0).random((u, 24)) < 0.5).astype(float)

@@ -167,6 +167,16 @@ class TestNonDominatedMask:
         pts = rng.integers(0, 6, size=(1500, 3)).astype(float)
         np.testing.assert_array_equal(non_dominated_mask(pts), pairwise_non_dominated_mask(pts))
 
+    def test_two_objective_screen_across_chunks_matches_pairwise(self):
+        # 2 * 4096 + 1 rows make the sweep take three chunks, the last of
+        # one row; half-integer levels tie with the front's coordinates
+        rng = np.random.default_rng(4)
+        front = build_front(rng.integers(0, 12, size=(60, 2)) / 2.0, range(60), (-1.0, -1.0))
+        pts = rng.integers(-1, 13, size=(2 * 4096 + 1, 2)) / 2.0
+        ge = (front.points[None, :, :] >= pts[:, None, :]).all(axis=-1)
+        gt = (front.points[None, :, :] > pts[:, None, :]).any(axis=-1)
+        np.testing.assert_array_equal(strictly_dominated_mask(pts, front), (ge & gt).any(axis=1))
+
 
 class TestUpdateFront:
     def make_front(self):
@@ -522,7 +532,7 @@ def grown_stack(m, n_draws, steps, seed):
     alone by FrontIndex.insert. Every other step draws from a half-step grid
     that includes the reference, so values tie with incumbents and with ref."""
     rng = np.random.default_rng(seed)
-    stack = FrontStack(FrontIndex(np.empty((0, m)), np.zeros(m)), n_draws)
+    stack = FrontStack(ParetoFront.empty(np.zeros(m)), n_draws)
     alone = [FrontIndex(np.empty((0, m)), np.zeros(m))] * n_draws
     for step in range(steps):
         values = rng.uniform(0.0, 2.5, size=(n_draws, m))
@@ -538,7 +548,7 @@ def sphere_stack(m, n_draws, n_points, seed):
     positive unit sphere, so every point joins its front and the box count
     grows with each insert, and each draw's index grown alone."""
     rng = np.random.default_rng(seed)
-    stack = FrontStack(FrontIndex(np.empty((0, m)), np.zeros(m)), n_draws)
+    stack = FrontStack(ParetoFront.empty(np.zeros(m)), n_draws)
     alone = [FrontIndex(np.empty((0, m)), np.zeros(m))] * n_draws
     for _ in range(n_points):
         values = np.abs(rng.normal(size=(n_draws, m)))
@@ -624,7 +634,7 @@ class TestFrontStack:
         corner of a run of front points, which it weakly dominates."""
         rng = np.random.default_rng(n_draws)
         ref = np.zeros(2)
-        stack = FrontStack(FrontIndex(np.empty((0, 2)), ref), n_draws)
+        stack = FrontStack(ParetoFront.empty(ref), n_draws)
         alone = [FrontIndex(np.empty((0, 2)), ref)] * n_draws
         most = 1
         for _ in range(60):
