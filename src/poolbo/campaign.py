@@ -129,6 +129,7 @@ class CampaignConfig:
             raise ValueError("ref_epsilon must be positive")
         if (self.generator is None) == (self.pool_path is None):
             raise ValueError("set exactly one of generator and pool_path")
+        make_featurizer(self.featurizer)  # a bad name fails here, not at the first design
         if self.generator is not None and self.featurizer != "identity":
             raise ValueError("featurizer is for pool_path campaigns; set generator.featurizer")
         if self.generator is not None and self.batch_size > self.generator.pool_size:

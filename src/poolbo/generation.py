@@ -2,19 +2,20 @@
 from the labeled dataset, and known-constraint filtering.
 
 Genomes are strings: fixed-length bitstrings or whitespace-free token
-sequences (one character per token). Feature vectors come from a registered
-featurizer, so the rest of the pipeline never inspects genomes directly.
+sequences (one character per token). The genetic proposer breeds them as
+integer arrays of their symbols' ranks in the sorted alphabet. Feature vectors
+come from a registered featurizer, so the rest of the pipeline never inspects
+genomes directly.
 """
 from __future__ import annotations
 
 import csv
 import logging
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .gp import Dataset, GpModel, posterior
+from .gp import Dataset, GpModel, posterior_mean
 from .pareto import build_front, hvi_many, non_dominated_mask
 from .seeds import child_rng
 
@@ -77,6 +78,7 @@ class GeneratorConfig:
         if self.elite_fraction + self.random_fraction > 1.0 + 1e-12:
             raise ValueError("elite_fraction + random_fraction must not exceed 1")
         object.__setattr__(self, "constraints", tuple(self.constraints))
+        make_featurizer(self.featurizer)  # a bad name fails here, not at the first pool
 
 
 # ---------------------------------------------------------------------------
@@ -96,31 +98,51 @@ def genome_alphabet(genomes) -> str:
     return "01" if symbols <= {"0", "1"} else "".join(sorted(symbols))
 
 
+def _code_points(text: str) -> np.ndarray:
+    """The code point of each symbol of text, whatever its plane."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+
+
+def _decode(symbols: np.ndarray, codes: np.ndarray) -> str:
+    """The genome whose i-th symbol is symbols[codes[i]]."""
+    return symbols[codes].tobytes().decode("utf-32-le", "surrogatepass")
+
+
 def make_featurizer(name: str, alphabet: str = "01"):
     """Resolve a featurizer name: "identity" or "kgram:<k>".
 
     The k-gram featurizer counts overlapping windows against the full
-    alphabet^k vocabulary so its dimensionality is fixed for a campaign.
+    alphabet^k vocabulary, in the lexicographic order of the sorted
+    alphabet, so its dimensionality is fixed for a campaign. Each window is
+    coded as a base-|alphabet| number whose digits are its symbols' ranks,
+    and one bincount counts the codes.
     """
     if name == "identity":
         return _identity_features
-    if name.startswith("kgram:"):
+    if not name.startswith("kgram:"):
+        raise ValueError(f"unknown featurizer: {name}")
+    try:
         k = int(name.split(":", 1)[1])
-        if k < 1:
-            raise ValueError("k-gram size must be at least 1")
-        vocab = {"".join(gram): i for i, gram in enumerate(product(sorted(alphabet), repeat=k))}
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise ValueError(f"unknown featurizer: {name} (k must be an integer of at least 1)")
+    symbols = np.unique(_code_points(alphabet))
+    members = set(alphabet)
+    digits = len(symbols) ** np.arange(k)  # convolve flips them: the first symbol leads
+    size = len(symbols) ** k
 
-        def kgram_features(genome: str) -> np.ndarray:
-            out = np.zeros(len(vocab))
-            for start in range(len(genome) - k + 1):
-                gram = genome[start:start + k]
-                if gram not in vocab:
-                    raise ValueError(f"genome symbol outside alphabet {alphabet!r}: {gram!r}")
-                out[vocab[gram]] += 1.0
-            return out
+    def kgram_features(genome: str) -> np.ndarray:
+        if len(genome) < k:
+            return np.zeros(size)
+        if not members.issuperset(genome):
+            start = max(0, [ch in members for ch in genome].index(False) - k + 1)
+            raise ValueError(f"genome symbol outside alphabet {alphabet!r}: "
+                             f"{genome[start:start + k]!r}")
+        codes = np.searchsorted(symbols, _code_points(genome))
+        return np.bincount(np.convolve(codes, digits, "valid"), minlength=size).astype(float)
 
-        return kgram_features
-    raise ValueError(f"unknown featurizer: {name}")
+    return kgram_features
 
 
 # ---------------------------------------------------------------------------
@@ -244,32 +266,35 @@ def featurize_rows(rows, featurizer: str, alphabet: str) -> list:
 # genetic proposer
 
 def random_genome(rng: np.random.Generator, alphabet: str, length: int) -> str:
-    return "".join(alphabet[i] for i in rng.integers(0, len(alphabet), size=length))
+    return _decode(_code_points(alphabet), rng.integers(0, len(alphabet), size=length))
 
 
-def _crossover(rng: np.random.Generator, a: str, b: str, mode: str) -> str:
+def _breed(rng: np.random.Generator, a: np.ndarray, b: np.ndarray, cfg: GeneratorConfig,
+           n_symbols: int) -> np.ndarray:
+    """A child of the code arrays a and b: crossover, then mutation.
+
+    With both parents at least two symbols long the child is b with some of
+    a's codes copied in: one-point crossover copies those before a random
+    cut, uniform crossover each one over the common length on a coin flip.
+    Otherwise it is a copy of a, drawing nothing. Mutation then moves each
+    symbol, with probability mutation_rate, to one of the other n_symbols - 1,
+    drawn in turn.
+    """
     if len(a) < 2 or len(b) < 2:
-        return a
-    if mode == "one_point":
+        child = a.copy()
+    elif cfg.crossover == "one_point":
+        child = b.copy()
         point = int(rng.integers(1, min(len(a), len(b))))
-        return a[:point] + b[point:]
-    cut = min(len(a), len(b))
-    picks = rng.integers(0, 2, size=cut)
-    head = "".join(a[i] if picks[i] == 0 else b[i] for i in range(cut))
-    return head + b[cut:]
-
-
-def _mutate(rng: np.random.Generator, genome: str, rate: float, alphabet: str) -> str:
-    if rate <= 0.0 or len(alphabet) < 2:
-        return genome
-    flips = rng.random(len(genome)) < rate
-    if not flips.any():
-        return genome
-    chars = list(genome)
-    for i in np.flatnonzero(flips):
-        options = alphabet.replace(chars[i], "")
-        chars[i] = options[int(rng.integers(0, len(options)))] if options else chars[i]
-    return "".join(chars)
+        child[:point] = a[:point]
+    else:
+        child = b.copy()
+        cut = min(len(a), len(b))
+        np.copyto(child[:cut], a[:cut], where=rng.integers(0, 2, size=cut) == 0)
+    if cfg.mutation_rate > 0.0 and n_symbols > 1:
+        for i in (rng.random(len(child)) < cfg.mutation_rate).nonzero()[0]:
+            other = rng.integers(0, n_symbols - 1)
+            child[i] = other + (other >= child[i])
+    return child
 
 
 def _parent_weights(data: Dataset, model: GpModel | None, cfg: GeneratorConfig) -> np.ndarray:
@@ -278,7 +303,7 @@ def _parent_weights(data: Dataset, model: GpModel | None, cfg: GeneratorConfig) 
         return np.full(n, 1.0 / n)
     # softmax over standardized posterior-mean improvement; the internal
     # reference sits just under the labeled nadir so every point scores
-    post_mean = posterior(model, data.features).mean
+    post_mean = posterior_mean(model, data.features)
     lo = data.objectives.min(axis=0)
     spread = data.objectives.max(axis=0) - lo
     ref = lo - np.where(spread > 0, 1e-9 * spread, 1.0)
@@ -315,6 +340,9 @@ def propose_pool(data: Dataset, model: GpModel | None, cfg: GeneratorConfig, see
     n_elite = int(cfg.elite_fraction * n_total + 1e-9)
     n_random = int(cfg.random_fraction * n_total + 1e-9)
     cap = ATTEMPT_CAP_FACTOR * n_total
+    # genomes breed as arrays of their symbols' ranks in the sorted alphabet
+    symbols = _code_points(alphabet)
+    parents = [np.searchsorted(symbols, _code_points(g)) for g in genomes]
 
     pool: list = []
     keys: set = set()
@@ -333,7 +361,7 @@ def propose_pool(data: Dataset, model: GpModel | None, cfg: GeneratorConfig, see
         admit(data.ids[i], genomes[i])
     n_copied = len(pool)
 
-    weights = None
+    cdf = None
     attempts = 0
     random_quota = min(n_random, n_total - len(pool))
     random_done = 0
@@ -345,12 +373,14 @@ def propose_pool(data: Dataset, model: GpModel | None, cfg: GeneratorConfig, see
             if admit(f"gen-{seed:x}-{attempts - 1}", random_genome(rng, alphabet, length)):
                 random_done += 1
             continue
-        if weights is None:
-            weights = _parent_weights(data, model, cfg)
-        pa, pb = rng.choice(len(genomes), size=2, p=weights)
-        child = _crossover(rng, genomes[int(pa)], genomes[int(pb)], cfg.crossover)
-        child = _mutate(rng, child, cfg.mutation_rate, alphabet)
-        admit(f"gen-{seed:x}-{attempts - 1}", child)
+        if cdf is None:
+            # Generator.choice(n, size=2, p=weights) draws its pair as this
+            # normalized cumulative sum searched at two uniforms
+            cdf = _parent_weights(data, model, cfg).cumsum()
+            cdf /= cdf[-1]
+        pa, pb = cdf.searchsorted(rng.random(2), side="right")
+        child = _breed(rng, parents[pa], parents[pb], cfg, len(symbols))
+        admit(f"gen-{seed:x}-{attempts - 1}", _decode(symbols, child))
 
     if len(pool) < n_total:
         accepted = len(pool) - n_copied

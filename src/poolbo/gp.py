@@ -214,13 +214,17 @@ def _jittered_cholesky(a: np.ndarray, ladder, error=NumericalError):
     raise error(f"matrix singular: not positive definite with jitter up to {ladder[-1]:.0e}")
 
 
+def _nugget_ladder(start_nugget: float) -> list:
+    """start_nugget doubled until it would pass MAX_NUGGET."""
+    doubling = (start_nugget * 2.0 ** k for k in itertools.count())
+    return list(itertools.takewhile(lambda nugget: nugget <= MAX_NUGGET, doubling))
+
+
 def _escalated_cholesky(a: np.ndarray, start_nugget: float):
     """(lower factor, nugget) of a + nugget*I, doubling the nugget until it
     factorizes. a, symmetric and C-ordered, becomes the factor in place: its
     strict upper triangle is zeroed a tile at a time, making no n x n copy."""
-    doubling = (start_nugget * 2.0 ** k for k in itertools.count())
-    ladder = list(itertools.takewhile(lambda nugget: nugget <= MAX_NUGGET, doubling))
-    nugget = _jittered_cholesky(a, ladder, FitError)[1]
+    nugget = _jittered_cholesky(a, _nugget_ladder(start_nugget), FitError)[1]
     for r in range(0, len(a), TILE):
         a[r:r + TILE, r + TILE:] = 0.0
         a[r:r + TILE, r:r + TILE] = np.tril(a[r:r + TILE, r:r + TILE])
@@ -271,7 +275,8 @@ def _profile_sigma2(s: float, n: int, pinned: float | None) -> float:
     """The signal variance maximising the LML, given s = z' K^-1 z over n points."""
     if pinned is not None:
         return float(pinned)
-    return float(np.clip(s / max(n, 1), *SIGNAL_VARIANCE_BOUNDS))
+    low, high = SIGNAL_VARIANCE_BOUNDS
+    return float(min(max(s / max(n, 1), low), high))
 
 
 def _lml(chol: np.ndarray, s: float, sigma2: float) -> float:
@@ -289,7 +294,8 @@ def _normalized(y: np.ndarray):
 
 
 def _search_lengthscales(d2: np.ndarray, zs: list, config: GpConfig) -> list:
-    """Each normalized target's LML-maximising RBF lengthscale.
+    """Each normalized target's LML-maximising RBF lengthscale, given the
+    squared distances d2, which become -0.5 d2 in place.
 
     Each kernel on a log-spaced grid is factored once and scores every
     target with its own solve, so a target's lengthscale depends on it
@@ -303,20 +309,32 @@ def _search_lengthscales(d2: np.ndarray, zs: list, config: GpConfig) -> list:
             else np.mean(np.log(LENGTHSCALE_BOUNDS), keepdims=True))
     edges = np.concatenate([np.log(LENGTHSCALE_BOUNDS[:1]), grid, np.log(LENGTHSCALE_BOUNDS[1:])])
 
+    # each kernel is exp(-0.5 d2 / exp(2t)), formed and factored in one reused
+    # buffer whose strict upper triangle keeps the matrix: neither _lml nor
+    # the solves (cho_solve's LAPACK potrs, without its wrapper) read it
+    half_d2 = np.multiply(d2, -0.5, out=d2)
+    kernel = np.empty_like(d2)
+    ladder = _nugget_ladder(config.nugget)
+
     def neg_lmls(t, targets):
+        np.divide(half_d2, np.exp(2.0 * t), out=kernel)
+        np.exp(kernel, out=kernel)
         # each factorisation escalates from config.nugget, so LML(t) is a pure function
-        chol = _escalated_cholesky(np.exp(-0.5 * d2 / np.exp(2.0 * t)), config.nugget)[0]
-        ss = [float(z @ cho_solve((chol.T, False), z)) for z in targets]
-        return [-_lml(chol, s, _profile_sigma2(s, len(d2), config.signal_variance)) for s in ss]
+        _jittered_cholesky(kernel, ladder, FitError)
+        ss = [float(z @ lapack.dpotrs(kernel.T, z, lower=0)[0]) for z in targets]
+        return [-_lml(kernel, s, _profile_sigma2(s, len(d2), config.signal_variance)) for s in ss]
 
     lengthscales = []
     for z, f in zip(zs, np.array([neg_lmls(t, zs) for t in grid]).T):
-        on_grid = dict(zip(grid.tolist(), f.tolist()))  # refining factors no grid point again
+        # z's score at each point it has reached, so that refining factors no
+        # grid point again, nor a point L-BFGS-B comes back to
+        seen = dict(zip(grid.tolist(), f.tolist()))
         padded = np.concatenate([[np.inf], f, [np.inf]])
         # a finite-difference step of 1e-5 in log-lengthscale stays above the
         # rounding noise of an ill-conditioned LML, which 1e-8 does not; a
         # slope under 1e-3 nats per unit log-lengthscale counts as flat
-        runs = [minimize(lambda t: on_grid[t[0]] if t[0] in on_grid else neg_lmls(t[0], [z])[0],
+        runs = [minimize(lambda t: seen[t[0]] if t[0] in seen
+                         else seen.setdefault(t[0], neg_lmls(t[0], [z])[0]),
                          [grid[i]], method="L-BFGS-B", bounds=[edges[i:i + 3:2]],
                          options={"eps": 1e-5, "gtol": 1e-3})
                 for i in np.flatnonzero((f < padded[:-2]) & (f <= padded[2:]))]
@@ -347,7 +365,7 @@ def fit(data: Dataset, config: GpConfig = GpConfig()) -> GpModel:
     for (out_mean, out_std, z), lengthscale in zip(columns, lengthscales):
         chol, nugget = factors[lengthscale]
         # LAPACK solves with chol.T, the F-ordered upper factor, without a copy
-        alpha = cho_solve((chol.T, False), z)
+        alpha = cho_solve((chol.T, False), z, check_finite=False)
         sigma2 = _profile_sigma2(float(z @ alpha), z.size, config.signal_variance)
         parts.append(_ObjectiveGp(kernel, lengthscale, sigma2, nugget, out_mean, out_std, alpha, chol))
     return GpModel(data=data, parts=parts)
@@ -483,6 +501,36 @@ class Posterior:
         return out
 
 
+def _kernel_groups(model: GpModel, features) -> tuple:
+    """(query features, objective indices by (kernel, lengthscale, nugget));
+    the objectives of a group share one training factor."""
+    Xq = np.asarray(features, dtype=float)
+    if Xq.ndim != 2 or Xq.shape[1] != model.data.d:
+        raise ValueError(f"query features must be (n, {model.data.d}), got {Xq.shape}")
+    groups: dict = {}
+    for j, part in enumerate(model.parts):
+        groups.setdefault((part.kernel, part.lengthscale, part.nugget), []).append(j)
+    return Xq, groups
+
+
+def _group_mean(model: GpModel, members: list, rq: np.ndarray, mean: np.ndarray) -> None:
+    """Write one kernel group's posterior means into mean's member columns,
+    given the group's cross-kernel block rq = k(Xq, X)."""
+    for j in members:
+        part = model.parts[j]
+        mean[:, j] = part.out_mean + part.out_std * (rq @ part.alpha)
+
+
+def posterior_mean(model: GpModel, features) -> np.ndarray:
+    """The posterior mean over query features, without the covariance:
+    bitwise posterior(model, features).mean."""
+    Xq, groups = _kernel_groups(model, features)
+    mean = np.empty((Xq.shape[0], model.m))
+    for (kind, lengthscale, _), members in groups.items():
+        _group_mean(model, members, _kernel(kind, lengthscale, Xq, model.data.features), mean)
+    return mean
+
+
 def posterior(model: GpModel, features) -> Posterior:
     """Exact joint posterior over query features, one covariance block per objective.
 
@@ -497,22 +545,14 @@ def posterior(model: GpModel, features) -> Posterior:
     `jitter` records c times the normalized jitter and no jitter depends on
     the objectives' units.
     """
-    Xq = np.asarray(features, dtype=float)
-    if Xq.ndim != 2 or Xq.shape[1] != model.data.d:
-        raise ValueError(f"query features must be (n, {model.data.d}), got {Xq.shape}")
-    X = model.data.features
+    Xq, groups = _kernel_groups(model, features)
     u = Xq.shape[0]
     mean, jitter = np.empty((u, model.m)), np.empty(model.m)
     scale = np.array([part.signal_variance for part in model.parts])
-    groups: dict = {}
-    for j, part in enumerate(model.parts):
-        groups.setdefault((part.kernel, part.lengthscale, part.nugget), []).append(j)
     group, blocks, diags = np.empty(model.m, dtype=int), [], []
     for g, ((kind, lengthscale, _), members) in enumerate(groups.items()):
-        rq = _kernel(kind, lengthscale, Xq, X)
-        for j in members:
-            part = model.parts[j]
-            mean[:, j] = part.out_mean + part.out_std * (rq @ part.alpha)
+        rq = _kernel(kind, lengthscale, Xq, model.data.features)
+        _group_mean(model, members, rq, mean)
         v = solve_triangular(model.parts[members[0]].chol, rq.T, lower=True)
         del rq
         blk = _kernel(kind, lengthscale, Xq, Xq)

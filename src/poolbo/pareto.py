@@ -168,8 +168,13 @@ def update_front(front: ParetoFront, values, point_id=None) -> ParetoFront:
     keep = _admitted(front.points, y, front.ref)
     if keep is None:
         return front
-    new_ids = tuple(i for i, k in zip(front.ids, keep) if k) + (point_id,)
-    return ParetoFront(points=np.vstack([front.points[keep], y[None, :]]), ids=new_ids, ref=front.ref)
+    # the incumbents were a front and _admitted let y in, so the result is
+    # finite, above ref and mutually non-dominated: it skips __post_init__'s
+    # checks, which cost a dominance sweep per admitted point
+    out = object.__new__(ParetoFront)
+    out.__dict__.update(points=np.vstack([front.points[keep], y[None, :]]), ref=front.ref,
+                        ids=tuple(i for i, k in zip(front.ids, keep) if k) + (point_id,))
+    return out
 
 
 def build_front(points, ids, ref) -> ParetoFront:

@@ -11,8 +11,11 @@ pairwise_non_dominated_mask, the all-pairs test the two-objective sweep
 replaced; folded_front, build_front as one update_front per point;
 scaled_copy_posterior, which stores one scaled copy of the covariance and
 factor per objective; broadcast_margins, Thompson's fallback margin as
-one (n, F, m) temporary; and tiered_batch, select_batch's three ranked
-passes. multistart_lengthscale, the per-objective search
+one (n, F, m) temporary; tiered_batch, select_batch's three ranked
+passes; string_propose_pool, the genetic proposer breeding genome strings
+with dict-counted k-gram features (dict_kgram_featurizer); and
+zeroing_search_lengthscales, the lengthscale search that zeroed every
+factor's upper triangle. multistart_lengthscale, the per-objective search
 the shared lengthscale grid replaced, is matched in likelihood, not bits.
 """
 from __future__ import annotations
@@ -465,3 +468,153 @@ def per_step_thompson(post, front, q: int, seed: int) -> list:
         taken[pick] = True
         index = index.insert(values[pick])
     return selected
+
+
+def dict_kgram_featurizer(name: str, alphabet: str = "01"):
+    """make_featurizer with k-gram counts looked up window by window in a
+    dict over the alphabet^k vocabulary."""
+    from poolbo.generation import make_featurizer
+
+    if not name.startswith("kgram:"):
+        return make_featurizer(name, alphabet)
+    k = int(name.split(":", 1)[1])
+    if k < 1:
+        raise ValueError("k-gram size must be at least 1")
+    vocab = {"".join(gram): i for i, gram in enumerate(product(sorted(alphabet), repeat=k))}
+
+    def kgram_features(genome: str) -> np.ndarray:
+        out = np.zeros(len(vocab))
+        for start in range(len(genome) - k + 1):
+            gram = genome[start:start + k]
+            if gram not in vocab:
+                raise ValueError(f"genome symbol outside alphabet {alphabet!r}: {gram!r}")
+            out[vocab[gram]] += 1.0
+        return out
+
+    return kgram_features
+
+
+def string_crossover(rng, a: str, b: str, mode: str) -> str:
+    if len(a) < 2 or len(b) < 2:
+        return a
+    if mode == "one_point":
+        point = int(rng.integers(1, min(len(a), len(b))))
+        return a[:point] + b[point:]
+    cut = min(len(a), len(b))
+    picks = rng.integers(0, 2, size=cut)
+    head = "".join(a[i] if picks[i] == 0 else b[i] for i in range(cut))
+    return head + b[cut:]
+
+
+def string_mutate(rng, genome: str, rate: float, alphabet: str) -> str:
+    if rate <= 0.0 or len(alphabet) < 2:
+        return genome
+    flips = rng.random(len(genome)) < rate
+    if not flips.any():
+        return genome
+    chars = list(genome)
+    for i in np.flatnonzero(flips):
+        options = alphabet.replace(chars[i], "")
+        chars[i] = options[int(rng.integers(0, len(options)))] if options else chars[i]
+    return "".join(chars)
+
+
+def string_propose_pool(data, model, cfg, seed: int) -> list:
+    """propose_pool breeding genome strings: parents drawn by
+    Generator.choice, features from dict_kgram_featurizer, and the
+    surrogate's parent weights read off a full posterior()."""
+    from poolbo.generation import (ATTEMPT_CAP_FACTOR, Candidate, GenerationStarvedError,
+                                   genome_alphabet, parse_predicate, random_genome)
+    from poolbo.gp import posterior
+    from poolbo.pareto import build_front, hvi_many, non_dominated_mask
+    from poolbo.seeds import child_rng
+
+    def parent_weights():
+        n = data.n
+        if cfg.parent_selection == "uniform" or model is None:
+            return np.full(n, 1.0 / n)
+        post_mean = posterior(model, data.features).mean
+        lo = data.objectives.min(axis=0)
+        spread = data.objectives.max(axis=0) - lo
+        ref = lo - np.where(spread > 0, 1e-9 * spread, 1.0)
+        gains = hvi_many(post_mean, build_front(data.objectives, data.ids, ref))
+        std = gains.std()
+        z = (gains - gains.mean()) / std if std > 1e-12 else np.zeros(n)
+        w = np.exp(z)
+        return w / w.sum()
+
+    predicates = [parse_predicate(c) if isinstance(c, str) else c for c in cfg.constraints]
+    genomes = list(data.genomes)
+    alphabet = genome_alphabet(genomes)
+    bitstring = alphabet == "01"
+    feat = dict_kgram_featurizer(cfg.featurizer, alphabet)
+    n_total = cfg.pool_size
+    n_elite = int(cfg.elite_fraction * n_total + 1e-9)
+    n_random = int(cfg.random_fraction * n_total + 1e-9)
+    cap = ATTEMPT_CAP_FACTOR * n_total
+    pool: list = []
+    keys: set = set()
+
+    def admit(cid, genome) -> bool:
+        if genome in keys or not all(p(genome) for p in predicates):
+            return False
+        keys.add(genome)
+        pool.append(Candidate(id=cid, genome=genome, features=feat(genome)))
+        return True
+
+    for i in np.flatnonzero(non_dominated_mask(data.objectives)):
+        if len(pool) >= n_elite:
+            break
+        admit(data.ids[i], genomes[i])
+    n_copied = len(pool)
+    weights = None
+    attempts = 0
+    random_quota = min(n_random, n_total - len(pool))
+    random_done = 0
+    while len(pool) < n_total and attempts < cap:
+        rng = child_rng(seed, attempts)
+        attempts += 1
+        if random_done < random_quota:
+            length = len(genomes[0]) if bitstring else len(genomes[int(rng.integers(0, len(genomes)))])
+            if admit(f"gen-{seed:x}-{attempts - 1}", random_genome(rng, alphabet, length)):
+                random_done += 1
+            continue
+        if weights is None:
+            weights = parent_weights()
+        pa, pb = rng.choice(len(genomes), size=2, p=weights)
+        child = string_crossover(rng, genomes[int(pa)], genomes[int(pb)], cfg.crossover)
+        child = string_mutate(rng, child, cfg.mutation_rate, alphabet)
+        admit(f"gen-{seed:x}-{attempts - 1}", child)
+    if len(pool) < n_total:
+        raise GenerationStarvedError(n_total, len(pool), (len(pool) - n_copied) / max(attempts, 1))
+    return pool
+
+
+def zeroing_search_lengthscales(d2, zs: list, config) -> list:
+    """gp._search_lengthscales with every grid and refinement kernel formed
+    through temporaries and factored by _escalated_cholesky, which zeroes
+    the factor's upper triangle, the nugget ladder built per factorisation."""
+    from scipy.linalg import cho_solve
+    from scipy.optimize import minimize
+
+    from poolbo.gp import LENGTHSCALE_BOUNDS, _escalated_cholesky, _lml, _profile_sigma2
+
+    grid = (np.log(np.geomspace(*LENGTHSCALE_BOUNDS, config.n_starts)) if config.n_starts > 1
+            else np.mean(np.log(LENGTHSCALE_BOUNDS), keepdims=True))
+    edges = np.concatenate([np.log(LENGTHSCALE_BOUNDS[:1]), grid, np.log(LENGTHSCALE_BOUNDS[1:])])
+
+    def neg_lmls(t, targets):
+        chol = _escalated_cholesky(np.exp(-0.5 * d2 / np.exp(2.0 * t)), config.nugget)[0]
+        ss = [float(z @ cho_solve((chol.T, False), z)) for z in targets]
+        return [-_lml(chol, s, _profile_sigma2(s, len(d2), config.signal_variance)) for s in ss]
+
+    lengthscales = []
+    for z, f in zip(zs, np.array([neg_lmls(t, zs) for t in grid]).T):
+        on_grid = dict(zip(grid.tolist(), f.tolist()))
+        padded = np.concatenate([[np.inf], f, [np.inf]])
+        runs = [minimize(lambda t: on_grid[t[0]] if t[0] in on_grid else neg_lmls(t[0], [z])[0],
+                         [grid[i]], method="L-BFGS-B", bounds=[edges[i:i + 3:2]],
+                         options={"eps": 1e-5, "gtol": 1e-3})
+                for i in np.flatnonzero((f < padded[:-2]) & (f <= padded[2:]))]
+        lengthscales.append(float(np.exp(min(runs, key=lambda r: r.fun).x[0])))
+    return lengthscales

@@ -215,6 +215,32 @@ class TestRun:
         assert "row 6: objective values must be finite" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("name", ["kgram:0", "kgram:x", "bogus"])
+    @pytest.mark.parametrize("owner", ["campaign", "generator"])
+    def test_bad_featurizer_exits_2_before_any_evaluation(self, tmp_path, pool_csv, capsys,
+                                                         monkeypatch, owner, name):
+        calls = []
+
+        class CountingOracle:
+            m = 2
+
+            def evaluate(self, candidates):
+                calls.append(len(candidates))
+                raise AssertionError("a bad featurizer name reached the oracle")
+
+        monkeypatch.setattr(campaign_mod, "make_oracle", lambda spec: CountingOracle())
+        out = tmp_path / "camp"
+        if owner == "campaign":
+            payload = run_config(pool_csv, out, featurizer=name)
+        else:
+            payload = run_config(pool_csv, out, pool_path=None, oracle="sphere_pair",
+                                 generator={"pool_size": 10, "featurizer": name},
+                                 init={"random": {"count": 6, "length": 8}})
+        assert main(["run", write_json(tmp_path / "c.json", payload)]) == 2
+        assert f"unknown featurizer: {name}" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()  # rejected with the config, before the run sets up
+
     def test_missing_output_dir(self, tmp_path, pool_csv, capsys):
         payload = run_config(pool_csv, tmp_path / "camp")
         del payload["output_dir"]

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from poolbo.campaign import CampaignConfig
 from poolbo.generation import (
     GenerationStarvedError,
     GeneratorConfig,
     PoolFormatError,
     _validate_genome,
+    genome_alphabet,
     load_pool,
     make_featurizer,
     parse_predicate,
@@ -19,6 +21,10 @@ from poolbo.generation import (
     read_pool,
 )
 from poolbo.gp import Dataset, GpConfig, fit
+from poolbo.seeds import child_rng
+from refimpl import dict_kgram_featurizer, string_propose_pool
+
+BAD_FEATURIZERS = ("kgram:0", "kgram:x", "kgram:-1", "kgram", "bogus")
 
 
 def write_csv(path, text):
@@ -58,6 +64,38 @@ class TestFeaturizers:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             make_featurizer("morgan")
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("alphabet", ["01", "ACGT", "bca", "\u00e9\u4e2d\U0001f600z"])
+    def test_kgram_counts_match_the_dict_featurizer(self, k, alphabet):
+        # window codes plus one bincount give the dict-counted vector bit
+        # for bit, for genomes shorter than k too, and for any alphabet
+        feat, ref = make_featurizer(f"kgram:{k}", alphabet), dict_kgram_featurizer(f"kgram:{k}", alphabet)
+        rng = np.random.default_rng(k)
+        symbols = sorted(alphabet)
+        for length in list(range(0, k + 2)) + [9, 48]:
+            for _ in range(20):
+                genome = "".join(rng.choice(symbols, size=length)) if length else ""
+                got, want = feat(genome), ref(genome)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), genome
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("genome", ["01x1", "x0101", "0101x", "0xx1", "01\U0001f600", "0y"])
+    def test_out_of_alphabet_message_names_the_first_bad_gram(self, k, genome):
+        try:
+            dict_kgram_featurizer(f"kgram:{k}", "01")(genome)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                make_featurizer(f"kgram:{k}", "01")(genome)
+            assert str(got.value) == str(exc)
+        else:  # shorter than k: no window, no error
+            assert len(genome) < k
+            assert not make_featurizer(f"kgram:{k}", "01")(genome).any()
+
+    @pytest.mark.parametrize("name", BAD_FEATURIZERS)
+    def test_bad_name_rejected(self, name):
+        with pytest.raises(ValueError):
+            make_featurizer(name)
 
 
 class TestLoadPool:
@@ -309,6 +347,13 @@ class TestProposePool:
         with pytest.raises(ValueError, match="genomes"):
             propose_pool(plain, None, cfg, seed=0)
 
+    @pytest.mark.parametrize("name", BAD_FEATURIZERS)
+    def test_bad_featurizer_rejected_by_both_configs(self, name):
+        with pytest.raises(ValueError):
+            GeneratorConfig(pool_size=5, featurizer=name)
+        with pytest.raises(ValueError):
+            CampaignConfig(iterations=1, batch_size=1, pool_path="pool.csv", featurizer=name)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GeneratorConfig(pool_size=0)
@@ -318,3 +363,108 @@ class TestProposePool:
             GeneratorConfig(pool_size=5, crossover="two_point")
         with pytest.raises(ValueError):
             GeneratorConfig(pool_size=5, elite_fraction=0.8, random_fraction=0.8)
+
+
+def featurized(genomes, objectives, featurizer):
+    feat = make_featurizer(featurizer, genome_alphabet(genomes))
+    return Dataset(
+        ids=tuple(f"d{i}" for i in range(len(genomes))),
+        features=np.stack([feat(g) for g in genomes]),
+        objectives=np.asarray(objectives, dtype=float),
+        genomes=tuple(genomes),
+    )
+
+
+def assert_same_pool(got, want):
+    assert [c.id for c in got] == [c.id for c in want]
+    assert [c.genome for c in got] == [c.genome for c in want]
+    assert [c.features.tobytes() for c in got] == [c.features.tobytes() for c in want]
+
+
+class TestArrayBreeding:
+    """propose_pool breeds integer code arrays and draws its parents from a
+    cumulative sum; refimpl.string_propose_pool breeds strings with
+    Generator.choice and dict-counted k-grams. Every id, genome and feature
+    byte must agree."""
+
+    @staticmethod
+    def bit_data(featurizer="kgram:3"):
+        rng = np.random.default_rng(5)
+        genomes = sorted({"".join(rng.choice(list("01"), size=16)) for _ in range(12)})
+        objectives = rng.normal(size=(len(genomes), 2))
+        return featurized(genomes, objectives, featurizer)
+
+    @pytest.mark.parametrize("selection", ["uniform", "surrogate_weighted"])
+    @pytest.mark.parametrize("rate", [0.0, 0.01, 0.5, 1.0])
+    @pytest.mark.parametrize("crossover", ["uniform", "one_point"])
+    def test_bitstrings_match_the_string_breeder(self, crossover, rate, selection):
+        data = self.bit_data()
+        model = fit(data)
+        cfg = GeneratorConfig(pool_size=24, mutation_rate=rate, crossover=crossover,
+                              parent_selection=selection, featurizer="kgram:3")
+        for seed in range(10):
+            assert_same_pool(propose_pool(data, model, cfg, seed),
+                             string_propose_pool(data, model, cfg, seed))
+
+    @pytest.mark.parametrize("crossover", ["uniform", "one_point"])
+    def test_identity_features_and_rejections_match(self, crossover):
+        # the constraint rejects about half of every stage's candidates
+        data = self.bit_data("identity")
+        cfg = GeneratorConfig(pool_size=30, mutation_rate=0.1, crossover=crossover,
+                              random_fraction=0.3, constraints=("bit_equals:3:1",),
+                              parent_selection="surrogate_weighted")
+        model = fit(data)
+        for seed in range(10):
+            got = propose_pool(data, model, cfg, seed)
+            assert_same_pool(got, string_propose_pool(data, model, cfg, seed))
+            assert max(int(c.id.rsplit("-", 1)[1]) for c in got if c.id.startswith("gen-")) > 40
+
+    @pytest.mark.parametrize("alphabet", ["ABCD", "\u00e9\u00df\u4e2d\U0001f600"])
+    @pytest.mark.parametrize("rate", [0.0, 0.01, 0.5, 1.0])
+    @pytest.mark.parametrize("crossover", ["uniform", "one_point"])
+    def test_variable_length_tokens_match(self, alphabet, rate, crossover):
+        rng = np.random.default_rng(len(alphabet))
+        genomes = sorted({"".join(rng.choice(list(alphabet), size=int(rng.integers(1, 10))))
+                          for _ in range(14)})
+        data = featurized(genomes, rng.normal(size=(len(genomes), 2)), "kgram:2")
+        model = fit(data)
+        for selection in ("uniform", "surrogate_weighted"):
+            cfg = GeneratorConfig(pool_size=20, mutation_rate=rate, crossover=crossover,
+                                  random_fraction=0.2, parent_selection=selection,
+                                  featurizer="kgram:2")
+            for seed in range(10):
+                assert_same_pool(propose_pool(data, model, cfg, seed),
+                                 string_propose_pool(data, model, cfg, seed))
+
+    def test_starvation_matches(self):
+        data = bit_dataset(["11"], [[1.0, 1.0]])
+        cfg = GeneratorConfig(pool_size=5, elite_fraction=0.0, random_fraction=0.4)
+        with pytest.raises(GenerationStarvedError) as want:
+            string_propose_pool(data, None, cfg, seed=2)
+        with pytest.raises(GenerationStarvedError) as got:
+            propose_pool(data, None, cfg, seed=2)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("kind", ["zeros", "ties", "both", "one_nonzero"])
+    def test_cdf_draw_is_generator_choice(self, kind):
+        # propose_pool's parent pair: the normalized cumulative sum searched
+        # at two uniforms, which is what Generator.choice(p=...) computes
+        for seed in range(1000):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 40))
+            w = rng.random(n)
+            if kind in ("zeros", "both"):
+                w[rng.random(n) < 0.4] = 0.0
+            if kind in ("ties", "both"):
+                w[rng.random(n) < 0.5] = w.max()
+            if kind == "one_nonzero":
+                w[:] = 0.0
+                w[int(rng.integers(0, n))] = 1.0
+            if not w.any():
+                w[-1] = 1.0
+            w /= w.sum()
+            cdf = w.cumsum()
+            cdf /= cdf[-1]
+            want = child_rng(seed, 1).choice(n, size=2, p=w)
+            got = cdf.searchsorted(child_rng(seed, 1).random(2), side="right")
+            assert got.tolist() == want.tolist(), (seed, w)

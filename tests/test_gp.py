@@ -30,6 +30,7 @@ from poolbo.gp import (
     fit,
     pool_posterior,
     posterior,
+    posterior_mean,
     rbf_kernel,
     squared_distances,
     tanimoto_kernel,
@@ -43,6 +44,7 @@ from refimpl import (
     scaled_copy_posterior,
     scaled_copy_sample,
     tanimoto_similarity,
+    zeroing_search_lengthscales,
 )
 
 
@@ -265,6 +267,30 @@ class TestFit:
                                   - lengthscale_lml(X, z, part.lengthscale, config))
         assert max(shortfalls) < 0.01
 
+    @pytest.mark.parametrize("n", [32, 64, 120, 200])
+    def test_search_is_bitwise_the_zeroing_search(self, n):
+        # every grid and refinement factor keeps the matrix above its
+        # diagonal; the solves and the LML read only the factor, so each
+        # lengthscale, nugget and final factor is the zeroing search's
+        rng = np.random.default_rng([3, n])
+        counts = rng.integers(0, 4, size=(n, 8)).astype(float)  # as k-gram features
+        x = np.sort(rng.uniform(0.0, 4.0, size=30))[:, None]
+        cases = [(counts, rng.integers(0, 5, size=(n, 3)).astype(float)),
+                 (rng.normal(size=(n, 3)), rng.normal(size=(n, 2))),
+                 # 30 points clustered far from the origin: some factorisations
+                 # escalate their nugget (more points would not factorize)
+                 (1e5 + x, np.hstack([x, np.sin(3.0 * x)]))]
+        for X, Y in cases:
+            data = Dataset(tuple(range(len(X))), X, Y, feature_kind="dense_real")
+            model = fit(data)
+            zs = [_normalized(Y[:, j])[2] for j in range(Y.shape[1])]
+            want = zeroing_search_lengthscales(squared_distances(X, X), zs, GpConfig())
+            assert [p.lengthscale for p in model.parts] == want
+            for part in model.parts:
+                chol, nugget = _escalated_cholesky(rbf_kernel(X, X, part.lengthscale), BASE_NUGGET)
+                assert part.nugget == nugget
+                np.testing.assert_array_equal(part.chol, chol)
+
     def test_a_flat_run_of_grid_scores_is_refined_once(self, monkeypatch):
         # features ten apart make every grid kernel below a lengthscale of
         # about 0.25 exactly the identity, so those grid points tie exactly
@@ -299,11 +325,13 @@ class TestFit:
         data = toy_dataset(seed=22, n=25, d=3, m=3)
         bases = []
 
-        def recording(base, start_nugget):
+        # the search factors its kernels with _jittered_cholesky directly and
+        # the final factors go through _escalated_cholesky, which calls it
+        def recording(base, *args):
             bases.append(base.copy())
-            return _escalated_cholesky(base, start_nugget)
+            return _jittered_cholesky(base, *args)
 
-        monkeypatch.setattr(gp, "_escalated_cholesky", recording)
+        monkeypatch.setattr(gp, "_jittered_cholesky", recording)
 
         def factorisations(dataset):
             bases.clear()
@@ -631,6 +659,26 @@ class TestPosterior:
         model = fit(toy_dataset())
         with pytest.raises(ValueError, match="query features"):
             posterior(model, [[1.0, 2.0, 3.0]])
+
+
+class TestPosteriorMean:
+    @pytest.mark.parametrize("kernel", ["rbf", "tanimoto", "pinned"])
+    def test_is_bitwise_the_posterior_mean(self, kernel):
+        # three objectives in two kernel groups when pinned, up to three otherwise
+        data = toy_dataset(seed=31, n=40, d=12, m=3, binary=kernel == "tanimoto")
+        config = GpConfig(lengthscale=0.9) if kernel == "pinned" else GpConfig()
+        model = fit(data, config)
+        if kernel == "pinned":
+            model.parts[2] = dataclasses.replace(model.parts[2], nugget=2 * BASE_NUGGET)
+        rng = np.random.default_rng(4)
+        for Xq in (data.features, rng.normal(size=(25, 12)), np.empty((0, 12))):
+            got = posterior_mean(model, Xq)
+            assert got.tobytes() == posterior(model, Xq).mean.tobytes()
+
+    def test_rejects_bad_query_shape(self):
+        model = fit(toy_dataset(seed=1, n=5, d=2, m=1))
+        with pytest.raises(ValueError, match="query features"):
+            posterior_mean(model, [[1.0, 2.0, 3.0]])
 
 
 class TestSampling:

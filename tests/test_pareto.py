@@ -234,6 +234,29 @@ class TestUpdateFront:
 tied = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5])
 
 
+class TestUnvalidatedFold:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_fold_is_a_validated_front(self, m, data):
+        # update_front builds its result without __post_init__; each step
+        # must equal the validated ParetoFront of the same parts, through
+        # duplicates, ties and points on the reference
+        rows = data.draw(st.lists(st.tuples(*([st.one_of(tied, coord)] * m)), max_size=14))
+        if rows:
+            rows += data.draw(st.lists(st.sampled_from(rows), max_size=4))
+        ref = np.full(m, data.draw(st.sampled_from([-0.5, -0.0, 0.0])))
+        front = ParetoFront.empty(ref)
+        for i, row in enumerate(rows):
+            front = update_front(front, row, f"p{i}")
+            checked = ParetoFront(points=front.points, ids=front.ids, ref=front.ref)
+            assert checked.ids == front.ids and isinstance(front.ids, tuple)
+            assert checked.points.tobytes() == front.points.tobytes()
+            assert front.points.dtype == float and front.points.shape == checked.points.shape
+            assert checked.ref.tobytes() == front.ref.tobytes()
+            assert front.hypervolume() == checked.hypervolume()
+
+
 class TestBuildFront:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @settings(max_examples=150, deadline=None)
