@@ -49,6 +49,15 @@ def _as_matrix(points, m: int | None = None) -> np.ndarray:
     return arr
 
 
+def _pair_masks(points: np.ndarray, others: np.ndarray):
+    """(points, others) masks: others[k] >= points[i] everywhere, and > somewhere."""
+    ge, gt = others[:, 0] >= points[:, :1], others[:, 0] > points[:, :1]
+    for j in range(1, points.shape[1]):
+        ge &= others[:, j] >= points[:, j:j + 1]
+        gt |= others[:, j] > points[:, j:j + 1]
+    return ge, gt
+
+
 def _dominated_by(points: np.ndarray, others: np.ndarray) -> np.ndarray:
     """Mask of points strictly dominated by at least one row of others.
 
@@ -56,8 +65,8 @@ def _dominated_by(points: np.ndarray, others: np.ndarray) -> np.ndarray:
     collapse to the largest second objective at each distinct first one, and
     a point is dominated when the best second objective at or beyond its
     first is larger, or the best one strictly beyond it is at least as large.
-    Other dimensions test every pair. Both walk points in chunks that bound
-    peak memory.
+    Other dimensions AND and OR one compare per objective (_pair_masks).
+    Both walk points in chunks that bound peak memory.
     """
     out = np.zeros(points.shape[0], dtype=bool)
     if points.shape[1] == 2:
@@ -74,11 +83,9 @@ def _dominated_by(points: np.ndarray, others: np.ndarray) -> np.ndarray:
             j = np.searchsorted(xs[:-1], px)
             out[start:start + chunk] = (best[j] > py) | (best[j + (xs[j] == px)] >= py)
         return out
-    chunk = max(1, 2 ** 21 // max(1, others.shape[0]))
+    chunk = max(1, 2 ** 16 // max(1, others.shape[0]))
     for start in range(0, points.shape[0], chunk):
-        block = points[start:start + chunk, None, :]
-        ge = (others[None, :, :] >= block).all(axis=-1)
-        gt = (others[None, :, :] > block).any(axis=-1)
+        ge, gt = _pair_masks(points[start:start + chunk], others)
         out[start:start + chunk] = (ge & gt).any(axis=1)
     return out
 
@@ -155,6 +162,14 @@ def _admitted(points: np.ndarray, y: np.ndarray, ref: np.ndarray):
     return ~(y >= points).all(axis=1)
 
 
+def _unchecked_front(points: np.ndarray, ids: tuple, ref: np.ndarray) -> ParetoFront:
+    """A ParetoFront whose maker guarantees what __post_init__ checks, built
+    without those checks, which cost a dominance sweep."""
+    out = object.__new__(ParetoFront)
+    out.__dict__.update(points=points, ids=ids, ref=ref)
+    return out
+
+
 def update_front(front: ParetoFront, values, point_id=None) -> ParetoFront:
     """Fold one point into a front, returning a new front.
 
@@ -168,13 +183,8 @@ def update_front(front: ParetoFront, values, point_id=None) -> ParetoFront:
     keep = _admitted(front.points, y, front.ref)
     if keep is None:
         return front
-    # the incumbents were a front and _admitted let y in, so the result is
-    # finite, above ref and mutually non-dominated: it skips __post_init__'s
-    # checks, which cost a dominance sweep per admitted point
-    out = object.__new__(ParetoFront)
-    out.__dict__.update(points=np.vstack([front.points[keep], y[None, :]]), ref=front.ref,
-                        ids=tuple(i for i, k in zip(front.ids, keep) if k) + (point_id,))
-    return out
+    return _unchecked_front(np.vstack([front.points[keep], y[None, :]]),
+                            tuple(i for i, k in zip(front.ids, keep) if k) + (point_id,), front.ref)
 
 
 def build_front(points, ids, ref) -> ParetoFront:
@@ -189,7 +199,7 @@ def build_front(points, ids, ref) -> ParetoFront:
     rows = np.flatnonzero(np.all(pts > r, axis=1))
     rows = rows[non_dominated_mask(pts[rows])]
     rows = np.sort(rows[np.unique(pts[rows], axis=0, return_index=True)[1]])
-    return ParetoFront(points=pts[rows], ids=tuple(ids[i] for i in rows), ref=r)
+    return _unchecked_front(pts[rows], tuple(ids[i] for i in rows), r)
 
 
 def hypervolume(points, ref) -> float:
@@ -209,8 +219,12 @@ def _boxes(points: np.ndarray, ref: np.ndarray):
     Points must be mutually non-dominated. One objective gives the single box
     above the best point; two give the staircase, one segment per gap between
     consecutive points in ascending first objective. Above two, each slab
-    between consecutive distinct levels of the last objective holds the
-    (m-1)-objective boxes of the points reaching over the slab.
+    between consecutive distinct levels of the last objective, top down, holds
+    the (m-1)-objective boxes of the front of the points reaching over it. One
+    slab split finds every slab's front as a row of an alive mask: a point
+    enters the slab below its level and leaves at the first slab reached by a
+    point strictly dominating it on the first m-1 objectives. At m = 3 all
+    staircases are cut from the mask at once; above, each slab recurses.
     """
     m = ref.size
     if m == 1:
@@ -224,11 +238,22 @@ def _boxes(points: np.ndarray, ref: np.ndarray):
         lo = np.concatenate((ref[:1], xs, ys, ref[1:])).reshape(2, -1)
         hi = np.concatenate((xs, np.full(xs.size + 2, np.inf))).reshape(2, -1)
         return lo, hi
-    levels = np.unique(points[:, -1])[::-1]
+    levels, rank = np.unique(points[:, -1], return_inverse=True)
+    tops, bottoms = np.append(np.inf, levels[::-1]), np.append(levels[::-1], ref[-1])
+    head, enter, slab = points[:, :-1], levels.size - rank, np.arange(tops.size)[:, None]
+    ge, gt = _pair_masks(head, head)
+    gt |= np.tri(head.shape[0], k=-1, dtype=bool)  # of equal points, the first stays
+    leave = np.where(ge & gt, enter, tops.size).min(axis=1, initial=tops.size)
+    alive = (enter <= slab) & (slab < leave)
+    if m == 3:  # slab by slab: ascending x, then the pad column, after which x restarts at ref_0
+        order = np.argsort(head[:, 0])
+        s, k = np.nonzero(np.hstack((alive[:, order], np.ones((tops.size, 1), dtype=bool))))
+        x, y = head[order, 0], np.append(head[order, 1], ref[1])
+        lo = np.stack((np.append(ref[0], np.append(x, ref[0])[k[:-1]]), y[k], bottoms[s]))
+        return lo, np.stack((np.append(x, np.inf)[k], np.full(k.size, np.inf), tops[s]))
     los, his = [], []
-    for top, bottom in zip(np.concatenate(([np.inf], levels)), np.concatenate((levels, ref[-1:]))):
-        reach = np.unique(points[points[:, -1] >= top, :-1], axis=0)
-        lo, hi = _boxes(reach[non_dominated_mask(reach)], ref[:-1])
+    for row, top, bottom in zip(alive, tops, bottoms):
+        lo, hi = _boxes(head[row], ref[:-1])
         los.append(np.vstack((lo, np.full((1, lo.shape[1]), bottom))))
         his.append(np.vstack((hi, np.full((1, hi.shape[1]), top))))
     return np.hstack(los), np.hstack(his)

@@ -7,7 +7,8 @@ enumeration of joint outcomes. The exceptions are kept as the library wrote
 them before a faster version replaced them, which must match them bit for
 bit: per_draw_qehvi_mc, the greedy select's per-draw loop;
 per_step_thompson, Thompson scoring every row against a growing FrontIndex;
-pairwise_non_dominated_mask, the all-pairs test the two-objective sweep
+slab_recursion_boxes, the box decomposition that rebuilt each slab's front
+from scratch; pairwise_non_dominated_mask, the all-pairs test the two-objective sweep
 replaced; folded_front, build_front as one update_front per point;
 scaled_copy_posterior, which stores one scaled copy of the covariance and
 factor per objective; broadcast_margins, Thompson's fallback margin as
@@ -63,6 +64,31 @@ def folded_front(points, ids, ref):
     for values, point_id in zip(points, ids):
         front = update_front(front, values, point_id)
     return front
+
+
+def slab_recursion_boxes(points, ref):
+    """pareto._boxes as a recursion that rebuilds each slab's reaching front
+    with np.unique and non_dominated_mask."""
+    from poolbo.pareto import non_dominated_mask
+
+    m = ref.size
+    if m == 1:
+        best = points[:, 0].max() if points.shape[0] else ref[0]
+        return np.array([[best]]), np.array([[np.inf]])
+    if m == 2:
+        order = np.argsort(points[:, 0])
+        xs, ys = points[order, 0], points[order, 1]
+        lo = np.concatenate((ref[:1], xs, ys, ref[1:])).reshape(2, -1)
+        hi = np.concatenate((xs, np.full(xs.size + 2, np.inf))).reshape(2, -1)
+        return lo, hi
+    levels = np.unique(points[:, -1])[::-1]
+    los, his = [], []
+    for top, bottom in zip(np.concatenate(([np.inf], levels)), np.concatenate((levels, ref[-1:]))):
+        reach = np.unique(points[points[:, -1] >= top, :-1], axis=0)
+        lo, hi = slab_recursion_boxes(reach[non_dominated_mask(reach)], ref[:-1])
+        los.append(np.vstack((lo, np.full((1, lo.shape[1]), bottom))))
+        his.append(np.vstack((hi, np.full((1, hi.shape[1]), top))))
+    return np.hstack(los), np.hstack(his)
 
 
 def hvi_by_inclusion_exclusion(y, points, ref) -> float:

@@ -10,6 +10,7 @@ from poolbo.pareto import (
     FrontStack,
     MetricRecord,
     ParetoFront,
+    _dominated_by,
     build_front,
     fraction_recovered,
     front_from_dict,
@@ -30,6 +31,7 @@ from refimpl import (
     hvi_by_inclusion_exclusion,
     mc_box_union_volume,
     pairwise_non_dominated_mask,
+    slab_recursion_boxes,
     union_box_volume,
 )
 
@@ -127,6 +129,49 @@ class TestDominanceMasksOnTies:
             assert np.array_equal(strictly_dominated_mask(pts, front), expected)
             assert np.array_equal(non_dominated_mask(pts),
                                   [not any(dominates(p, y) for p in pts) for y in pts])
+
+
+class TestDominanceMasksAcrossChunks:
+    """_dominated_by beyond two objectives against the pairwise definition,
+    on ties, equal points and -0.0, on both sides of its chunk boundary of
+    2**16 // F rows."""
+
+    @staticmethod
+    def pairwise(points, others):
+        ge = (others[None, :, :] >= points[:, None, :]).all(axis=-1)
+        gt = (others[None, :, :] > points[:, None, :]).any(axis=-1)
+        return (ge & gt).any(axis=1)
+
+    @pytest.mark.parametrize("m", [1, 3, 4, 6])
+    def test_ties_and_equal_points_match_pairwise(self, m):
+        rng = np.random.default_rng(60 + m)
+        levels = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+        for _ in range(300):
+            n, k = rng.integers(0, 12, size=2)
+            pts = levels[rng.integers(0, 6, size=(n, m))]
+            others = levels[rng.integers(0, 6, size=(k, m))]
+            if n:  # others repeat some points exactly
+                others = np.vstack([others, pts[rng.integers(0, n, size=3)]])
+            expected = [any(dominates(p, y) for p in others) for y in pts]
+            assert np.array_equal(_dominated_by(pts, others), expected)
+
+    @pytest.mark.parametrize("m", [1, 3, 4, 6])
+    @pytest.mark.parametrize("n_others", [1, 60])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_chunk_boundary_matches_pairwise(self, m, n_others, offset):
+        rng = np.random.default_rng(m * 100 + n_others)
+        others = rng.integers(0, 4, size=(n_others, m)) / 2.0
+        pts = rng.integers(-1, 6, size=(2 ** 16 // n_others + offset, m)) / 2.0
+        assert np.array_equal(_dominated_by(pts, others), self.pairwise(pts, others))
+
+    @pytest.mark.parametrize("m", [1, 3, 4, 6])
+    def test_more_others_than_a_chunk_takes_one_row_chunks(self, m):
+        rng = np.random.default_rng(70 + m)
+        others = rng.integers(0, 5, size=(2 ** 16 + 3, m)) / 2.0
+        pts = np.vstack([rng.integers(0, 6, size=(4, m)) / 2.0, others[-1], np.full(m, 9.0)])
+        got = _dominated_by(pts, others)
+        assert np.array_equal(got, self.pairwise(pts, others))
+        assert not got[-1]
 
 
 class TestNonDominatedMask:
@@ -272,6 +317,25 @@ class TestBuildFront:
         assert got.ids == want.ids
         assert got.points.shape == want.points.shape
         assert got.points.tobytes() == want.points.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_unchecked_result_is_a_validated_front(self, m, data):
+        # build_front skips __post_init__'s checks; its result must equal the
+        # validated ParetoFront of the same parts
+        rows = data.draw(st.lists(st.tuples(*([st.one_of(tied, coord)] * m)), max_size=12))
+        if rows:
+            rows += data.draw(st.lists(st.sampled_from(rows), max_size=4))
+        pts = np.asarray(rows, dtype=float).reshape(len(rows), m)
+        ref = np.full(m, data.draw(st.sampled_from([-0.5, -0.0, 0.0])))
+        got = build_front(pts, [f"p{i}" for i in range(len(rows))], ref)
+        checked = ParetoFront(points=got.points, ids=got.ids, ref=got.ref)
+        assert checked.ids == got.ids and isinstance(got.ids, tuple)
+        assert got.points.dtype == float and got.points.shape == checked.points.shape
+        assert checked.points.tobytes() == got.points.tobytes()
+        assert checked.ref.tobytes() == got.ref.tobytes()
+        assert got.hypervolume() == checked.hypervolume()
 
     def test_ids_must_match_points(self):
         with pytest.raises(ValueError, match="ids length 1 does not match point count 2"):
@@ -547,6 +611,82 @@ class TestFrontIndex:
         assert front.index.insert((0.5, 0.5, 0.5)) is front.index
         grown = front.index.insert((2.0, 2.5, 2.0))
         assert grown is not front.index and front.index.points.shape == (2, 3)
+
+
+class TestSlabBoxes:
+    """The one-pass slab split against the recursion it replaced
+    (refimpl.slab_recursion_boxes): the same boxes in the same order."""
+
+    @staticmethod
+    def assert_same_boxes(points, ref):
+        want = slab_recursion_boxes(points, ref)
+        index = FrontIndex(points, ref)
+        for got, expected in zip((index.lo, index.hi), want):
+            assert got.shape == expected.shape and np.array_equal(got, expected)
+        return index
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", ["random", "grid", "sphere"])
+    def test_fronts_match_slab_recursion(self, m, kind):
+        rng = np.random.default_rng(m)
+        for trial in range(60 if m < 5 else 15):
+            n = int(rng.integers(1, 14 if m < 5 else 8))
+            if kind == "random":
+                pts = rng.normal(size=(n, m))
+            elif kind == "grid":  # shared levels and shared first objectives
+                pts = rng.integers(0, 4, size=(n, m)).astype(float)
+            else:
+                pts = np.abs(rng.normal(size=(n, m)))
+                pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+            self.assert_same_boxes(build_front(pts, range(n), np.full(m, -3.0)).points, np.full(m, -3.0))
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_thin_l_shaped_fronts_match_slab_recursion(self, m):
+        for eps in (1e-3, 1e-9):
+            pts = np.vstack([np.full((3, m), [[eps], [2 * eps], [3 * eps]])
+                             + np.outer([1.0 - eps, 0.7 - 2 * eps, 0.4 - 3 * eps], np.eye(m)[i])
+                             for i in range(m)])
+            self.assert_same_boxes(build_front(pts, range(len(pts)), np.zeros(m)).points, np.zeros(m))
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_empty_single_point_and_repeated_rows_match_slab_recursion(self, m):
+        ref = np.zeros(m)
+        assert self.assert_same_boxes(np.empty((0, m)), ref).lo.shape == (m, 1)
+        self.assert_same_boxes(np.full((1, m), 0.5), ref)
+        # a validated front may hold equal rows; each counts once
+        rng = np.random.default_rng(80 + m)
+        for _ in range(10):
+            front = build_front(rng.integers(1, 4, size=(6, m)).astype(float), range(6), ref)
+            rows = np.vstack([front.points, front.points[rng.integers(0, front.size, size=3)]])
+            self.assert_same_boxes(ParetoFront(points=rows, ids=(None,) * len(rows), ref=ref).points, ref)
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_signed_zeros_keep_hypervolume_and_gains_bitwise(self, m):
+        # -0.0 and 0.0 are one level, and a slab bound may keep the other
+        # sign than the recursion's; no volume or gain can tell them apart
+        rng = np.random.default_rng(100 + m)
+        grid = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+        for _ in range(150):
+            front = build_front(grid[rng.integers(0, 6, size=(8, m))], range(8), np.full(m, -2.0))
+            index = self.assert_same_boxes(front.points, front.ref)
+            old = object.__new__(FrontIndex)
+            old.points, old.ref = index.points, index.ref
+            old.lo, old.hi = slab_recursion_boxes(index.points, index.ref)
+            queries = grid[rng.integers(0, 6, size=(50, m))]
+            assert np.float64(index.hypervolume()).tobytes() == np.float64(old.hypervolume()).tobytes()
+            assert index.gains(queries).tobytes() == old.gains(queries).tobytes()
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_fronts_grown_by_inserts_match_slab_recursion(self, m):
+        rng = np.random.default_rng(90 + m)
+        for _ in range(3):
+            index = FrontIndex(np.empty((0, m)), np.zeros(m))
+            for step in range(10 if m < 5 else 6):
+                y = rng.uniform(0.0, 2.0, size=m)
+                if step % 2:  # half-step grid: ties with incumbents
+                    y = rng.integers(1, 5, size=m) / 2.0
+                index = index.insert(y)
+                self.assert_same_boxes(index.points, index.ref)
 
 
 def grown_stack(m, n_draws, steps, seed):
