@@ -6,10 +6,9 @@
 Each front holds n points of the positive unit sphere in m objectives, drawn
 from seed m and measured against the origin, so every point is on the front.
 Each line gives m, n, the front's box count, the hypervolume and the best of
---repeats wall times of the free hypervolume() call (build_front, the box
+REPEATS wall times of the free hypervolume() call (build_front, the box
 index and the volume), in ms. The timings are informational: no threshold.
 """
-import argparse
 import time
 
 import numpy as np
@@ -17,6 +16,7 @@ import numpy as np
 from poolbo.pareto import build_front, hypervolume
 
 FRONTS = ((3, 17), (3, 131), (4, 10), (4, 40), (5, 40), (6, 8), (6, 20))
+REPEATS = 5
 
 
 def sphere_front(m: int, n: int) -> np.ndarray:
@@ -25,13 +25,10 @@ def sphere_front(m: int, n: int) -> np.ndarray:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=5)
-    args = parser.parse_args()
     for m, n in FRONTS:
         points, ref = sphere_front(m, n), np.zeros(m)
         times = []
-        for _ in range(args.repeats):
+        for _ in range(REPEATS):
             start = time.perf_counter()
             hv = hypervolume(points, ref)
             times.append(time.perf_counter() - start)
