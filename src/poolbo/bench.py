@@ -21,7 +21,7 @@ from .campaign import (
     nadir_ref_point,
     run,
 )
-from .generation import make_featurizer, read_pool
+from .generation import bit_strings, make_featurizer, read_pool
 from .gp import GpConfig
 from .oracles import LookupOracle
 from .pareto import (
@@ -106,16 +106,15 @@ def read_pool_table(pool_path, ref_rule: str, true_front_ids=None) -> PoolTable:
     to the whole labeled pool and handed to each campaign as explicit.
     `true_front_ids`, when given, must match the front the labels give.
     """
-    rows = read_pool(pool_path)
-    oracle = LookupOracle.from_rows(rows)
-    labels = np.stack([oracle.table[genome] for _, _, genome, _ in rows])
-    true_ids = tuple(rows[i][1] for i in np.flatnonzero(non_dominated_mask(labels)))
+    pool = read_pool(pool_path)
+    oracle = LookupOracle.from_rows(pool)
+    true_ids = tuple(pool.ids[i] for i in np.flatnonzero(non_dominated_mask(pool.labels)))
     if true_front_ids is not None and set(true_front_ids) != set(true_ids):
         raise ValueError(
             "true_front_ids in the bench spec disagree with the pool labels; "
             f"spec has {len(true_front_ids)}, labels give {len(true_ids)}"
         )
-    ref = nadir_ref_point(labels, ref_rule, CampaignConfig.ref_epsilon)
+    ref = nadir_ref_point(pool.labels, ref_rule, CampaignConfig.ref_epsilon)
     return PoolTable(oracle, true_ids, tuple(float(v) for v in ref))
 
 
@@ -263,18 +262,14 @@ def make_ablation_pool(path, n: int = 2000, bits: int = 24, seed: int = 20240301
     front shrinks to a handful). The knob is swept until the front size fits.
     """
     rng = np.random.default_rng(seed)
-    genomes: list = []
-    seen = set()
-    while len(genomes) < n:
-        block = rng.integers(0, 2, size=(n, bits))
-        for row in block:
-            g = "".join("1" if b else "0" for b in row)
-            if g not in seen:
-                seen.add(g)
-                genomes.append(g)
-                if len(genomes) == n:
-                    break
-    x = np.array([[int(c) for c in g] for g in genomes], dtype=float)
+    blocks, drawn = [], []
+    while len(set(drawn)) < n:
+        blocks.append(rng.integers(0, 2, size=(n, bits)))
+        drawn += bit_strings(blocks[-1])
+    # the first n distinct genomes, each at its first draw
+    keep = sorted(dict(zip(reversed(drawn), range(len(drawn) - 1, -1, -1))).values())[:n]
+    genomes = [drawn[i] for i in keep]
+    x = np.concatenate(blocks, dtype=float)[keep]
     w1 = rng.uniform(0.5, 1.5, size=bits)
     w2 = rng.uniform(0.5, 1.5, size=bits)
     u = x @ w1 / w1.sum()
@@ -291,11 +286,10 @@ def make_ablation_pool(path, n: int = 2000, bits: int = 24, seed: int = 20240301
     if chosen is None:
         raise ValueError(f"no mixing weight gave a front in {front_range}")
     alpha, objectives, front_size = chosen
+    # csv's excel dialect: \r\n line ends, and no field here needs quoting
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "genome", "obj_1", "obj_2"])
-        for i, g in enumerate(genomes):
-            writer.writerow([f"p{i}", g, repr(float(objectives[i, 0])),
-                             repr(float(objectives[i, 1]))])
+        fh.write("id,genome,obj_1,obj_2\r\n")
+        fh.writelines(f"p{i},{g},{a!r},{b!r}\r\n"
+                      for i, (g, a, b) in enumerate(zip(genomes, *objectives.T.tolist())))
     logger.info("ablation pool: n=%d bits=%d mixing=%.2f front=%d", n, bits, alpha, front_size)
     return {"n": n, "bits": bits, "alpha": alpha, "front_size": front_size, "path": str(path)}

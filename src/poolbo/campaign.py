@@ -26,14 +26,14 @@ from .acquisition import (
 )
 from .files import atomic_write
 from .generation import (
-    Candidate,
     GeneratorConfig,
+    bit_strings,
+    candidates,
     featurize_rows,
     genome_alphabet,
     load_pool,
     make_featurizer,
     propose_pool,
-    random_genome,
     read_pool,
 )
 from .gp import Dataset, GpConfig, fit, pool_posterior
@@ -46,7 +46,6 @@ from .pareto import (
     fraction_recovered,
     front_from_dict,
     front_to_dict,
-    hvi_many,
     relative_hvi,
     save_front,
     strictly_dominated_mask,
@@ -127,6 +126,11 @@ class CampaignConfig:
             raise ValueError("ref_point is only used with ref_rule 'explicit'")
         if self.ref_epsilon <= 0:
             raise ValueError("ref_epsilon must be positive")
+        if not isinstance(self.gp, GpConfig):
+            raise ValueError(f"gp must be a GpConfig, got {type(self.gp).__name__}")
+        if not isinstance(self.generator, (GeneratorConfig, type(None))):
+            raise ValueError("generator must be a GeneratorConfig, "
+                             f"got {type(self.generator).__name__}")
         if (self.generator is None) == (self.pool_path is None):
             raise ValueError("set exactly one of generator and pool_path")
         make_featurizer(self.featurizer)  # a bad name fails here, not at the first design
@@ -263,38 +267,33 @@ def build_initial_data(cfg: CampaignConfig, oracle=None) -> Dataset:
     elif "random" in spec:
         count = int(spec["random"]["count"])
         length = int(spec["random"]["length"])
-        rng = child_rng(cfg.seed, 0)
-        genomes = []
-        seen = set()
-        attempts = 0
-        while len(genomes) < count:
-            attempts += 1
-            if attempts > 1000 * count:
-                raise ValueError("could not draw enough distinct init genomes")
-            g = random_genome(rng, "01", length)
-            if g not in seen:
-                seen.add(g)
-                genomes.append(g)
+        # distinct genomes in draw order, drawn a block of the shortfall at a
+        # time: the stream of one draw per attempt, within 1000 attempts each
+        rng, drawn, budget = child_rng(cfg.seed, 0), {}, 1000 * count
+        while len(drawn) < count <= len(drawn) + budget:
+            block = count - len(drawn)
+            budget -= block
+            drawn.update(dict.fromkeys(bit_strings(rng.integers(0, 2, size=(block, length)))))
+        if len(drawn) < count:
+            raise ValueError("could not draw enough distinct init genomes")
+        genomes = list(drawn)
     elif "pool_sample" not in spec:
         raise ValueError("init must contain one of: genomes, random, pool_sample")
     elif cfg.pool_path is None:
         raise ValueError("init pool_sample needs a pool_path")
-    rows = None if cfg.pool_path is None else read_pool(cfg.pool_path)
+    pool = None if cfg.pool_path is None else read_pool(cfg.pool_path)
     # a static pool's own symbols fix the alphabet, as in load_pool
-    alphabet = genome_alphabet(genomes if rows is None else (g for _, _, g, _ in rows))
+    alphabet = genome_alphabet(genomes if pool is None else pool.genomes)
     if genomes is None:
         count = int(spec["pool_sample"])
-        if count > len(rows):
-            raise ValueError(f"init pool_sample {count} exceeds pool size {len(rows)}")
+        if count > len(pool.ids):
+            raise ValueError(f"init pool_sample {count} exceeds pool size {len(pool.ids)}")
         rng = child_rng(cfg.seed, 0)
-        idx = sorted(rng.choice(len(rows), size=count, replace=False).tolist())
-        cands = featurize_rows([rows[i] for i in idx], cfg.pool_featurizer, alphabet)
+        idx = sorted(rng.choice(len(pool.ids), size=count, replace=False).tolist())
+        cands = featurize_rows(pool, cfg.pool_featurizer, alphabet, idx)
     else:
-        featurize = make_featurizer(cfg.pool_featurizer, alphabet)
-        cands = [
-            Candidate(id=f"init-{i}", genome=g, features=featurize(g))
-            for i, g in enumerate(genomes)
-        ]
+        features = make_featurizer(cfg.pool_featurizer, alphabet)(genomes)
+        cands = candidates([f"init-{i}" for i in range(len(genomes))], genomes, features)
     values = np.asarray(oracle.evaluate(cands), dtype=float)
     return Dataset(
         ids=tuple(c.id for c in cands),
@@ -323,7 +322,7 @@ def _pool_scores(state: CampaignState, cfg: CampaignConfig, post,
     y = post.mean[known]
     if cfg.acquisition == "qpmhi":
         scored = estimate_qpmhi(view, state.front, cfg.mc_samples, seed)
-        filled = (1.0 - strictly_dominated_mask(y, state.front), hvi_many(y, state.front))
+        filled = (1.0 - strictly_dominated_mask(y, state.front), 0.0)
     else:
         best = float(state.dataset.objectives[:, 0].max())
         scored = estimate_qpo(view, best, cfg.mc_samples, seed)

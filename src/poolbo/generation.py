@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import logging
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,17 +85,32 @@ class GeneratorConfig:
 # ---------------------------------------------------------------------------
 # featurizers
 
-def _identity_features(genome: str) -> np.ndarray:
-    bad = set(genome) - {"0", "1"}
-    if bad:
-        raise ValueError(f"identity featurizer needs a 0/1 genome, found {sorted(bad)!r}")
-    return np.frombuffer(genome.encode("ascii"), dtype=np.uint8).astype(float) - ord("0")
+class GenomeError(ValueError):
+    """A genome a featurizer cannot encode; `index` is its place in the batch."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+def _identity_features(genomes) -> np.ndarray:
+    length = len(genomes[0]) if len(genomes) else 0
+    bits = _code_points("".join(genomes)) - ord("0")
+    if set(map(len, genomes)) <= {length} and (bits <= 1).all():
+        return bits.reshape(len(genomes), length).astype(float)
+    for i, genome in enumerate(genomes):  # the first genome that breaks a rule
+        bad = set(genome) - {"0", "1"}
+        if bad:
+            raise GenomeError(f"identity featurizer needs a 0/1 genome, found {sorted(bad)!r}", i)
+        if len(genome) != length:
+            raise GenomeError("identity featurizer needs genomes of one length, "
+                              f"got {len(genome)} symbols after {length}", i)
 
 
 def genome_alphabet(genomes) -> str:
     """The symbols k-gram features count over: "01" for bitstrings, else the
     sorted symbols the genomes use."""
-    symbols = {ch for g in genomes for ch in g}
+    symbols = set("".join(genomes))
     return "01" if symbols <= {"0", "1"} else "".join(sorted(symbols))
 
 
@@ -108,15 +124,25 @@ def _decode(symbols: np.ndarray, codes: np.ndarray) -> str:
     return symbols[codes].tobytes().decode("utf-32-le", "surrogatepass")
 
 
-def make_featurizer(name: str, alphabet: str = "01"):
-    """Resolve a featurizer name: "identity" or "kgram:<k>".
+def bit_strings(block: np.ndarray) -> list:
+    """The 0/1 string of each row of an (n, length) 0/1 integer block."""
+    n, length = block.shape
+    text = _decode(_code_points("01"), block)
+    return [text[i * length:(i + 1) * length] for i in range(n)]
 
-    The k-gram featurizer counts overlapping windows against the full
-    alphabet^k vocabulary, in the lexicographic order of the sorted
-    alphabet, so its dimensionality is fixed for a campaign. Each window is
-    coded as a base-|alphabet| number whose digits are its symbols' ranks,
-    and one bincount counts the codes.
-    """
+
+def make_featurizer(name: str, alphabet: str = "01"):
+    """Resolve "identity" or "kgram:<k>" to a function from a sequence of
+    genomes to an (n, d) float matrix; a genome it cannot encode raises
+    GenomeError with its index.
+
+    Identity reads the joined genomes' bits at once, so they must share one
+    length. kgram:k counts overlapping windows against the alphabet^k
+    vocabulary in the lexicographic order of the sorted alphabet, so its
+    dimension is fixed for a campaign. Each window of the joined genomes is
+    a base-|alphabet| number whose digits are its symbols' ranks; windows
+    that cross into the next genome are dropped, and one bincount, offset
+    by row, counts the rest."""
     if name == "identity":
         return _identity_features
     if not name.startswith("kgram:"):
@@ -128,19 +154,27 @@ def make_featurizer(name: str, alphabet: str = "01"):
     if k < 1:
         raise ValueError(f"unknown featurizer: {name} (k must be an integer of at least 1)")
     symbols = np.unique(_code_points(alphabet))
-    members = set(alphabet)
     digits = len(symbols) ** np.arange(k)  # convolve flips them: the first symbol leads
     size = len(symbols) ** k
 
-    def kgram_features(genome: str) -> np.ndarray:
-        if len(genome) < k:
-            return np.zeros(size)
-        if not members.issuperset(genome):
-            start = max(0, [ch in members for ch in genome].index(False) - k + 1)
-            raise ValueError(f"genome symbol outside alphabet {alphabet!r}: "
-                             f"{genome[start:start + k]!r}")
-        codes = np.searchsorted(symbols, _code_points(genome))
-        return np.bincount(np.convolve(codes, digits, "valid"), minlength=size).astype(float)
+    def kgram_features(genomes) -> np.ndarray:
+        lengths = np.fromiter(map(len, genomes), dtype=np.intp, count=len(genomes))
+        starts, owner = np.cumsum(lengths) - lengths, np.repeat(np.arange(len(genomes)), lengths)
+        points = _code_points("".join(genomes))
+        codes = np.searchsorted(symbols, points)
+        # a symbol outside the alphabet counts only in a genome with a window
+        outside = (symbols[np.minimum(codes, len(symbols) - 1)] != points) & (lengths >= k)[owner]
+        if outside.any():
+            at = int(outside.argmax())
+            i = int(owner[at])
+            start = max(0, at - int(starts[i]) - k + 1)
+            raise GenomeError(f"genome symbol outside alphabet {alphabet!r}: "
+                              f"{genomes[i][start:start + k]!r}", i)
+        windows = np.convolve(codes, digits, "valid") if len(codes) >= k else codes[:0]
+        owner = owner[:len(windows)]
+        inside = np.arange(len(windows)) + k <= (starts + lengths)[owner]
+        counts = np.bincount(owner[inside] * size + windows[inside], minlength=len(genomes) * size)
+        return counts.reshape(len(genomes), size).astype(float)
 
     return kgram_features
 
@@ -193,19 +227,37 @@ def _validate_genome(genome: str, row: int) -> str:
     return genome
 
 
-def read_pool(path) -> list:
-    """Parse a pool CSV into (row, id, genome, objectives) tuples, without
-    featurizing; objectives is [] for an unlabeled pool.
+def _check_row(row_num: int, row: list, width: int, seen_ids: set) -> None:
+    """Raise PoolFormatError for the first rule a pool row breaks."""
+    if len(row) != width:
+        raise PoolFormatError(f"row {row_num}: expected {width} fields, got {len(row)}")
+    cid = row[0]
+    _validate_genome(row[1], row_num)
+    try:
+        [float(v) for v in row[2:]]
+    except ValueError as exc:
+        raise PoolFormatError(f"row {row_num}: bad objective value ({exc})") from None
+    if not cid or ";" in cid:
+        raise PoolFormatError(f"row {row_num}: id {cid!r} must be non-empty and free of ';'")
+    if cid in seen_ids:
+        raise PoolFormatError(f"row {row_num}: duplicate id {cid!r}")
+    seen_ids.add(cid)
+
+
+PoolColumns = namedtuple("PoolColumns", "rows ids genomes labels")
+
+
+def read_pool(path) -> PoolColumns:
+    """Parse a pool CSV into columns, without featurizing: each kept row's
+    number as errors name it, id and genome, and one read-only (n, m) label
+    array, (n, 0) for an unlabeled pool.
 
     Rows with a previously seen genome are dropped (first occurrence wins);
     duplicate ids, ids empty or holding metrics.csv's batch separator ';',
     non-finite objective values and malformed rows are errors naming the
-    offending row.
+    offending row. Every rule is checked column by column; only a file that
+    breaks one is walked row by row, to name its first bad row.
     """
-    seen_keys = set()
-    seen_ids = set()
-    out = []
-    values = []  # every row's objectives, checked in one call: a call per row tripled the read
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -217,49 +269,61 @@ def read_pool(path) -> list:
         n_obj = len(header) - 2
         if any(h != f"obj_{j + 1}" for j, h in enumerate(header[2:])):
             raise PoolFormatError(f"objective columns must be obj_1..obj_{n_obj}, got {header[2:]}")
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise PoolFormatError(f"row {row_num}: expected {len(header)} fields, got {len(row)}")
-            cid, genome = row[0], _validate_genome(row[1], row_num)
-            try:
-                objs = [float(v) for v in row[2:]]
-            except ValueError as exc:
-                raise PoolFormatError(f"row {row_num}: bad objective value ({exc})") from None
-            values.extend(objs)
-            if not cid or ";" in cid:
-                raise PoolFormatError(f"row {row_num}: id {cid!r} must be non-empty and free of ';'")
-            if cid in seen_ids:
-                raise PoolFormatError(f"row {row_num}: duplicate id {cid!r}")
-            seen_ids.add(cid)
-            if genome not in seen_keys:
-                seen_keys.add(genome)
-                out.append((row_num, cid, genome, objs))
-    finite = np.isfinite(values)
+        records, stopped = [], None
+        try:
+            records.extend(reader)
+        except (csv.Error, ValueError) as exc:  # a bad row before this point is named first
+            stopped = exc
+    n = len(records)
+    ids, genomes, *values = list(zip(*records)) or [()] * len(header)
+    text = "".join(genomes)
+    labels = None
+    if not (stopped or set(map(len, records)) - {len(header)} or not all(genomes) or not all(ids)
+            or text.split() != [text][:n] or ";" in "".join(ids) or len(set(ids)) < n):
+        try:
+            labels = np.array([list(map(float, v)) for v in values]).reshape(n_obj, n).T.copy()
+        except ValueError:
+            pass
+    if labels is None:
+        seen_ids: set = set()
+        for row_num, row in enumerate(records, start=2):
+            _check_row(row_num, row, len(header), seen_ids)
+        raise stopped
+    finite = np.isfinite(labels).all(axis=1)
     if not finite.all():
-        k = int(np.argmin(finite)) // n_obj
+        k = int(np.argmin(finite))
         raise PoolFormatError(f"row {k + 2}: objective values must be finite, "
-                              f"got {values[k * n_obj:(k + 1) * n_obj]}")
-    return out
+                              f"got {labels[k].tolist()}")
+    keep = sorted(dict(zip(reversed(genomes), range(n - 1, -1, -1))).values())  # first rows
+    if len(keep) < n:
+        ids, genomes = tuple(ids[i] for i in keep), tuple(genomes[i] for i in keep)
+        labels = labels[keep]
+    labels.flags.writeable = False
+    return PoolColumns(tuple(i + 2 for i in keep), ids, genomes, labels)
 
 
 def load_pool(path, featurizer: str = "identity") -> list:
     """read_pool's rows as featurized candidates."""
-    rows = read_pool(path)
-    return featurize_rows(rows, featurizer, genome_alphabet(genome for _, _, genome, _ in rows))
+    pool = read_pool(path)
+    return featurize_rows(pool, featurizer, genome_alphabet(pool.genomes), range(len(pool.ids)))
 
 
-def featurize_rows(rows, featurizer: str, alphabet: str) -> list:
-    """Candidates of read_pool's rows; a genome the featurizer rejects raises
-    PoolFormatError naming its row."""
-    feat = make_featurizer(featurizer, alphabet)
-    out = []
-    for row_num, cid, genome, _ in rows:
-        try:
-            features = feat(genome)
-        except ValueError as exc:
-            raise PoolFormatError(f"row {row_num}: {exc}") from None
-        out.append(Candidate(id=cid, genome=genome, features=features))
-    return out
+def candidates(ids, genomes, features: np.ndarray) -> list:
+    """Candidates holding read-only row views of one feature matrix."""
+    features.flags.writeable = False
+    return [Candidate(cid, genome, x) for cid, genome, x in zip(ids, genomes, features)]
+
+
+def featurize_rows(pool: PoolColumns, featurizer: str, alphabet: str, idx) -> list:
+    """Candidates of read_pool's rows at positions idx, from one featurizer
+    call; a genome the featurizer rejects raises PoolFormatError naming its
+    row."""
+    genomes = [pool.genomes[i] for i in idx]
+    try:
+        features = make_featurizer(featurizer, alphabet)(genomes)
+    except GenomeError as exc:
+        raise PoolFormatError(f"row {pool.rows[idx[exc.index]]}: {exc}") from None
+    return candidates([pool.ids[i] for i in idx], genomes, features)
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +408,14 @@ def propose_pool(data: Dataset, model: GpModel | None, cfg: GeneratorConfig, see
     symbols = _code_points(alphabet)
     parents = [np.searchsorted(symbols, _code_points(g)) for g in genomes]
 
-    pool: list = []
+    pool: list = []  # (id, genome) of each admitted candidate, featurized at the end
     keys: set = set()
 
     def admit(cid, genome) -> bool:
         if genome in keys or not all(p(genome) for p in predicates):
             return False
         keys.add(genome)
-        pool.append(Candidate(id=cid, genome=genome, features=feat(genome)))
+        pool.append((cid, genome))
         return True
 
     nd = non_dominated_mask(data.objectives)
@@ -382,7 +446,9 @@ def propose_pool(data: Dataset, model: GpModel | None, cfg: GeneratorConfig, see
         child = _breed(rng, parents[pa], parents[pb], cfg, len(symbols))
         admit(f"gen-{seed:x}-{attempts - 1}", _decode(symbols, child))
 
+    ids, kept = zip(*pool) if pool else ((), ())
+    features = feat(kept)  # a genome the featurizer rejects fails before a short pool
     if len(pool) < n_total:
         accepted = len(pool) - n_copied
         raise GenerationStarvedError(n_total, len(pool), accepted / max(attempts, 1))
-    return pool
+    return candidates(ids, kept, features)

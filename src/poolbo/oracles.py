@@ -7,6 +7,7 @@ is maximized.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import shlex
@@ -95,38 +96,41 @@ class BuiltinOracle:
 
 
 class LookupOracle:
-    """Table oracle over a fully labeled pool, keyed by genome."""
+    """Table oracle over a fully labeled pool: one read-only (N, m) label
+    array and the row of each genome."""
 
-    def __init__(self, table: dict, m: int):
-        self.table = {str(k): np.asarray(v, dtype=float) for k, v in table.items()}
-        self.m = m
+    def __init__(self, genomes, labels):
+        self.labels = np.asarray(labels, dtype=float).view()
+        self.labels.flags.writeable = False
+        self.row = dict(zip(genomes, range(len(self.labels))))
+        self.m = self.labels.shape[1]
+
+    @functools.cached_property
+    def table(self) -> dict:
+        """Each genome's label row, in pool order."""
+        return dict(zip(self.row, self.labels))
 
     @classmethod
     def from_pool_csv(cls, path) -> "LookupOracle":
         return cls.from_rows(read_pool(path))
 
     @classmethod
-    def from_rows(cls, rows) -> "LookupOracle":
-        """Table of read_pool's rows; every row must carry labels."""
-        table = {}
-        for _, cid, genome, objs in rows:
-            if not objs:
-                raise OracleError(f"pool row {cid!r} has no objective labels")
-            table[genome] = objs
-        if not table:
+    def from_rows(cls, pool) -> "LookupOracle":
+        """Table of read_pool's columns; every row must carry labels."""
+        if not pool.ids:
             raise OracleError("labeled pool is empty")
-        # the header fixes one objective count for every row
-        return cls(table, len(objs))
+        if not pool.labels.shape[1]:  # the header fixes one objective count for every row
+            raise OracleError(f"pool row {pool.ids[0]!r} has no objective labels")
+        return cls(pool.genomes, pool.labels)
 
     def evaluate(self, candidates) -> np.ndarray:
         if not candidates:
             raise ValueError("oracle batch must be non-empty")
-        out = np.empty((len(candidates), self.m))
-        for i, cand in enumerate(candidates):
-            if cand.genome not in self.table:
-                raise OracleError(f"candidate {cand.id!r} is outside the labeled pool")
-            out[i] = self.table[cand.genome]
-        return out
+        rows = [self.row.get(cand.genome, -1) for cand in candidates]
+        if -1 in rows:
+            cand = candidates[rows.index(-1)]
+            raise OracleError(f"candidate {cand.id!r} is outside the labeled pool")
+        return self.labels[rows]
 
 
 class ExternalOracle:

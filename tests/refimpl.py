@@ -14,9 +14,12 @@ scaled_copy_posterior, which stores one scaled copy of the covariance and
 factor per objective; broadcast_margins, Thompson's fallback margin as
 one (n, F, m) temporary; tiered_batch, select_batch's three ranked
 passes; string_propose_pool, the genetic proposer breeding genome strings
-with dict-counted k-gram features (dict_kgram_featurizer); and
+with dict-counted k-gram features (dict_kgram_featurizer);
 zeroing_search_lengthscales, the lengthscale search that zeroed every
-factor's upper triangle. multistart_lengthscale, the per-objective search
+factor's upper triangle; per_genome_featurizer, the featurizers before they
+took batches; row_read_pool, the pool reader as a loop over rows;
+string_ablation_pool, the pool writer that joined each genome bit by bit;
+and sequential_init_genomes, the random initial designs drawn one by one. multistart_lengthscale, the per-objective search
 the shared lengthscale grid replaced, is matched in likelihood, not bits.
 """
 from __future__ import annotations
@@ -496,13 +499,147 @@ def per_step_thompson(post, front, q: int, seed: int) -> list:
     return selected
 
 
-def dict_kgram_featurizer(name: str, alphabet: str = "01"):
-    """make_featurizer with k-gram counts looked up window by window in a
-    dict over the alphabet^k vocabulary."""
-    from poolbo.generation import make_featurizer
+def per_genome_featurizer(name: str, alphabet: str = "01"):
+    """make_featurizer as one call per genome: identity reads one genome's
+    bytes, whatever its length, and kgram:k codes one genome's windows and
+    counts them with its own bincount."""
+    if name == "identity":
+        def identity_features(genome: str) -> np.ndarray:
+            bad = set(genome) - {"0", "1"}
+            if bad:
+                raise ValueError(f"identity featurizer needs a 0/1 genome, found {sorted(bad)!r}")
+            return np.frombuffer(genome.encode("ascii"), dtype=np.uint8).astype(float) - ord("0")
 
+        return identity_features
+    k = int(name.split(":", 1)[1])
+
+    def code_points(text: str) -> np.ndarray:
+        return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+
+    symbols = np.unique(code_points(alphabet))
+    members = set(alphabet)
+    digits = len(symbols) ** np.arange(k)
+    size = len(symbols) ** k
+
+    def kgram_features(genome: str) -> np.ndarray:
+        if len(genome) < k:
+            return np.zeros(size)
+        if not members.issuperset(genome):
+            start = max(0, [ch in members for ch in genome].index(False) - k + 1)
+            raise ValueError(f"genome symbol outside alphabet {alphabet!r}: "
+                             f"{genome[start:start + k]!r}")
+        codes = np.searchsorted(symbols, code_points(genome))
+        return np.bincount(np.convolve(codes, digits, "valid"), minlength=size).astype(float)
+
+    return kgram_features
+
+
+def row_read_pool(path) -> list:
+    """read_pool as a loop over csv rows: (row, id, genome, objectives)
+    tuples, each row checked in turn, non-finite labels checked last."""
+    import csv
+
+    from poolbo.generation import PoolFormatError, _validate_genome
+
+    seen_keys, seen_ids, out, values = set(), set(), [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise PoolFormatError("pool file has no header") from None
+        if header[:2] != ["id", "genome"]:
+            raise PoolFormatError(f"pool header must start with id,genome, got {header[:2]}")
+        n_obj = len(header) - 2
+        if any(h != f"obj_{j + 1}" for j, h in enumerate(header[2:])):
+            raise PoolFormatError(f"objective columns must be obj_1..obj_{n_obj}, got {header[2:]}")
+        for row_num, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise PoolFormatError(f"row {row_num}: expected {len(header)} fields, got {len(row)}")
+            cid, genome = row[0], _validate_genome(row[1], row_num)
+            try:
+                objs = [float(v) for v in row[2:]]
+            except ValueError as exc:
+                raise PoolFormatError(f"row {row_num}: bad objective value ({exc})") from None
+            values.extend(objs)
+            if not cid or ";" in cid:
+                raise PoolFormatError(f"row {row_num}: id {cid!r} must be non-empty and free of ';'")
+            if cid in seen_ids:
+                raise PoolFormatError(f"row {row_num}: duplicate id {cid!r}")
+            seen_ids.add(cid)
+            if genome not in seen_keys:
+                seen_keys.add(genome)
+                out.append((row_num, cid, genome, objs))
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite)) // n_obj
+        raise PoolFormatError(f"row {k + 2}: objective values must be finite, "
+                              f"got {values[k * n_obj:(k + 1) * n_obj]}")
+    return out
+
+
+def string_ablation_pool(path, n: int = 2000, bits: int = 24, seed: int = 20240301,
+                         front_range: tuple = (20, 60)) -> None:
+    """make_ablation_pool with each genome joined bit by bit, its features
+    read back character by character, and one csv.writer row per genome."""
+    import csv
+
+    from poolbo.pareto import non_dominated_mask
+
+    rng = np.random.default_rng(seed)
+    genomes, seen = [], set()
+    while len(genomes) < n:
+        block = rng.integers(0, 2, size=(n, bits))
+        for row in block:
+            g = "".join("1" if b else "0" for b in row)
+            if g not in seen:
+                seen.add(g)
+                genomes.append(g)
+                if len(genomes) == n:
+                    break
+    x = np.array([[int(c) for c in g] for g in genomes], dtype=float)
+    w1 = rng.uniform(0.5, 1.5, size=bits)
+    w2 = rng.uniform(0.5, 1.5, size=bits)
+    u = x @ w1 / w1.sum()
+    v = x @ w2 / w2.sum()
+    for alpha in np.linspace(0.05, 0.95, 19):
+        s = alpha * u + (1.0 - alpha) * v
+        objectives = np.column_stack([u, 1.0 - s ** 2])
+        if front_range[0] <= int(non_dominated_mask(objectives).sum()) <= front_range[1]:
+            break
+    else:
+        raise ValueError(f"no mixing weight gave a front in {front_range}")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "genome", "obj_1", "obj_2"])
+        for i, g in enumerate(genomes):
+            writer.writerow([f"p{i}", g, repr(float(objectives[i, 0])),
+                             repr(float(objectives[i, 1]))])
+
+
+def sequential_init_genomes(seed: int, count: int, length: int) -> list:
+    """build_initial_data's random designs drawn one genome per attempt."""
+    from poolbo.generation import random_genome
+    from poolbo.seeds import child_rng
+
+    rng = child_rng(seed, 0)
+    genomes, seen, attempts = [], set(), 0
+    while len(genomes) < count:
+        attempts += 1
+        if attempts > 1000 * count:
+            raise ValueError("could not draw enough distinct init genomes")
+        g = random_genome(rng, "01", length)
+        if g not in seen:
+            seen.add(g)
+            genomes.append(g)
+    return genomes
+
+
+def dict_kgram_featurizer(name: str, alphabet: str = "01"):
+    """per_genome_featurizer with k-gram counts looked up window by window
+    in a dict over the alphabet^k vocabulary."""
     if not name.startswith("kgram:"):
-        return make_featurizer(name, alphabet)
+        return per_genome_featurizer(name, alphabet)
     k = int(name.split(":", 1)[1])
     if k < 1:
         raise ValueError("k-gram size must be at least 1")

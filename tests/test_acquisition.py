@@ -398,7 +398,7 @@ def scored_pool(tmp_path_factory):
     make_ablation_pool(path, n=600, bits=24, seed=20240301)
     cands = load_pool(path)
     labeled = np.sort(np.random.default_rng(3).choice(len(cands), 60, replace=False))
-    return cands, np.array([objs for _, _, _, objs in read_pool(path)]), labeled
+    return cands, np.array(read_pool(path).labels), labeled
 
 
 def pinned_posterior(cands, y, labeled):

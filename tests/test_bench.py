@@ -1,4 +1,5 @@
 """Benchmark harness: spec handling, truth recovery, aggregation, pool builder."""
+import hashlib
 import json
 from dataclasses import replace
 from itertools import product
@@ -20,6 +21,7 @@ from poolbo.bench import (
 from poolbo.generation import PoolFormatError, load_pool, read_pool
 from poolbo.oracles import OracleError
 from poolbo.pareto import MetricRecord, build_front, read_metrics_csv
+from refimpl import string_ablation_pool
 
 
 @pytest.fixture()
@@ -73,7 +75,7 @@ class TestBenchSpec:
 
 class TestSharedRefPoint:
     def test_resolves_nadir_rules_over_all_labels(self, small_pool, tmp_path):
-        labels = np.array([objs for _, _, _, objs in read_pool(small_pool)])
+        labels = read_pool(small_pool).labels
         lo = labels.min(axis=0)
         span = labels.max(axis=0) - lo
         spec = small_spec(small_pool, tmp_path / "out")
@@ -90,7 +92,8 @@ class TestSharedRefPoint:
         result = run_bench(spec)
         ref = shared_ref_point(spec)
         assert result["ref_point"] == ref
-        labels = {cid: np.array(objs) for _, cid, _, objs in read_pool(small_pool)}
+        pool = read_pool(small_pool)
+        labels = dict(zip(pool.ids, pool.labels))
         truth = result["true_front_ids"]
         hv_true = build_front([labels[i] for i in truth], list(truth), ref).hypervolume()
         finals = [records[-1] for records in result["records"].values()]
@@ -100,7 +103,8 @@ class TestSharedRefPoint:
 
 class TestTruth:
     def test_matches_pairwise_domination_scan(self, small_pool):
-        labels = {cid: np.array(objs) for _, cid, _, objs in read_pool(small_pool)}
+        pool = read_pool(small_pool)
+        labels = dict(zip(pool.ids, pool.labels))
         ids = list(labels)
         pts = np.stack([labels[i] for i in ids])
         expected = set()
@@ -267,13 +271,15 @@ class TestRunBench:
             monkeypatch.setattr(module, "read_pool", lambda p: reads.append(p) or read(p))
         monkeypatch.setattr(campaign, "load_pool", lambda *a: loads.append(a) or load(*a))
         monkeypatch.setattr(generation, "_identity_features",
-                            lambda g: featurized.append(g) or identity(g))
+                            lambda gs: featurized.append(list(gs)) or identity(gs))
         spec = small_spec(small_pool, tmp_path / "out")
         cells = len(spec.acquisitions) * len(spec.seeds)
         run_bench(spec)
         assert len(reads) == 1 + 2 * cells
         assert len(loads) == cells
-        assert len(featurized) == cells * (len(read(small_pool)) + spec.init_size)
+        # one batch for the initial designs and one for the pool, per cell
+        assert len(featurized) == 2 * cells
+        assert sum(map(len, featurized)) == cells * (len(read(small_pool).ids) + spec.init_size)
 
     def test_starts_at_most_one_worker_per_cell(self, small_pool, tmp_path, monkeypatch):
         # a recording stand-in runs the cells in this process, so no worker
@@ -319,6 +325,23 @@ class TestMakeAblationPool:
                                   front_range=(5, 40))
         assert 5 <= meta["front_size"] <= 40
         assert len(true_pareto_ids(tmp_path / "p.csv")) == meta["front_size"]
+
+    def test_default_pool_bytes_are_pinned(self, tmp_path):
+        # the headline pool every static benchmark and ablation reads
+        make_ablation_pool(tmp_path / "p.csv")
+        digest = hashlib.sha256((tmp_path / "p.csv").read_bytes()).hexdigest()
+        assert digest == "5bbb09f23ebef4d058090b2c6bc2b720c1f4249a17afb2fbf1704e5b938bf0f9"
+
+    @pytest.mark.parametrize("n,bits,seed,front_range", [
+        (120, 12, 9, (5, 40)), (64, 6, 5, (2, 60)), (50, 9, 2, (2, 50)), (300, 10, 1, (3, 200)),
+    ])
+    def test_block_writer_gives_the_string_writers_bytes(self, tmp_path, n, bits, seed,
+                                                          front_range):
+        # (64, 6) draws 64 of 64 genomes, so later blocks fill the duplicates
+        make_ablation_pool(tmp_path / "a.csv", n=n, bits=bits, seed=seed, front_range=front_range)
+        string_ablation_pool(tmp_path / "b.csv", n=n, bits=bits, seed=seed,
+                             front_range=front_range)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_pool_is_deterministic(self, tmp_path):
         make_ablation_pool(tmp_path / "a.csv", n=50, bits=9, seed=2, front_range=(2, 50))

@@ -7,6 +7,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import poolbo.campaign as campaign_mod
 import poolbo.generation as generation_mod
@@ -27,10 +28,12 @@ from poolbo.campaign import (
 )
 from poolbo.acquisition import estimate_qpmhi, estimate_qpo, select_batch
 from poolbo.generation import Candidate, GeneratorConfig, load_pool, make_featurizer
-from poolbo.gp import Dataset, Posterior
-from poolbo.oracles import LookupOracle, OracleError
+from poolbo.gp import Dataset, GpConfig, Posterior
+from poolbo.oracles import BuiltinOracle, LookupOracle, OracleError
 from poolbo.files import atomic_write
-from poolbo.pareto import METRICS_HEADER, hvi_many, read_metrics_csv, save_front, write_metrics_csv
+from poolbo.pareto import (METRICS_HEADER, build_front, hvi_many, read_metrics_csv, save_front,
+                           update_front, write_metrics_csv)
+from refimpl import sequential_init_genomes
 
 FEAT = make_featurizer("identity")
 
@@ -214,6 +217,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="exactly one"):
             CampaignConfig(iterations=1, batch_size=1, oracle="sphere_pair")
 
+    @pytest.mark.parametrize("over,msg", [
+        (dict(gp={"kernel": "rbf"}), "gp must be a GpConfig, got dict"),
+        (dict(gp=None), "gp must be a GpConfig, got NoneType"),
+        (dict(generator={"pool_size": 8}), "generator must be a GeneratorConfig, got dict"),
+    ])
+    def test_plain_mapping_in_place_of_a_section_config_rejected(self, over, msg):
+        with pytest.raises(ValueError, match=msg):
+            gen_cfg(**over)
+        payload = gen_cfg().to_dict()
+        payload.update(over)
+        built = CampaignConfig.from_dict(payload)  # the JSON route builds the section configs
+        assert isinstance(built.gp, GpConfig) and isinstance(built.generator, GeneratorConfig)
+
     def test_featurizer_beside_a_generator_rejected(self):
         # a generator names its own featurizer; the pool_path one would be ignored
         with pytest.raises(ValueError, match="generator.featurizer"):
@@ -227,7 +243,7 @@ def toy_dataset(objectives, bits=4):
     genomes = [format(i, f"0{bits}b") for i in range(len(objectives))]
     return Dataset(
         ids=tuple(f"d{i}" for i in range(len(objectives))),
-        features=np.stack([FEAT(g) for g in genomes]),
+        features=FEAT(genomes),
         objectives=objectives,
         genomes=tuple(genomes),
     )
@@ -314,6 +330,29 @@ class TestBuildInitialData:
         assert len(set(a.genomes)) == 6
         assert all(len(g) == 12 for g in a.genomes)
 
+    @pytest.mark.parametrize("count,length", [(32, 48), (4, 2), (5, 3), (9, 7), (1, 1), (0, 4)])
+    def test_random_init_draws_are_the_one_by_one_draws(self, count, length):
+        # (4, 2) draws 4 of the only 4 genomes, so duplicates are redrawn
+        oracle = BuiltinOracle("linear_tradeoff")
+        for seed in range(12):
+            cfg = gen_cfg(seed=seed, init={"random": {"count": count, "length": length}})
+            want = sequential_init_genomes(seed, count, length)
+            if not count:
+                with pytest.raises(ValueError, match="non-empty"):
+                    build_initial_data(cfg, oracle)
+                continue
+            data = build_initial_data(cfg, oracle)
+            assert list(data.genomes) == want
+            assert np.array_equal(data.features, FEAT(want))
+
+    def test_random_init_attempt_cap_is_the_one_by_one_cap(self):
+        cfg = gen_cfg(init={"random": {"count": 3, "length": 1}})
+        with pytest.raises(ValueError) as want:
+            sequential_init_genomes(0, 3, 1)
+        with pytest.raises(ValueError) as got:
+            build_initial_data(cfg, BuiltinOracle("linear_tradeoff"))
+        assert str(got.value) == str(want.value) == "could not draw enough distinct init genomes"
+
     def test_pool_sample_bounds(self, tmp_path):
         pool = write_labeled_pool(tmp_path / "pool.csv", n=5)
         cfg = static_cfg(pool, init={"pool_sample": 9})
@@ -344,8 +383,7 @@ class TestBuildInitialData:
         assert state.iteration == 2
         assert state.dataset.n > 5
         feat = make_featurizer("kgram:2", alphabet="ABC")
-        assert np.array_equal(state.dataset.features,
-                              np.stack([feat(g) for g in state.dataset.genomes]))
+        assert np.array_equal(state.dataset.features, feat(state.dataset.genomes))
 
     @pytest.mark.parametrize("form", ["pool_sample", "genomes"])
     def test_static_pool_is_read_once_and_only_init_rows_featurized(self, tmp_path,
@@ -358,11 +396,11 @@ class TestBuildInitialData:
         monkeypatch.setattr(campaign_mod, "read_pool", lambda p: reads.append(p) or read(p))
         monkeypatch.setattr(campaign_mod, "load_pool", None)
         monkeypatch.setattr(generation_mod, "_identity_features",
-                            lambda g: featurized.append(g) or identity(g))
+                            lambda gs: featurized.append(list(gs)) or identity(gs))
         data = build_initial_data(static_cfg(pool, init=init), oracle)
         assert reads == [str(pool)]
-        assert featurized == list(data.genomes)
-        assert np.array_equal(data.features, np.stack([identity(g) for g in data.genomes]))
+        assert featurized == [list(data.genomes)]
+        assert np.array_equal(data.features, identity(data.genomes))
 
     def test_static_token_pool_fixes_the_init_alphabet(self, tmp_path):
         # the init designs use two of the pool's four symbols; they must be
@@ -535,7 +573,7 @@ class TestZeroVariancePosterior:
         rows = ["id,genome"] + [f"p{i},{g}" for i, g in enumerate(unlabeled)]
         pool_path.write_text("\n".join(rows) + "\n")
 
-        oracle = LookupOracle(table, m=2)
+        oracle = LookupOracle(list(table), list(table.values()))
         cfg = CampaignConfig(
             iterations=1, batch_size=2, mc_samples=8,
             ref_rule="explicit", ref_point=(0.0, 0.0),
@@ -543,7 +581,7 @@ class TestZeroVariancePosterior:
         )
         initial = Dataset(
             ids=("a", "b"),
-            features=np.stack([FEAT("0001"), FEAT("0010")]),
+            features=FEAT(["0001", "0010"]),
             objectives=np.array([[4.0, 1.0], [1.0, 4.0]]),
             genomes=("0001", "0010"),
         )
@@ -585,14 +623,14 @@ def open_row_campaign(acq):
     genomes = list(OPEN_ROW_LABELS)
     initial = Dataset(
         ids=tuple(f"l{i}" for i in range(len(genomes))),
-        features=np.stack([FEAT(g) for g in genomes]),
+        features=FEAT(genomes),
         objectives=np.array([OPEN_ROW_LABELS[g][:m] for g in genomes]),
         genomes=tuple(genomes),
     )
     cfg = CampaignConfig(iterations=1, batch_size=3, mc_samples=64, n_objectives=m,
                          acquisition=acq, ref_rule="explicit", ref_point=(0.0,) * m,
                          pool_path="unread.csv", seed=7)
-    pool = [Candidate(id=f"p{i}", genome=g, features=FEAT(g))
+    pool = [Candidate(id=f"p{i}", genome=g, features=FEAT([g])[0])
             for i, g in enumerate(OPEN_ROW_POOL)]
     return init_campaign(cfg, initial), cfg, pool
 
@@ -681,6 +719,24 @@ class TestOpenRowScoring:
         assert_bitwise_equal(result, expected)
         assert result.probs[0] == 1.0 and result.probs[4] == 0.0
         assert batch[0] == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 40), st.integers(0, 2 ** 32 - 1))
+    def test_labeled_rows_gain_exactly_zero(self, m, n, seed):
+        # _pool_scores fills the labeled rows' mean improvement with 0.0
+        # instead of scoring them: each observation is on the front, weakly
+        # dominated by it, or not strictly above ref. Small integer labels
+        # give ties, repeated rows, rows at ref and empty fronts.
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, 4, size=(n, m)).astype(float)
+        y = np.concatenate([y, y[: n // 3]])  # repeated observations
+        ref = rng.integers(-1, 3, size=m).astype(float)
+        front = build_front(y, [f"d{i}" for i in range(len(y))], ref)
+        for row in y[rng.permutation(len(y))[:5]]:
+            front = update_front(front, row, "again")
+        gains = hvi_many(y, front)
+        assert gains.shape == (len(y),)
+        assert np.all(gains == 0.0) and not np.signbit(gains).any()
 
     def test_estimates_once_per_iteration_down_to_no_open_row(self, tmp_path, monkeypatch):
         pool = write_labeled_pool(tmp_path / "pool.csv", n=8)

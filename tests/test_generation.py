@@ -10,6 +10,7 @@ from poolbo.campaign import CampaignConfig
 from poolbo.generation import (
     GenerationStarvedError,
     GeneratorConfig,
+    GenomeError,
     PoolFormatError,
     _validate_genome,
     genome_alphabet,
@@ -22,7 +23,7 @@ from poolbo.generation import (
 )
 from poolbo.gp import Dataset, GpConfig, fit
 from poolbo.seeds import child_rng
-from refimpl import dict_kgram_featurizer, string_propose_pool
+from refimpl import dict_kgram_featurizer, per_genome_featurizer, row_read_pool, string_propose_pool
 
 BAD_FEATURIZERS = ("kgram:0", "kgram:x", "kgram:-1", "kgram", "bogus")
 
@@ -36,7 +37,7 @@ def bit_dataset(genomes, objectives):
     feat = make_featurizer("identity")
     return Dataset(
         ids=tuple(f"d{i}" for i in range(len(genomes))),
-        features=np.stack([feat(g) for g in genomes]),
+        features=feat(genomes),
         objectives=np.asarray(objectives, dtype=float),
         genomes=tuple(genomes),
     )
@@ -45,21 +46,22 @@ def bit_dataset(genomes, objectives):
 class TestFeaturizers:
     def test_identity_maps_bits(self):
         feat = make_featurizer("identity")
-        assert np.array_equal(feat("0110"), [0.0, 1.0, 1.0, 0.0])
+        assert np.array_equal(feat(["0110", "1000"]), [[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
 
     def test_identity_rejects_other_symbols(self):
         with pytest.raises(ValueError):
-            make_featurizer("identity")("01x0")
+            make_featurizer("identity")(["0110", "01x0"])
 
     def test_kgram_counts_windows(self):
         feat = make_featurizer("kgram:2", alphabet="01")
         # vocab order 00, 01, 10, 11; "0110" has windows 01, 11, 10
-        assert np.array_equal(feat("0110"), [0.0, 1.0, 1.0, 1.0])
-        assert feat("0000")[0] == 3.0
+        got = feat(["0110", "0000"])
+        assert np.array_equal(got[0], [0.0, 1.0, 1.0, 1.0])
+        assert got[1, 0] == 3.0
 
     def test_kgram_dimension_is_alphabet_power(self):
         feat = make_featurizer("kgram:2", alphabet="abc")
-        assert feat("abc").size == 9
+        assert feat(["abc"]).shape == (1, 9)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
@@ -73,11 +75,12 @@ class TestFeaturizers:
         feat, ref = make_featurizer(f"kgram:{k}", alphabet), dict_kgram_featurizer(f"kgram:{k}", alphabet)
         rng = np.random.default_rng(k)
         symbols = sorted(alphabet)
-        for length in list(range(0, k + 2)) + [9, 48]:
-            for _ in range(20):
-                genome = "".join(rng.choice(symbols, size=length)) if length else ""
-                got, want = feat(genome), ref(genome)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), genome
+        genomes = ["".join(rng.choice(symbols, size=length)) if length else ""
+                   for length in list(range(0, k + 2)) + [9, 48] for _ in range(20)]
+        got, want = feat(genomes), np.stack([ref(g) for g in genomes])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for genome in genomes:  # alone, each genome is its own batch of one
+            assert feat([genome]).tobytes() == ref(genome).tobytes(), genome
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("genome", ["01x1", "x0101", "0101x", "0xx1", "01\U0001f600", "0y"])
@@ -85,17 +88,52 @@ class TestFeaturizers:
         try:
             dict_kgram_featurizer(f"kgram:{k}", "01")(genome)
         except ValueError as exc:
-            with pytest.raises(ValueError) as got:
-                make_featurizer(f"kgram:{k}", "01")(genome)
+            with pytest.raises(GenomeError) as got:
+                make_featurizer(f"kgram:{k}", "01")(["0", "0110", genome, "x1x1"])
             assert str(got.value) == str(exc)
+            assert got.value.index == 2
         else:  # shorter than k: no window, no error
             assert len(genome) < k
-            assert not make_featurizer(f"kgram:{k}", "01")(genome).any()
+            assert not make_featurizer(f"kgram:{k}", "01")([genome]).any()
 
     @pytest.mark.parametrize("name", BAD_FEATURIZERS)
     def test_bad_name_rejected(self, name):
         with pytest.raises(ValueError):
             make_featurizer(name)
+
+    @pytest.mark.parametrize("name,alphabet,genomes", [
+        ("identity", "01", ["0110", "1111", "0000", "1010"]),
+        ("identity", "01", ["", ""]),
+        ("identity", "01", []),
+        ("kgram:3", "01", ["01", "0110101", "", "1", "111", "0000000000"]),
+        ("kgram:2", "ABC", ["A", "ABCA", "CC", "BACAB", "", "B"]),
+        ("kgram:4", "ACGT", ["AC", "ACG", "T"]),
+        ("kgram:1", "\u00e9\U0001f600z", ["z\U0001f600", "\u00e9", "zz\u00e9\U0001f600"]),
+    ])
+    def test_batch_rows_are_the_per_genome_vectors(self, name, alphabet, genomes):
+        # bitstrings, tokens, ragged lengths and genomes shorter than k
+        got = make_featurizer(name, alphabet)(genomes)
+        ref = per_genome_featurizer(name, alphabet)
+        assert got.dtype == np.float64 and got.shape[0] == len(genomes)
+        for row, genome in zip(got, genomes):
+            assert row.tobytes() == ref(genome).tobytes(), genome
+
+    @pytest.mark.parametrize("genomes,index,message", [
+        (["0110", "011", "0x"], 1, "genomes of one length, got 3 symbols after 4"),
+        (["0110", "01x0", "011"], 1, "needs a 0/1 genome, found ['x']"),
+        (["0110", "0110", "\u00e90"], 2, "needs a 0/1 genome, found ['\u00e9']"),
+        (["", "1"], 1, "got 1 symbols after 0"),
+    ])
+    def test_identity_names_the_first_bad_genome(self, genomes, index, message):
+        with pytest.raises(GenomeError) as got:
+            make_featurizer("identity")(genomes)
+        assert got.value.index == index
+        assert message in str(got.value)
+
+
+def rows_of(pool) -> list:
+    """read_pool's columns as (row, id, genome, objectives) tuples."""
+    return list(zip(pool.rows, pool.ids, pool.genomes, pool.labels.tolist()))
 
 
 class TestLoadPool:
@@ -108,7 +146,7 @@ class TestLoadPool:
     def test_read_pool_keeps_token_rows_unfeaturized(self, tmp_path):
         path = write_csv(tmp_path / "p.csv",
                          "id,genome,obj_1\na,0101,1.5\nb,ABAB,2.0\nc,0101,3.0\n")
-        assert read_pool(path) == [(2, "a", "0101", [1.5]), (3, "b", "ABAB", [2.0])]
+        assert rows_of(read_pool(path)) == [(2, "a", "0101", [1.5]), (3, "b", "ABAB", [2.0])]
         with pytest.raises(PoolFormatError, match="row 3: identity featurizer"):
             load_pool(path)
         dup = write_csv(tmp_path / "d.csv", "id,genome\na,ABCD\na,ABAB\n")
@@ -151,7 +189,7 @@ class TestLoadPool:
             "id,genome,obj_1,obj_2\na,01,1.5,2.0\nb,10,0.25,-1.0\n",
         )
         assert len(load_pool(path)) == 2
-        assert read_pool(path) == [(2, "a", "01", [1.5, 2.0]), (3, "b", "10", [0.25, -1.0])]
+        assert rows_of(read_pool(path)) == [(2, "a", "01", [1.5, 2.0]), (3, "b", "10", [0.25, -1.0])]
 
     def test_bad_objective_value_names_row(self, tmp_path):
         path = write_csv(tmp_path / "p.csv", "id,genome,obj_1\na,01,oops\n")
@@ -166,7 +204,8 @@ class TestLoadPool:
 
     def test_unlabeled_pool_has_no_objectives(self, tmp_path):
         path = write_csv(tmp_path / "p.csv", "id,genome\na,01\n")
-        assert read_pool(path) == [(2, "a", "01", [])]
+        assert rows_of(read_pool(path)) == [(2, "a", "01", [])]
+        assert read_pool(path).labels.shape == (1, 0)
 
     @pytest.mark.parametrize("space", [" ", "\t", "\x0b", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"])
     def test_whitespace_in_genome_names_row(self, tmp_path, space):
@@ -190,6 +229,100 @@ class TestLoadPool:
         path = write_csv(tmp_path / "p.csv", "id,genome\na,abba\nb,baab\n")
         pool = load_pool(path, featurizer="kgram:1")
         assert np.array_equal(pool[0].features, [2.0, 2.0])
+
+    def test_ragged_bitstring_pool_names_its_first_off_length_row(self, tmp_path):
+        path = write_csv(tmp_path / "p.csv", "id,genome\na,0101\nb,0101\nc,1111\nd,011\ne,01\n")
+        with pytest.raises(PoolFormatError, match="row 5: identity featurizer needs genomes of one length"):
+            load_pool(path)
+        assert len(load_pool(path, featurizer="kgram:2")) == 4
+
+    def test_candidates_hold_read_only_rows_of_one_matrix(self, tmp_path):
+        path = write_csv(tmp_path / "p.csv", "id,genome,obj_1\na,0101,1.0\nb,1100,2.0\n")
+        pool = load_pool(path)
+        assert all(not c.features.flags.writeable for c in pool)
+        assert pool[0].features.base is pool[1].features.base
+        assert not read_pool(path).labels.flags.writeable
+        with pytest.raises(ValueError):
+            pool[0].features[0] = 5.0
+
+
+POOL_TEXTS = {
+    "valid": "id,genome,obj_1,obj_2\na,01,1.5,2\nb,10,-0.25,1e-3\nc,01,3,4\nd,11, 7 ,1_0\n",
+    "unlabeled": "id,genome\na,01\nb,01\nc,AB\n",
+    "empty": "id,genome,obj_1\n",
+    "no header": "",
+    "bad header": "genome,id\n0101,a\n",
+    "bad objective header": "id,genome,obj_2\na,01,1\n",
+    "blank line": "id,genome\na,01\n\nb,10\n",
+    "short row": "id,genome,obj_1\na,01,1\nb,10\nc,11,x\n",
+    "long row before bad id": "id,genome\na,01,9\n;b,10\n",
+    "bad id before long row": "id,genome\n;b,10\na,01,9\n",
+    "empty genome": "id,genome,obj_1\na,,x\n",
+    "whitespace genome": "id,genome,obj_1\na,0 1,x\n",
+    "trailing whitespace genome": "id,genome\na,01\nb,01\u3000\n",
+    "bad value before bad id": "id,genome,obj_1,obj_2\n,01,1,x\n",
+    "bad id after bad value": "id,genome,obj_1\na,01,oops\n;,10,1\n",
+    "semicolon id": "id,genome\na,01\nb;c,10\n",
+    "empty id": "id,genome\na,01\n,10\n",
+    "duplicate id": "id,genome\na,01\nb,10\na,11\n",
+    "duplicate id and genome": "id,genome\na,01\na,01\n",
+    "non-finite": "id,genome,obj_1,obj_2\na,01,1,2\nb,10,inf,nan\nc,11,nan,1\n",
+    "non-finite in a dropped copy": "id,genome,obj_1\na,01,1\nb,01,-inf\n",
+    "non-finite before a bad row": "id,genome,obj_1\na,01,nan\nb,10,1\nb,11,2\n",
+    "quoted fields": 'id,genome,obj_1\n"a,1",01,"2.5"\n"b",10,3\n',
+}
+
+
+class TestColumnarRead:
+    """read_pool against refimpl.row_read_pool, which checks one row at a
+    time: the same kept rows, or the same error."""
+
+    @staticmethod
+    def outcome(reader, path):
+        try:
+            return reader(path)
+        except Exception as exc:  # the type and message are compared
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("name", sorted(POOL_TEXTS))
+    def test_matches_the_row_loop(self, tmp_path, name):
+        path = tmp_path / "p.csv"
+        path.write_text(POOL_TEXTS[name], encoding="utf-8")
+        got, want = self.outcome(read_pool, path), self.outcome(row_read_pool, path)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert rows_of(got) == want
+            assert got.labels.dtype == np.float64 and got.labels.flags.c_contiguous
+
+    @given(st.lists(st.tuples(st.sampled_from(["a", "b", "c", "", "d;", "e"]),
+                              st.sampled_from(["01", "10", "", "0 1", "11"]),
+                              st.sampled_from(["1", "-2.5", "nan", "inf", "x", "1e308"]),
+                              st.integers(0, 9)), max_size=8))
+    def test_random_files_match_the_row_loop(self, rows):
+        import tempfile
+
+        # a row drawn with width digit 0 loses its label, 1 gains a field
+        lines = ["id,genome,obj_1"] + [
+            ",".join([cid, genome] + {0: [], 1: [value, value]}.get(width, [value]))
+            for cid, genome, value, width in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/p.csv"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write("\n".join(lines) + "\n")
+            got, want = self.outcome(read_pool, path), self.outcome(row_read_pool, path)
+        assert (got == want) if isinstance(want, tuple) else rows_of(got) == want
+
+    def test_a_reader_error_comes_after_the_rows_before_it(self, tmp_path):
+        # csv stops at an oversized field; a bad row before it is named first
+        huge = "0" * (csv.field_size_limit() + 1)
+        for head, expect in (("a,01\n", csv.Error), (";,01\n", PoolFormatError)):
+            path = write_csv(tmp_path / "p.csv", f"id,genome\n{head}b,{huge}\n")
+            with pytest.raises(expect) as got:
+                read_pool(path)
+            with pytest.raises(expect) as want:
+                row_read_pool(path)
+            assert str(got.value) == str(want.value)
 
 
 class TestPredicates:
@@ -330,7 +463,7 @@ class TestProposePool:
         feat = make_featurizer("kgram:1", alphabet="abc")
         data = Dataset(
             ids=("t0", "t1"),
-            features=np.stack([feat("abca"), feat("bcab")]),
+            features=feat(["abca", "bcab"]),
             objectives=np.array([[1.0, 2.0], [2.0, 1.0]]),
             genomes=("abca", "bcab"),
         )
@@ -369,7 +502,7 @@ def featurized(genomes, objectives, featurizer):
     feat = make_featurizer(featurizer, genome_alphabet(genomes))
     return Dataset(
         ids=tuple(f"d{i}" for i in range(len(genomes))),
-        features=np.stack([feat(g) for g in genomes]),
+        features=feat(genomes),
         objectives=np.asarray(objectives, dtype=float),
         genomes=tuple(genomes),
     )

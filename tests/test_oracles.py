@@ -21,7 +21,7 @@ FEAT = make_featurizer("identity")
 
 
 def cand(genome: str, i: int = 0) -> Candidate:
-    return Candidate(id=f"c{i}", genome=genome, features=FEAT(genome))
+    return Candidate(id=f"c{i}", genome=genome, features=FEAT([genome])[0])
 
 
 def batch(*genomes):
@@ -125,6 +125,9 @@ class TestLookupOracle:
         # ids on the candidates do not matter, only genomes do
         out = oracle.evaluate([cand("11", 9), cand("00", 5)])
         assert out.tolist() == [[0.5, 0.5], [1.0, 4.0]]
+        # one read-only label array; each evaluation returns its own rows
+        assert oracle.labels.shape == (3, 2) and not oracle.labels.flags.writeable
+        assert out.flags.writeable and not np.shares_memory(out, oracle.labels)
 
     def test_missing_genome_is_an_error(self, tmp_path):
         pool = tmp_path / "pool.csv"
