@@ -27,8 +27,8 @@ from .acquisition import (
 from .files import atomic_write
 from .generation import (
     GeneratorConfig,
+    Pool,
     bit_strings,
-    candidates,
     featurize_rows,
     genome_alphabet,
     load_pool,
@@ -36,7 +36,7 @@ from .generation import (
     propose_pool,
     read_pool,
 )
-from .gp import Dataset, GpConfig, fit, pool_posterior
+from .gp import Dataset, GpConfig, KeptCovariance, fit, pool_posterior
 from .oracles import make_oracle
 from .pareto import (
     MAX_HV_DIM,
@@ -293,7 +293,7 @@ def build_initial_data(cfg: CampaignConfig, oracle=None) -> Dataset:
         cands = featurize_rows(pool, cfg.pool_featurizer, alphabet, idx)
     else:
         features = make_featurizer(cfg.pool_featurizer, alphabet)(genomes)
-        cands = candidates([f"init-{i}" for i in range(len(genomes))], genomes, features)
+        cands = Pool([f"init-{i}" for i in range(len(genomes))], genomes, features)
     values = np.asarray(oracle.evaluate(cands), dtype=float)
     return Dataset(
         ids=tuple(c.id for c in cands),
@@ -336,13 +336,26 @@ def _pool_scores(state: CampaignState, cfg: CampaignConfig, post,
     return AcquisitionResult(*scores, scored.improving_fraction, scored.n_samples, scored.seed)
 
 
-def select_next(state: CampaignState, cfg: CampaignConfig, pool: list, model=None) -> list:
+def _pool_posterior(model, data: Dataset, pool: list, features, kept) -> object:
+    """pool_posterior over `pool`'s rows, each row whose genome `data` labels
+    pinned at its observed objectives."""
+    labeled_row = {g: i for i, g in enumerate(data.genomes)}
+    known_idx = [i for i, c in enumerate(pool) if c.genome in labeled_row]
+    known_values = data.objectives[[labeled_row[pool[i].genome] for i in known_idx]]
+    return pool_posterior(model, features, known_idx, known_values, kept)
+
+
+def select_next(state: CampaignState, cfg: CampaignConfig, pool: list, model=None,
+                kept: KeptCovariance | None = None) -> list:
     """Indices into `pool` of the batch that iteration state.iteration + 1 queries.
 
     Pool rows whose genome is already labeled are pinned at their observed
     objectives, and qpmhi and qpo estimate only the other rows (see
     _pool_scores). The surrogate is fitted on state.dataset unless `model`,
-    a fit of that same dataset, is given.
+    a fit of that same dataset, is given. `kept`, a static pool's
+    KeptCovariance (see kept_covariance), supplies the pool's feature matrix
+    and the arrays the pool posterior conditions; without it the rows'
+    features are stacked and the posterior is built fresh.
     """
     acq_seed = derive_seed(derive_seed(cfg.seed, state.iteration + 1), _STAGE_ACQUISITION)
     q = cfg.batch_size
@@ -350,10 +363,8 @@ def select_next(state: CampaignState, cfg: CampaignConfig, pool: list, model=Non
         return random_select(len(pool), q, acq_seed)
     if model is None:
         model = fit(state.dataset, cfg.gp)
-    labeled_row = {g: i for i, g in enumerate(state.dataset.genomes)}
-    known_idx = [i for i, c in enumerate(pool) if c.genome in labeled_row]
-    known_values = state.dataset.objectives[[labeled_row[pool[i].genome] for i in known_idx]]
-    post = pool_posterior(model, np.stack([c.features for c in pool]), known_idx, known_values)
+    features = np.stack([c.features for c in pool]) if kept is None else kept.features
+    post = _pool_posterior(model, state.dataset, pool, features, kept)
     if cfg.acquisition in ("qpmhi", "qpo"):
         return select_batch(_pool_scores(state, cfg, post, acq_seed), q)
     if cfg.acquisition == "qehvi_mc":
@@ -361,6 +372,34 @@ def select_next(state: CampaignState, cfg: CampaignConfig, pool: list, model=Non
     if cfg.acquisition == "thompson":
         return thompson_hvi(post, state.front, q, acq_seed)
     raise ValueError(f"unknown acquisition: {cfg.acquisition!r}")
+
+
+def kept_covariance(state: CampaignState, cfg: CampaignConfig, pool) -> KeptCovariance:
+    """The KeptCovariance that run() holds for the static `pool` (a Pool)
+    after state.iteration iterations, replayed from state: cfg.init's count
+    of initial designs, then per recorded iteration a refit of the designs
+    labeled before it and its pool posterior, conditioned or rebuilt as
+    run() did. A dataset that is not those designs plus the recorded
+    batches' new rows of `pool` (one built otherwise, another pool file)
+    replays nothing, and the next posterior is built fresh."""
+    kept, data, init = KeptCovariance(pool.features), state.dataset, cfg.init or {}
+    n = (len(init["genomes"]) if "genomes" in init else int(init["random"]["count"])
+         if "random" in init else int(init.get("pool_sample", -1)))
+    genome_of, labeled, counts = {c.id: c.genome for c in pool}, set(data.genomes[:n]), []
+    for record in state.history:
+        new = [g for g in map(genome_of.get, record.batch_ids) if g not in labeled]
+        if n < 0 or None in new or list(data.genomes[n:n + len(new)]) != new:
+            return kept
+        counts.append(n)
+        labeled.update(new)
+        n += len(new)
+    if n != data.n or cfg.acquisition == "random":
+        return kept
+    for n in counts:
+        prefix = Dataset(data.ids[:n], data.features[:n], data.objectives[:n],
+                         data.feature_kind, data.genomes[:n])
+        _pool_posterior(fit(prefix, cfg.gp), prefix, pool, kept.features, kept)
+    return kept
 
 
 def run(state: CampaignState, cfg: CampaignConfig, *, oracle=None, metrics_path=None,
@@ -373,13 +412,14 @@ def run(state: CampaignState, cfg: CampaignConfig, *, oracle=None, metrics_path=
     re-queried.
     """
     oracle = resolve_oracle(cfg, oracle)
-    static_pool = None
+    static_pool = kept = None
     if cfg.pool_path is not None:
         static_pool = load_pool(cfg.pool_path, cfg.featurizer)
         if cfg.batch_size > len(static_pool):
             raise ValueError(
                 f"batch_size {cfg.batch_size} exceeds pool size {len(static_pool)}"
             )
+        kept = kept_covariance(state, cfg, static_pool)
     true_ids = None if true_front_ids is None else set(true_front_ids)
     labeled = set(state.dataset.genomes)
     breeds_on_surrogate = (
@@ -394,7 +434,7 @@ def run(state: CampaignState, cfg: CampaignConfig, *, oracle=None, metrics_path=
             pool = propose_pool(
                 state.dataset, model, cfg.generator, derive_seed(it_seed, _STAGE_GENERATION)
             )
-        batch = [pool[i] for i in select_next(state, cfg, pool, model)]
+        batch = [pool[i] for i in select_next(state, cfg, pool, model, kept)]
         new = [c for c in batch if c.genome not in labeled]
         if len(new) < len(batch):
             logger.info(

@@ -21,6 +21,7 @@ from .campaign import (
     build_initial_data,
     config_hash,
     init_campaign,
+    kept_covariance,
     load_checkpoint,
     resolve_oracle,
     run,
@@ -107,8 +108,10 @@ def cmd_select(args) -> int:
         raise ValueError("-q must be at least 1")
     state, cfg = load_checkpoint(args.checkpoint)
     pool = load_pool(args.pool, cfg.pool_featurizer)
+    # a static campaign's pool posterior is replayed, as a resumed run() replays it
+    kept = None if cfg.pool_path is None else kept_covariance(state, cfg, pool)
     cfg = dataclasses.replace(cfg, batch_size=args.batch_size, generator=None, pool_path=args.pool)
-    for i in select_next(state, cfg, pool):
+    for i in select_next(state, cfg, pool, kept=kept):
         print(pool[i].id)
     return 0
 

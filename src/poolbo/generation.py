@@ -302,19 +302,22 @@ def read_pool(path) -> PoolColumns:
     return PoolColumns(tuple(i + 2 for i in keep), ids, genomes, labels)
 
 
-def load_pool(path, featurizer: str = "identity") -> list:
+class Pool(list):
+    """Candidates holding read-only row views of one feature matrix, `features`."""
+
+    def __init__(self, ids, genomes, features: np.ndarray):
+        features.flags.writeable = False
+        super().__init__(Candidate(cid, genome, x) for cid, genome, x in zip(ids, genomes, features))
+        self.features = features
+
+
+def load_pool(path, featurizer: str = "identity") -> Pool:
     """read_pool's rows as featurized candidates."""
     pool = read_pool(path)
     return featurize_rows(pool, featurizer, genome_alphabet(pool.genomes), range(len(pool.ids)))
 
 
-def candidates(ids, genomes, features: np.ndarray) -> list:
-    """Candidates holding read-only row views of one feature matrix."""
-    features.flags.writeable = False
-    return [Candidate(cid, genome, x) for cid, genome, x in zip(ids, genomes, features)]
-
-
-def featurize_rows(pool: PoolColumns, featurizer: str, alphabet: str, idx) -> list:
+def featurize_rows(pool: PoolColumns, featurizer: str, alphabet: str, idx) -> Pool:
     """Candidates of read_pool's rows at positions idx, from one featurizer
     call; a genome the featurizer rejects raises PoolFormatError naming its
     row."""
@@ -323,7 +326,7 @@ def featurize_rows(pool: PoolColumns, featurizer: str, alphabet: str, idx) -> li
         features = make_featurizer(featurizer, alphabet)(genomes)
     except GenomeError as exc:
         raise PoolFormatError(f"row {pool.rows[idx[exc.index]]}: {exc}") from None
-    return candidates([pool.ids[i] for i in idx], genomes, features)
+    return Pool([pool.ids[i] for i in idx], genomes, features)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +381,7 @@ def _parent_weights(data: Dataset, model: GpModel | None, cfg: GeneratorConfig) 
     return w / w.sum()
 
 
-def propose_pool(data: Dataset, model: GpModel | None, cfg: GeneratorConfig, seed: int) -> list:
+def propose_pool(data: Dataset, model: GpModel | None, cfg: GeneratorConfig, seed: int) -> Pool:
     """Breed a pool of exactly pool_size unique candidates.
 
     Slots fill in three stages: copies of the dataset's non-dominated
@@ -451,4 +454,4 @@ def propose_pool(data: Dataset, model: GpModel | None, cfg: GeneratorConfig, see
     if len(pool) < n_total:
         accepted = len(pool) - n_copied
         raise GenerationStarvedError(n_total, len(pool), accepted / max(attempts, 1))
-    return candidates(ids, kept, features)
+    return Pool(ids, kept, features)

@@ -30,6 +30,8 @@ JITTER_LADDER = (1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 SAMPLE_BLOCK = 64
 # a u x u block is built through temporaries of at most TILE x TILE entries
 TILE = 256
+# a kept covariance is compacted through row tiles of at most ROW_TILE rows
+ROW_TILE = 32
 N_STARTS = 21  # lengthscale grid points, four per decade
 
 
@@ -545,37 +547,122 @@ def posterior(model: GpModel, features) -> Posterior:
     `jitter` records c times the normalized jitter and no jitter depends on
     the objectives' units.
     """
+    return _posterior(model, features, {}, None)[0]
+
+
+def _posterior(model: GpModel, features, kept: dict, positions) -> tuple:
+    """(posterior(), {group key: (its array, its covariance diagonal without
+    jitter)}). A group whose key `kept` holds pops that array and conditions
+    it (_conditioned at positions); kept's other arrays are dropped first."""
     Xq, groups = _kernel_groups(model, features)
+    for key in [k for k in kept if k not in groups]:
+        del kept[key]
     u = Xq.shape[0]
     mean, jitter = np.empty((u, model.m)), np.empty(model.m)
     scale = np.array([part.signal_variance for part in model.parts])
-    group, blocks, diags = np.empty(model.m, dtype=int), [], []
-    for g, ((kind, lengthscale, _), members) in enumerate(groups.items()):
+    group, blocks, diags, held = np.empty(model.m, dtype=int), [], [], {}
+    for g, (key, members) in enumerate(groups.items()):
+        kind, lengthscale, nugget = key
         rq = _kernel(kind, lengthscale, Xq, model.data.features)
         _group_mean(model, members, rq, mean)
-        v = solve_triangular(model.parts[members[0]].chol, rq.T, lower=True)
-        del rq
-        blk = _kernel(kind, lengthscale, Xq, Xq)
-        if u:  # BLAS rejects empty arrays
-            # v and blk.T are F-ordered, so BLAS copies neither; blk's lower
-            # triangle becomes rqq - v^T v
-            blas.dsyrk(-1.0, v, beta=1.0, c=blk.T, trans=1, lower=0, overwrite_c=1)
-        del v
-        _mirror_lower(blk)
+        blk = _conditioned(*kept.pop(key), *positions, nugget) if key in kept else None
+        if blk is None:
+            v = solve_triangular(model.parts[members[0]].chol, rq.T, lower=True)
+            del rq
+            blk = _kernel(kind, lengthscale, Xq, Xq)
+            if u:  # BLAS rejects empty arrays
+                # v and blk.T are F-ordered, so BLAS copies neither; blk's lower
+                # triangle becomes rqq - v^T v
+                blas.dsyrk(-1.0, v, beta=1.0, c=blk.T, trans=1, lower=0, overwrite_c=1)
+            del v
+            _mirror_lower(blk)
+        held[key] = (blk, blk.diagonal().copy())
         diag, base_jitter = _jittered_cholesky(blk, JITTER_LADDER)
         blocks.append(blk)
         diags.append(diag)
         group[members], jitter[members] = g, scale[members] * base_jitter
     return Posterior(mean, ScaledBlocks(blocks, scale, group, diags),
-                     chol=ScaledBlocks(blocks, np.sqrt(scale), group), jitter=jitter)
+                     chol=ScaledBlocks(blocks, np.sqrt(scale), group), jitter=jitter), held
 
 
-def pool_posterior(model: GpModel, features, known_idx, known_values) -> Posterior:
+def _conditioned(a: np.ndarray, diag: np.ndarray, keep: np.ndarray, new: np.ndarray,
+                 nugget: float) -> np.ndarray | None:
+    """a, shrunk in place to the covariance S over rows `keep` conditioned
+    on observations with noise variance `nugget` at rows `new`: S[K,K] -
+    S[K,N] (S[N,N] + nugget I)^-1 S[N,K] (Rasmussen & Williams 2006, A.3),
+    symmetric; None if S[N,N] + nugget I does not factor.
+
+    S is a's strict upper triangle with diagonal `diag`; a's lower triangle
+    (the old factor) is discarded. Row i of the result lands below the
+    offset of row keep[i] >= i, so compacting tiles in order never
+    overwrites a row a later tile reads.
+    """
+    u, k = len(keep), len(new)
+    s_new = a[new]  # rows N of S: right of the diagonal in place, left of it read down columns
+    for i, r in enumerate(new):
+        s_new[i, :r] = a[:r, r]
+    s_new[np.arange(k), new] = diag[new]
+    factor, info = lapack.dpotrf(s_new[:, new] + nugget * np.eye(k), lower=1, clean=1)
+    if info:
+        return None
+    w = s_new[:, keep]
+    del s_new
+    if k:
+        w = solve_triangular(factor, w, lower=True, overwrite_b=True, check_finite=False)
+    out = a.reshape(-1)[:u * u].reshape(u, u)
+    for r in range(0, u, ROW_TILE):
+        out[r:r + ROW_TILE, r:] = a.take(keep[r:r + ROW_TILE], axis=0).take(keep[r:], axis=1)
+    del out
+    a.resize((u, u), refcheck=False)  # frees the tail; no view of a is left to dangle
+    np.fill_diagonal(a, diag[keep])
+    if k and u:
+        blas.dsyrk(-1.0, w, beta=1.0, c=a.T, trans=1, lower=1, overwrite_c=1)
+    _mirror_lower(a.T)
+    return a
+
+
+@dataclass
+class KeptCovariance:
+    """One pool's feature matrix and its last pool posterior's arrays, which
+    the next pool_posterior over that matrix takes over: per group key
+    (kernel, lengthscale, nugget), the u x u array (factor below the
+    diagonal, covariance above) and the covariance's jitter-free diagonal,
+    over pool rows `open_idx`, given `n_train` labeled designs."""
+
+    features: np.ndarray
+    arrays: dict = field(default_factory=dict, repr=False)
+    open_idx: np.ndarray | None = None
+    n_train: int = 0
+
+    def positions(self, model: GpModel, known: np.ndarray):
+        """(keep, new): positions in open_idx of the rows still open and of
+        those labeled since, when model's data is the kept data plus one
+        design per newly labeled row, with that row's features; else None."""
+        if self.open_idx is None:
+            return None
+        now_known = known[self.open_idx]
+        keep, new = np.flatnonzero(~now_known), np.flatnonzero(now_known)
+        if len(keep) != np.count_nonzero(~known) or model.data.n - self.n_train != len(new):
+            return None
+        added, rows = model.data.features[self.n_train:], self.features[self.open_idx[new]]
+        if sorted(x.tobytes() for x in added) != sorted(x.tobytes() for x in rows):
+            return None
+        return keep, new
+
+
+def pool_posterior(model: GpModel, features, known_idx, known_values,
+                   kept: KeptCovariance | None = None) -> Posterior:
     """Pool posterior with already-labeled members held at their observed values.
 
     Labeled pool rows are deterministic (a noise-free GP interpolates them);
     only the unlabeled block carries covariance, which keeps joint sampling
     over large, mostly-labeled pools cheap.
+
+    With `kept` (over this same `features` matrix), a group whose key is
+    unchanged conditions kept's array in place on the rows labeled since,
+    if model's data is kept's plus exactly those rows; other groups are
+    built fresh. kept then holds this posterior's arrays: the posterior it
+    held before must not be used again.
     """
     Xq = np.asarray(features, dtype=float)
     known_idx = np.asarray(known_idx, dtype=int)
@@ -583,7 +670,16 @@ def pool_posterior(model: GpModel, features, known_idx, known_values) -> Posteri
     mask = np.zeros(Xq.shape[0], dtype=bool)
     mask[known_idx] = True
     open_idx = np.flatnonzero(~mask)
-    sub = posterior(model, Xq[open_idx])
+    arrays, positions = {}, None
+    if kept is not None:
+        if features is not kept.features:
+            raise ValueError("kept covariance belongs to another feature matrix")
+        arrays, positions = kept.arrays, kept.positions(model, mask)
+        if positions is None:
+            arrays.clear()
+    sub, held = _posterior(model, Xq[open_idx], arrays, positions)
+    if kept is not None:
+        kept.arrays, kept.open_idx, kept.n_train = held, open_idx, model.data.n
     mean = np.empty((Xq.shape[0], model.m))
     mean[open_idx] = sub.mean
     mean[known_idx] = known_values

@@ -3,6 +3,7 @@ metrics, and checkpoint/resume."""
 import dataclasses
 import json
 import os
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -28,7 +29,8 @@ from poolbo.campaign import (
 )
 from poolbo.acquisition import estimate_qpmhi, estimate_qpo, select_batch
 from poolbo.generation import Candidate, GeneratorConfig, load_pool, make_featurizer
-from poolbo.gp import Dataset, GpConfig, Posterior
+from poolbo.gp import Dataset, GpConfig, KeptCovariance, Posterior
+from poolbo.bench import make_ablation_pool
 from poolbo.oracles import BuiltinOracle, LookupOracle, OracleError
 from poolbo.files import atomic_write
 from poolbo.pareto import (METRICS_HEADER, build_front, hvi_many, read_metrics_csv, save_front,
@@ -589,7 +591,7 @@ class TestZeroVariancePosterior:
 
         pool = load_pool(str(pool_path), "identity")
 
-        def exact_pool_posterior(model, features, known_idx, known_values):
+        def exact_pool_posterior(model, features, known_idx, known_values, kept=None):
             mean = np.array([table[c.genome] for c in pool], dtype=float)
             open_idx = np.setdiff1d(np.arange(len(pool)), known_idx)
             return Posterior(mean=mean, cov=np.zeros((2, open_idx.size, open_idx.size)),
@@ -705,7 +707,7 @@ class TestOpenRowScoring:
         values = dict(OPEN_ROW_LABELS, **{"101010": [5.0, 5.0], "010101": [4.5, 2.0],
                                           "011011": [0.5, 0.5], "100110": [2.0, 4.5]})
 
-        def exact_pool_posterior(model, features, known_idx, known_values):
+        def exact_pool_posterior(model, features, known_idx, known_values, kept=None):
             mean = np.array([values[c.genome][:m] for c in pool])
             open_idx = np.setdiff1d(np.arange(len(pool)), known_idx)
             return Posterior(mean=mean, cov=np.zeros((m, open_idx.size, open_idx.size)),
@@ -903,6 +905,108 @@ class TestCheckpoints:
         state = start(cfg, oracle)
         with pytest.raises(CampaignError, match="non-finite"):
             run(state, cfg, oracle=NanOracle())
+
+
+def record_posteriors(monkeypatch):
+    """Spy on run()'s pool posteriors: per call, whether a kept array was
+    conditioned and copies of the covariance and factor blocks."""
+    calls = []
+    build = campaign_mod.pool_posterior
+
+    def pool_posterior(model, features, known_idx, known_values, kept=None):
+        conditioned = bool(kept and kept.arrays)
+        post = build(model, features, known_idx, known_values, kept)
+        calls.append((conditioned, [np.array(post.cov[j]) for j in range(post.m)],
+                      [np.array(post.chol[j]) for j in range(post.m)]))
+        return post
+
+    monkeypatch.setattr(campaign_mod, "pool_posterior", pool_posterior)
+    return calls
+
+
+def assert_same_posteriors(calls, expected):
+    assert len(calls) == len(expected)
+    for (conditioned, covs, chols), (want, want_covs, want_chols) in zip(calls, expected):
+        assert conditioned == want
+        for a, b in zip(covs + chols, want_covs + want_chols):
+            np.testing.assert_array_equal(a, b)
+
+
+class TestKeptCovarianceReplay:
+    """A static campaign keeps its pool posterior's array and conditions it
+    on each batch's labels; a resume replays that recurrence from the
+    checkpoint, so every posterior and artifact is the uninterrupted run's."""
+
+    NAMES = ("metrics.csv", "front.json", "checkpoint.json")
+
+    def run_into(self, directory, state, cfg, oracle):
+        directory.mkdir(exist_ok=True)
+        paths = [directory / name for name in self.NAMES]
+        return run(state, cfg, oracle=oracle, metrics_path=paths[0], front_path=paths[1],
+                   checkpoint_path=paths[2])
+
+    @pytest.mark.parametrize("acq", ["qpmhi", "qehvi_mc", "thompson"])
+    @pytest.mark.parametrize("t", [1, 2, 5])
+    def test_resume_replays_the_conditioned_posteriors(self, tmp_path, monkeypatch, acq, t):
+        pool = write_labeled_pool(tmp_path / "pool.csv")
+        oracle = LookupOracle.from_pool_csv(pool)
+        cfg = static_cfg(pool, iterations=6, acquisition=acq)
+        full = record_posteriors(monkeypatch)
+        self.run_into(tmp_path / "full", start(cfg, oracle), cfg, oracle)
+        monkeypatch.undo()
+        # the first posterior is built fresh, every later one conditioned
+        assert [c[0] for c in full] == [False] + [True] * 5
+
+        self.run_into(tmp_path / "part", start(cfg, oracle),
+                      dataclasses.replace(cfg, iterations=t), oracle)
+        state, _ = load_checkpoint(tmp_path / "part" / "checkpoint.json")
+        resumed = record_posteriors(monkeypatch)
+        self.run_into(tmp_path / "part", state, cfg, oracle)
+        # t replayed posteriors, then the 6 - t the resumed iterations build
+        assert_same_posteriors(resumed, full)
+        for name in self.NAMES:
+            assert (tmp_path / "part" / name).read_bytes() == \
+                (tmp_path / "full" / name).read_bytes(), name
+
+    def test_config_without_init_replays_nothing(self, tmp_path, monkeypatch):
+        # a campaign whose config has no init form cannot name its initial
+        # designs, so a resume builds its next posterior fresh
+        pool = write_labeled_pool(tmp_path / "pool.csv")
+        oracle = LookupOracle.from_pool_csv(pool)
+        cfg = static_cfg(pool, iterations=3)
+        state = run(start(cfg, oracle), dataclasses.replace(cfg, iterations=2), oracle=oracle)
+        bare = dataclasses.replace(cfg, init=None)
+        calls = record_posteriors(monkeypatch)
+        run(state, bare, oracle=oracle)
+        assert [c[0] for c in calls] == [False]
+
+    def test_conditioning_peaks_below_the_fresh_build(self, tmp_path):
+        # the conditioning reuses the kept u x u array in place and shrinks
+        # it, so it peaks below a fresh build of the same posterior by about
+        # that array: any second u x u array, such as a copy of the kept
+        # block, closes the gap. The kept array is made under tracing, so
+        # that its shrink is traced as one.
+        path = tmp_path / "pool.csv"
+        make_ablation_pool(path, n=900, bits=24, seed=2)
+        oracle = LookupOracle.from_pool_csv(path)
+        cfg = static_cfg(path, iterations=1, batch_size=40, init={"pool_sample": 60},
+                         mc_samples=64)
+        state = run(start(cfg, oracle), cfg, oracle=oracle)
+        pool = load_pool(path)
+        u = len(pool) - state.dataset.n
+        peaks = []
+        tracemalloc.start()
+        try:
+            kept = campaign_mod.kept_covariance(state, cfg, pool)
+            for use in (kept, None):
+                tracemalloc.reset_peak()
+                start_mem = tracemalloc.get_traced_memory()[0]
+                assert len(select_next(state, cfg, pool, kept=use)) == 40
+                peaks.append(tracemalloc.get_traced_memory()[1] - start_mem)
+        finally:
+            tracemalloc.stop()
+        assert next(iter(kept.arrays.values()))[0].shape == (u, u)
+        assert peaks[0] <= peaks[1] - 0.8 * u * u * 8, peaks
 
 
 class TestAtomicArtifacts:

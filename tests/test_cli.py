@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import poolbo.campaign as campaign_mod
@@ -12,11 +13,13 @@ from poolbo.campaign import (
     CampaignConfig,
     build_initial_data,
     init_campaign,
+    load_checkpoint,
     run as run_campaign,
     save_checkpoint,
+    select_next,
 )
 from poolbo.cli import main
-from poolbo.generation import GeneratorConfig
+from poolbo.generation import GeneratorConfig, load_pool
 from poolbo.oracles import LookupOracle, make_oracle
 from poolbo.pareto import read_metrics_csv
 
@@ -46,6 +49,22 @@ def run_config(pool, out_dir, **over):
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def spy_on_posteriors(monkeypatch):
+    """Record, per pool posterior the campaign builds, whether it conditioned
+    a kept array and a copy of its factor blocks."""
+    calls = []
+    build = campaign_mod.pool_posterior
+
+    def pool_posterior(model, features, known_idx, known_values, kept=None):
+        conditioned = bool(kept and kept.arrays)
+        post = build(model, features, known_idx, known_values, kept)
+        calls.append((conditioned, np.array(post.chol)))
+        return post
+
+    monkeypatch.setattr(campaign_mod, "pool_posterior", pool_posterior)
+    return calls
 
 
 class TestHv:
@@ -327,21 +346,48 @@ class TestSelect:
         assert main(["select", str(pool_csv), str(ckpt), "-q", "3"]) == 0
         assert capsys.readouterr().out == first
 
-    def test_prints_the_batch_the_next_iteration_records(self, tmp_path, pool_csv, capsys):
+    def test_prints_the_batch_the_next_iteration_records(self, tmp_path, pool_csv, capsys,
+                                                         monkeypatch):
+        # select replays the run's kept pool posterior from the checkpoint and
+        # conditions it on the last batch, as iteration t + 1 of run() does
         ref_out = tmp_path / "ref"
-        payload = run_config(pool_csv, ref_out)
+        payload = run_config(pool_csv, ref_out, iterations=4)
+        posteriors = spy_on_posteriors(monkeypatch)
         assert main(["run", write_json(tmp_path / "ref.json", payload)]) == 0
+        run_posteriors = list(posteriors)
         recorded = read_metrics_csv(ref_out / "metrics.csv")
         cfg = CampaignConfig.from_dict({k: v for k, v in payload.items() if k != "output_dir"})
         oracle = LookupOracle.from_pool_csv(pool_csv)
-        for t in (1, 2):
+        for t in (1, 2, 3):
             state = init_campaign(cfg, build_initial_data(cfg, oracle))
             run_campaign(state, dataclasses.replace(cfg, iterations=t), oracle=oracle)
             ckpt = tmp_path / f"after{t}.json"
             save_checkpoint(ckpt, state, cfg)
             capsys.readouterr()
+            posteriors.clear()
             assert main(["select", str(pool_csv), str(ckpt), "-q", str(cfg.batch_size)]) == 0
             assert tuple(capsys.readouterr().out.split()) == recorded[t].batch_ids
+            # t replayed posteriors, then the conditioned one iteration t + 1 scored
+            assert len(posteriors) == t + 1 and posteriors[-1][0]
+            for (_, chol), (_, run_chol) in zip(posteriors, run_posteriors):
+                np.testing.assert_array_equal(chol, run_chol)
+
+    def test_another_pool_file_selects_from_a_fresh_posterior(self, tmp_path, pool_csv, capsys,
+                                                              monkeypatch):
+        # the recorded batches are not this pool's rows, so nothing is
+        # replayed and the posterior is built fresh from the checkpoint
+        ckpt = self.make_checkpoint(tmp_path, pool_csv)
+        other = tmp_path / "other.csv"
+        make_ablation_pool(other, n=30, bits=8, seed=7, front_range=(2, 25))
+        state, cfg = load_checkpoint(ckpt)
+        cfg = dataclasses.replace(cfg, batch_size=3, pool_path=str(other))
+        pool = load_pool(other)
+        fresh = [pool[i].id for i in select_next(state, cfg, pool)]
+        posteriors = spy_on_posteriors(monkeypatch)
+        capsys.readouterr()
+        assert main(["select", str(other), str(ckpt), "-q", "3"]) == 0
+        assert capsys.readouterr().out.split() == fresh
+        assert [conditioned for conditioned, _ in posteriors] == [False]
 
     def test_prints_the_batch_a_bred_iteration_records(self, tmp_path, capsys, monkeypatch):
         # surrogate-weighted breeding fits the model before the pool exists

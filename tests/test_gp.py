@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import blas, cho_solve, lapack, solve_triangular
 from scipy.optimize import minimize
 
@@ -20,6 +21,7 @@ from poolbo.gp import (
     FitError,
     GpConfig,
     GpModel,
+    KeptCovariance,
     Posterior,
     ScaledBlocks,
     _escalated_cholesky,
@@ -876,3 +878,113 @@ class TestPoolPosterior:
         open_idx = structured.stochastic_idx
         np.testing.assert_allclose(
             structured.cov[0], dense.cov[0][np.ix_(open_idx, open_idx)], atol=1e-9)
+
+
+def labeled_pool(seed, n):
+    """(read-only binary pool of n 24-bit rows, its labels, a labelling order)."""
+    rng = np.random.default_rng(seed)
+    X = (rng.random((n, 24)) < 0.5).astype(float)
+    X.flags.writeable = False
+    return X, rng.normal(size=(n, 2)), list(rng.permutation(n))
+
+
+def fit_labels(X, Y, labeled, config=GpConfig()):
+    return fit(Dataset(tuple(f"x{i}" for i in labeled), X[labeled], Y[labeled]), config)
+
+
+class TestKeptCovariance:
+    """pool_posterior with a KeptCovariance conditions the last posterior's
+    array in place on the rows labeled since (Rasmussen & Williams 2006,
+    A.3), and rebuilds it fresh when a group key or the data changes."""
+
+    @staticmethod
+    def assert_close_on_normalized_scale(post, fresh, atol):
+        np.testing.assert_array_equal(post.mean, fresh.mean)
+        for j in range(post.m):
+            np.testing.assert_allclose(post.cov[j] / post.cov.scale[j],
+                                       fresh.cov[j] / fresh.cov.scale[j], rtol=0, atol=atol)
+
+    @staticmethod
+    def assert_bitwise(post, fresh):
+        np.testing.assert_array_equal(post.mean, fresh.mean)
+        np.testing.assert_array_equal(post.jitter, fresh.jitter)
+        for j in range(post.m):
+            np.testing.assert_array_equal(post.cov[j], fresh.cov[j])
+            np.testing.assert_array_equal(post.chol[j], fresh.chol[j])
+
+    @settings(max_examples=25)
+    @given(st.integers(30, 150), st.integers(0, 2 ** 32 - 1),
+           st.lists(st.sampled_from([0, 1, 2, 7]), min_size=1, max_size=5))
+    def test_chained_conditioning_is_the_fresh_posterior(self, n, seed, batches):
+        # batches of one, of several and empty ones, then one labelling
+        # every open row; each step's array is the one the step before kept
+        X, Y, order = labeled_pool(seed, n)
+        kept, labeled, block = KeptCovariance(X), order[:5], None
+        for size in batches + [n]:
+            labeled = order[:len(labeled) + size]
+            model = fit_labels(X, Y, labeled)
+            post = pool_posterior(model, X, labeled, Y[labeled], kept)
+            fresh = pool_posterior(model, X, labeled, Y[labeled])
+            assert post.cov.shape[1] == n - len(labeled) == len(post.stochastic_idx)
+            np.testing.assert_array_equal(post.stochastic_idx, fresh.stochastic_idx)
+            if block is None:
+                self.assert_bitwise(post, fresh)
+            else:
+                assert post.cov.blocks[0] is block
+                self.assert_close_on_normalized_scale(post, fresh, 1e-12)
+            block = post.cov.blocks[0]
+            assert kept.arrays[model.parts[0].kernel, None, model.parts[0].nugget][0] is block
+
+    @settings(max_examples=15)
+    @given(st.integers(30, 150), st.integers(0, 2 ** 32 - 1))
+    def test_nugget_escalation_rebuilds_then_chains_again(self, n, seed):
+        # the last row to be labeled copies the first: labelling it makes the
+        # training kernel singular, so the fit nugget escalates (1e-17 to
+        # 1.6e-16), the group key changes and the covariance is rebuilt
+        X, Y, order = labeled_pool(seed, n)
+        X = X.copy()
+        X[order[-1]] = X[order[0]]
+        X.flags.writeable = False
+        order = order[:-1][:20] + order[-1:] + order[20:-1]
+        config = GpConfig(kernel="tanimoto", nugget=1e-17)
+        kept, nuggets = KeptCovariance(X), []
+        for size, chained in ((5, False), (12, True), (20, True), (21, False), (26, True)):
+            labeled = order[:size]
+            model = fit_labels(X, Y, labeled, config)
+            block = next(iter(kept.arrays.values()), (None,))[0]
+            post = pool_posterior(model, X, labeled, Y[labeled], kept)
+            fresh = pool_posterior(model, X, labeled, Y[labeled])
+            nuggets.append(model.parts[0].nugget)
+            assert (post.cov.blocks[0] is block) == chained
+            if chained:
+                self.assert_close_on_normalized_scale(post, fresh, 1e-12)
+            else:
+                self.assert_bitwise(post, fresh)
+        assert nuggets == [1e-17] * 3 + [nuggets[3]] * 2 and nuggets[3] > 1e-17
+
+    def test_data_that_is_not_the_kept_data_plus_the_new_rows_rebuilds(self):
+        X, Y, order = labeled_pool(4, 60)
+        kept = KeptCovariance(X)
+        pool_posterior(fit_labels(X, Y, order[:10]), X, order[:10], Y[order[:10]], kept)
+        # one more labeled design that is no pool row: the open rows are
+        # unchanged, but the covariance must condition on the new design too
+        extra = Dataset(tuple(f"x{i}" for i in order[:10]) + ("outside",),
+                        np.vstack([X[order[:10]], np.ones((1, 24))]),
+                        np.vstack([Y[order[:10]], [[0.0, 0.0]]]))
+        model = fit(extra)
+        post = pool_posterior(model, X, order[:10], Y[order[:10]], kept)
+        self.assert_bitwise(post, pool_posterior(model, X, order[:10], Y[order[:10]]))
+        # a row labeled with another pool row's features
+        kept = KeptCovariance(X)
+        pool_posterior(fit_labels(X, Y, order[:10]), X, order[:10], Y[order[:10]], kept)
+        labeled = order[:11]
+        model = fit(Dataset(extra.ids[:10] + ("y",), np.vstack([X[order[:10]], X[order[12]]]),
+                            Y[labeled]))
+        post = pool_posterior(model, X, labeled, Y[labeled], kept)
+        self.assert_bitwise(post, pool_posterior(model, X, labeled, Y[labeled]))
+
+    def test_kept_covariance_of_another_matrix_rejected(self):
+        X, Y, order = labeled_pool(5, 30)
+        with pytest.raises(ValueError, match="another feature matrix"):
+            pool_posterior(fit_labels(X, Y, order[:5]), X.copy(), order[:5], Y[order[:5]],
+                           KeptCovariance(X))
