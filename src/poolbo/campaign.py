@@ -336,13 +336,11 @@ def _pool_scores(state: CampaignState, cfg: CampaignConfig, post,
     return AcquisitionResult(*scores, scored.improving_fraction, scored.n_samples, scored.seed)
 
 
-def _pool_posterior(model, data: Dataset, pool: list, features, kept) -> object:
-    """pool_posterior over `pool`'s rows, each row whose genome `data` labels
-    pinned at its observed objectives."""
+def _labeled(data: Dataset, pool: list) -> tuple:
+    """(indices into `pool` of the rows whose genome `data` labels, their objectives)."""
     labeled_row = {g: i for i, g in enumerate(data.genomes)}
     known_idx = [i for i, c in enumerate(pool) if c.genome in labeled_row]
-    known_values = data.objectives[[labeled_row[pool[i].genome] for i in known_idx]]
-    return pool_posterior(model, features, known_idx, known_values, kept)
+    return known_idx, data.objectives[[labeled_row[pool[i].genome] for i in known_idx]]
 
 
 def select_next(state: CampaignState, cfg: CampaignConfig, pool: list, model=None,
@@ -364,7 +362,7 @@ def select_next(state: CampaignState, cfg: CampaignConfig, pool: list, model=Non
     if model is None:
         model = fit(state.dataset, cfg.gp)
     features = np.stack([c.features for c in pool]) if kept is None else kept.features
-    post = _pool_posterior(model, state.dataset, pool, features, kept)
+    post = pool_posterior(model, features, *_labeled(state.dataset, pool), kept)
     if cfg.acquisition in ("qpmhi", "qpo"):
         return select_batch(_pool_scores(state, cfg, post, acq_seed), q)
     if cfg.acquisition == "qehvi_mc":
@@ -378,10 +376,11 @@ def kept_covariance(state: CampaignState, cfg: CampaignConfig, pool) -> KeptCova
     """The KeptCovariance that run() holds for the static `pool` (a Pool)
     after state.iteration iterations, replayed from state: cfg.init's count
     of initial designs, then per recorded iteration a refit of the designs
-    labeled before it and its pool posterior, conditioned or rebuilt as
-    run() did. A dataset that is not those designs plus the recorded
-    batches' new rows of `pool` (one built otherwise, another pool file)
-    replays nothing, and the next posterior is built fresh."""
+    labeled before it and its covariance step (KeptCovariance.condition),
+    conditioned or rebuilt as run() did, with no mean or factor. A dataset
+    that is not those designs plus the recorded batches' new rows of `pool`
+    (one built otherwise, another pool file) replays nothing, and the next
+    posterior is built fresh."""
     kept, data, init = KeptCovariance(pool.features), state.dataset, cfg.init or {}
     n = (len(init["genomes"]) if "genomes" in init else int(init["random"]["count"])
          if "random" in init else int(init.get("pool_sample", -1)))
@@ -398,7 +397,7 @@ def kept_covariance(state: CampaignState, cfg: CampaignConfig, pool) -> KeptCova
     for n in counts:
         prefix = Dataset(data.ids[:n], data.features[:n], data.objectives[:n],
                          data.feature_kind, data.genomes[:n])
-        _pool_posterior(fit(prefix, cfg.gp), prefix, pool, kept.features, kept)
+        kept.condition(fit(prefix, cfg.gp), _labeled(prefix, pool)[0])
     return kept
 
 

@@ -515,12 +515,13 @@ def _kernel_groups(model: GpModel, features) -> tuple:
     return Xq, groups
 
 
-def _group_mean(model: GpModel, members: list, rq: np.ndarray, mean: np.ndarray) -> None:
-    """Write one kernel group's posterior means into mean's member columns,
-    given the group's cross-kernel block rq = k(Xq, X)."""
+def _group_mean(model: GpModel, Xq: np.ndarray, key: tuple, members: list, mean) -> np.ndarray:
+    """Write a kernel group's posterior means over Xq in mean; returns k(Xq, X)."""
+    rq = _kernel(key[0], key[1], Xq, model.data.features)
     for j in members:
         part = model.parts[j]
         mean[:, j] = part.out_mean + part.out_std * (rq @ part.alpha)
+    return rq
 
 
 def posterior_mean(model: GpModel, features) -> np.ndarray:
@@ -528,8 +529,8 @@ def posterior_mean(model: GpModel, features) -> np.ndarray:
     bitwise posterior(model, features).mean."""
     Xq, groups = _kernel_groups(model, features)
     mean = np.empty((Xq.shape[0], model.m))
-    for (kind, lengthscale, _), members in groups.items():
-        _group_mean(model, members, _kernel(kind, lengthscale, Xq, model.data.features), mean)
+    for key, members in groups.items():
+        _group_mean(model, Xq, key, members, mean)
     return mean
 
 
@@ -537,52 +538,58 @@ def posterior(model: GpModel, features) -> Posterior:
     """Exact joint posterior over query features, one covariance block per objective.
 
     Objectives that share a kernel, lengthscale and nugget share one
-    training factor and so one normalized covariance, which is factored
-    once with a diagonal jitter (1e-8, escalating tenfold to at most 1e-4)
-    on the normalized scale. Each group's covariance is built, factored and
-    kept in one u x u array (see ScaledBlocks): BLAS syrk subtracts v^T v
-    from the query kernel's lower triangle, which is mirrored above the
-    diagonal, and LAPACK factors it in place. Each member reads the group's
-    array scaled by its raw signal variance c (the factor by sqrt(c)), so
-    `jitter` records c times the normalized jitter and no jitter depends on
-    the objectives' units.
+    normalized covariance (_covariance), factored in place in its one u x u
+    array with a jitter from 1e-8, escalating tenfold to at most 1e-4. Each
+    member reads that array scaled by its raw signal variance c (the factor
+    by sqrt(c)), so `jitter` records c times the normalized jitter and no
+    jitter depends on the objectives' units.
     """
-    return _posterior(model, features, {}, None)[0]
+    return _posterior(model, *_kernel_groups(model, features), {}, None)[0]
 
 
-def _posterior(model: GpModel, features, kept: dict, positions) -> tuple:
-    """(posterior(), {group key: (its array, its covariance diagonal without
-    jitter)}). A group whose key `kept` holds pops that array and conditions
-    it (_conditioned at positions); kept's other arrays are dropped first."""
-    Xq, groups = _kernel_groups(model, features)
-    for key in [k for k in kept if k not in groups]:
-        del kept[key]
-    u = Xq.shape[0]
-    mean, jitter = np.empty((u, model.m)), np.empty(model.m)
+def _posterior(model: GpModel, Xq: np.ndarray, groups: dict, kept: dict, positions) -> tuple:
+    """(posterior() over Xq, {group key: its _covariance}). Per group, the
+    cross kernel k(Xq, X) gives the means and goes to the covariance step,
+    whose array is then factored in place."""
+    mean, jitter = np.empty((Xq.shape[0], model.m)), np.empty(model.m)
     scale = np.array([part.signal_variance for part in model.parts])
-    group, blocks, diags, held = np.empty(model.m, dtype=int), [], [], {}
+    group, diags, held = np.empty(model.m, dtype=int), [], {}
     for g, (key, members) in enumerate(groups.items()):
-        kind, lengthscale, nugget = key
-        rq = _kernel(kind, lengthscale, Xq, model.data.features)
-        _group_mean(model, members, rq, mean)
-        blk = _conditioned(*kept.pop(key), *positions, nugget) if key in kept else None
-        if blk is None:
-            v = solve_triangular(model.parts[members[0]].chol, rq.T, lower=True)
-            del rq
-            blk = _kernel(kind, lengthscale, Xq, Xq)
-            if u:  # BLAS rejects empty arrays
-                # v and blk.T are F-ordered, so BLAS copies neither; blk's lower
-                # triangle becomes rqq - v^T v
-                blas.dsyrk(-1.0, v, beta=1.0, c=blk.T, trans=1, lower=0, overwrite_c=1)
-            del v
-            _mirror_lower(blk)
-        held[key] = (blk, blk.diagonal().copy())
-        diag, base_jitter = _jittered_cholesky(blk, JITTER_LADDER)
-        blocks.append(blk)
+        held[key] = _covariance(model, Xq, key, members, kept, positions,
+                                _group_mean(model, Xq, key, members, mean))
+        diag, base_jitter = _jittered_cholesky(held[key][0], JITTER_LADDER)
         diags.append(diag)
         group[members], jitter[members] = g, scale[members] * base_jitter
+    blocks = [blk for blk, _ in held.values()]
     return Posterior(mean, ScaledBlocks(blocks, scale, group, diags),
                      chol=ScaledBlocks(blocks, np.sqrt(scale), group), jitter=jitter), held
+
+
+def _covariance(model: GpModel, Xq: np.ndarray, key: tuple, members: list, kept: dict,
+                positions, rq: np.ndarray | None = None) -> tuple:
+    """The covariance step of one kernel group: (u x u array, its diagonal
+    without jitter), its covariance over Xq. kept's array under key is
+    conditioned at positions; without one, or if that fails, it is built
+    fresh from rq = k(Xq, X), which the solve overwrites (made if not given)."""
+    kind, lengthscale, nugget = key
+    blk = _conditioned(*kept.pop(key), *positions, nugget) if key in kept else None
+    if blk is None:
+        rq = _kernel(kind, lengthscale, Xq, model.data.features) if rq is None else rq
+        blk = _kernel(kind, lengthscale, Xq, Xq)
+        _schur(model.parts[members[0]].chol, rq.T, blk, lower=True)
+    return blk, blk.diagonal().copy()
+
+
+def _schur(factor: np.ndarray, b: np.ndarray, c: np.ndarray, lower: bool) -> None:
+    """c -= w^T w for w = factor^-1 b (factor lower; an F-ordered b becomes
+    w) on the lower or upper triangle of the C-ordered c, then mirrored: a
+    fresh build's lower, _conditioned's upper. BLAS syrk can round the two
+    triangles differently, so each keeps its own."""
+    if len(b) and len(c):  # BLAS rejects empty arrays
+        w = solve_triangular(factor, b, lower=True, overwrite_b=True, check_finite=False)
+        # w and c.T are F-ordered, so BLAS copies neither
+        blas.dsyrk(-1.0, w, beta=1.0, c=c.T, trans=1, lower=int(not lower), overwrite_c=1)
+    _mirror_lower(c if lower else c.T)
 
 
 def _conditioned(a: np.ndarray, diag: np.ndarray, keep: np.ndarray, new: np.ndarray,
@@ -592,10 +599,9 @@ def _conditioned(a: np.ndarray, diag: np.ndarray, keep: np.ndarray, new: np.ndar
     S[K,N] (S[N,N] + nugget I)^-1 S[N,K] (Rasmussen & Williams 2006, A.3),
     symmetric; None if S[N,N] + nugget I does not factor.
 
-    S is a's strict upper triangle with diagonal `diag`; a's lower triangle
-    (the old factor) is discarded. Row i of the result lands below the
-    offset of row keep[i] >= i, so compacting tiles in order never
-    overwrites a row a later tile reads.
+    S is a's strict upper triangle with diagonal `diag`; nothing below it is
+    used. Row i of the result lands below row keep[i]'s offset (keep[i] >= i),
+    so compacting tiles in order never overwrites a row a later tile reads.
     """
     u, k = len(keep), len(new)
     s_new = a[new]  # rows N of S: right of the diagonal in place, left of it read down columns
@@ -607,47 +613,53 @@ def _conditioned(a: np.ndarray, diag: np.ndarray, keep: np.ndarray, new: np.ndar
         return None
     w = s_new[:, keep]
     del s_new
-    if k:
-        w = solve_triangular(factor, w, lower=True, overwrite_b=True, check_finite=False)
     out = a.reshape(-1)[:u * u].reshape(u, u)
     for r in range(0, u, ROW_TILE):
         out[r:r + ROW_TILE, r:] = a.take(keep[r:r + ROW_TILE], axis=0).take(keep[r:], axis=1)
     del out
     a.resize((u, u), refcheck=False)  # frees the tail; no view of a is left to dangle
     np.fill_diagonal(a, diag[keep])
-    if k and u:
-        blas.dsyrk(-1.0, w, beta=1.0, c=a.T, trans=1, lower=1, overwrite_c=1)
-    _mirror_lower(a.T)
+    _schur(factor, w, a, lower=False)
     return a
 
 
 @dataclass
 class KeptCovariance:
-    """One pool's feature matrix and its last pool posterior's arrays, which
-    the next pool_posterior over that matrix takes over: per group key
-    (kernel, lengthscale, nugget), the u x u array (factor below the
-    diagonal, covariance above) and the covariance's jitter-free diagonal,
-    over pool rows `open_idx`, given `n_train` labeled designs."""
+    """One pool's feature matrix and, per group key (kernel, lengthscale,
+    nugget), its last covariance step's u x u array, the covariance above
+    the diagonal (below it, the factor or after `condition` the covariance),
+    and the jitter-free diagonal, over rows `open_idx` given `n_train` labels."""
 
     features: np.ndarray
     arrays: dict = field(default_factory=dict, repr=False)
     open_idx: np.ndarray | None = None
     n_train: int = 0
 
-    def positions(self, model: GpModel, known: np.ndarray):
-        """(keep, new): positions in open_idx of the rows still open and of
-        those labeled since, when model's data is the kept data plus one
-        design per newly labeled row, with that row's features; else None."""
-        if self.open_idx is None:
-            return None
-        now_known = known[self.open_idx]
-        keep, new = np.flatnonzero(~now_known), np.flatnonzero(now_known)
-        if len(keep) != np.count_nonzero(~known) or model.data.n - self.n_train != len(new):
-            return None
-        added, rows = model.data.features[self.n_train:], self.features[self.open_idx[new]]
-        if sorted(x.tobytes() for x in added) != sorted(x.tobytes() for x in rows):
-            return None
-        return keep, new
+    def condition(self, model: GpModel, known_idx) -> None:
+        """pool_posterior's covariance step alone, making no mean or factor."""
+        Xq, groups, arrays, positions = self._next(model, known_idx)
+        self.arrays = {key: _covariance(model, Xq, key, members, arrays, positions)
+                       for key, members in groups.items()}
+
+    def _next(self, model: GpModel, known_idx) -> tuple:
+        """(open rows' features, kernel groups, arrays, positions): the
+        covariance step's arguments for model over the rows known_idx leaves
+        open. positions are (keep, new) in open_idx, or None with no arrays if
+        model's data is not the kept data plus the newly labeled rows. kept
+        holds no array until the step returns, so one that raises is rebuilt."""
+        known = np.zeros(len(self.features), dtype=bool)
+        known[known_idx] = True
+        positions, open_idx = None, np.flatnonzero(~known)
+        if self.open_idx is not None:
+            keep, new = np.flatnonzero(~known[self.open_idx]), np.flatnonzero(known[self.open_idx])
+            added, rows = model.data.features[self.n_train:], self.features[self.open_idx[new]]
+            if len(keep) == len(open_idx) and model.data.n - self.n_train == len(new) \
+                    and sorted(x.tobytes() for x in added) == sorted(x.tobytes() for x in rows):
+                positions = keep, new
+        Xq, groups = _kernel_groups(model, self.features[open_idx])
+        arrays = {key: a for key, a in self.arrays.items() if key in groups and positions}
+        self.arrays, self.open_idx, self.n_train = {}, open_idx, model.data.n
+        return Xq, groups, arrays, positions
 
 
 def pool_posterior(model: GpModel, features, known_idx, known_values,
@@ -658,29 +670,18 @@ def pool_posterior(model: GpModel, features, known_idx, known_values,
     only the unlabeled block carries covariance, which keeps joint sampling
     over large, mostly-labeled pools cheap.
 
-    With `kept` (over this same `features` matrix), a group whose key is
-    unchanged conditions kept's array in place on the rows labeled since,
-    if model's data is kept's plus exactly those rows; other groups are
-    built fresh. kept then holds this posterior's arrays: the posterior it
-    held before must not be used again.
+    With `kept` (over this same `features` matrix), each group conditions
+    kept's array in place where it can (see KeptCovariance._next); kept then
+    holds this posterior's arrays, and the one it held is not to be used.
     """
-    Xq = np.asarray(features, dtype=float)
     known_idx = np.asarray(known_idx, dtype=int)
     known_values = np.asarray(known_values, dtype=float).reshape(known_idx.size, model.m)
-    mask = np.zeros(Xq.shape[0], dtype=bool)
-    mask[known_idx] = True
-    open_idx = np.flatnonzero(~mask)
-    arrays, positions = {}, None
-    if kept is not None:
-        if features is not kept.features:
-            raise ValueError("kept covariance belongs to another feature matrix")
-        arrays, positions = kept.arrays, kept.positions(model, mask)
-        if positions is None:
-            arrays.clear()
-    sub, held = _posterior(model, Xq[open_idx], arrays, positions)
-    if kept is not None:
-        kept.arrays, kept.open_idx, kept.n_train = held, open_idx, model.data.n
-    mean = np.empty((Xq.shape[0], model.m))
-    mean[open_idx] = sub.mean
+    if kept is None:
+        kept = KeptCovariance(np.asarray(features, dtype=float))
+    elif features is not kept.features:
+        raise ValueError("kept covariance belongs to another feature matrix")
+    sub, kept.arrays = _posterior(model, *kept._next(model, known_idx))
+    mean = np.empty((len(kept.features), model.m))
+    mean[kept.open_idx] = sub.mean
     mean[known_idx] = known_values
-    return replace(sub, mean=mean, stochastic_idx=open_idx)
+    return replace(sub, mean=mean, stochastic_idx=kept.open_idx)

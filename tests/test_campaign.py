@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import poolbo.campaign as campaign_mod
+import poolbo.gp as gp_mod
 import poolbo.generation as generation_mod
 import poolbo.pareto as pareto_mod
 from poolbo.campaign import (
@@ -932,6 +933,27 @@ def assert_same_posteriors(calls, expected):
             np.testing.assert_array_equal(a, b)
 
 
+def kept_state(kept):
+    """(per group key: the array's strict upper triangle and the kept
+    diagonal, open_idx, n_train): what the next conditioning reads."""
+    return ({key: (np.triu(a, 1), diag.copy()) for key, (a, diag) in kept.arrays.items()},
+            kept.open_idx.copy(), kept.n_train)
+
+
+def record_kept(monkeypatch):
+    """Spy on run()'s pool posteriors: kept_state after each call."""
+    states = []
+    build = campaign_mod.pool_posterior
+
+    def pool_posterior(model, features, known_idx, known_values, kept=None):
+        post = build(model, features, known_idx, known_values, kept)
+        states.append(kept_state(kept))
+        return post
+
+    monkeypatch.setattr(campaign_mod, "pool_posterior", pool_posterior)
+    return states
+
+
 class TestKeptCovarianceReplay:
     """A static campaign keeps its pool posterior's array and conditions it
     on each batch's labels; a resume replays that recurrence from the
@@ -962,11 +984,49 @@ class TestKeptCovarianceReplay:
         state, _ = load_checkpoint(tmp_path / "part" / "checkpoint.json")
         resumed = record_posteriors(monkeypatch)
         self.run_into(tmp_path / "part", state, cfg, oracle)
-        # t replayed posteriors, then the 6 - t the resumed iterations build
-        assert_same_posteriors(resumed, full)
+        # the replay builds covariances only: pool_posterior sees just the
+        # 6 - t posteriors the resumed iterations build
+        assert_same_posteriors(resumed, full[t:])
         for name in self.NAMES:
             assert (tmp_path / "part" / name).read_bytes() == \
                 (tmp_path / "full" / name).read_bytes(), name
+
+    def live_run(self, tmp_path, monkeypatch, t):
+        """(state after t iterations, cfg, kept_state after each iteration)."""
+        pool = write_labeled_pool(tmp_path / "pool.csv")
+        oracle = LookupOracle.from_pool_csv(pool)
+        cfg = static_cfg(pool, iterations=t)
+        live = record_kept(monkeypatch)
+        state = run(start(cfg, oracle), cfg, oracle=oracle)
+        monkeypatch.undo()
+        return state, cfg, live
+
+    @pytest.mark.parametrize("t", [1, 2, 5])
+    def test_replay_keeps_the_live_state(self, tmp_path, monkeypatch, t):
+        # the replay makes no mean or factor, but every array's covariance
+        # and diagonal is bitwise the one the live run kept after iteration t
+        state, cfg, live = self.live_run(tmp_path, monkeypatch, t)
+        kept = campaign_mod.kept_covariance(state, cfg, load_pool(cfg.pool_path))
+        (arrays, open_idx, n_train), (want, want_open, want_n) = kept_state(kept), live[t - 1]
+        assert arrays.keys() == want.keys() and n_train == want_n
+        np.testing.assert_array_equal(open_idx, want_open)
+        for key, pair in arrays.items():
+            for got, expected in zip(pair, want[key]):
+                np.testing.assert_array_equal(got, expected)
+
+    def test_replay_factors_only_the_fits(self, tmp_path, monkeypatch):
+        # no u x u array is factored: the only factorizations are the
+        # replayed fits' n x n kernels
+        state, cfg, live = self.live_run(tmp_path, monkeypatch, 5)
+        shapes, factor = [], gp_mod._jittered_cholesky
+
+        def recording(a, *args):
+            shapes.append(a.shape)
+            return factor(a, *args)
+
+        monkeypatch.setattr(gp_mod, "_jittered_cholesky", recording)
+        campaign_mod.kept_covariance(state, cfg, load_pool(cfg.pool_path))
+        assert set(shapes) == {(n, n) for _, _, n in live}
 
     def test_config_without_init_replays_nothing(self, tmp_path, monkeypatch):
         # a campaign whose config has no init form cannot name its initial

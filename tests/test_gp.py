@@ -935,6 +935,22 @@ class TestKeptCovariance:
             block = post.cov.blocks[0]
             assert kept.arrays[model.parts[0].kernel, None, model.parts[0].nugget][0] is block
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_long_chain_stays_the_fresh_posterior(self, seed):
+        # 200 single-row conditionings of one array, with no rebuild between:
+        # rounding must not build up along the chain
+        X, Y, order = labeled_pool(seed, 300)
+        kept = KeptCovariance(X)
+        for size in range(5, 206):
+            labeled = order[:size]
+            model = fit_labels(X, Y, labeled)
+            post = pool_posterior(model, X, labeled, Y[labeled], kept)
+            fresh = posterior(model, X[post.stochastic_idx])
+            assert post.cov.shape[1] == 300 - size
+            self.assert_close_on_normalized_scale(
+                dataclasses.replace(post, mean=post.mean[post.stochastic_idx], stochastic_idx=None),
+                fresh, 1e-12)
+
     @settings(max_examples=15)
     @given(st.integers(30, 150), st.integers(0, 2 ** 32 - 1))
     def test_nugget_escalation_rebuilds_then_chains_again(self, n, seed):
