@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gp import Posterior
+from .gp import SAMPLE_BLOCK, Posterior
 from .pareto import FrontStack, ParetoFront, hvi_many, strictly_dominated_mask, update_front
 from .seeds import derive_seed
 
@@ -63,8 +63,8 @@ class AcquisitionResult:
         }
 
 
-def _attribute(deltas: np.ndarray, n_samples: int, feasible: np.ndarray | None = None):
-    """Count, per candidate, the draws in which it is the unique winner.
+def _winner_counts(deltas: np.ndarray, feasible: np.ndarray | None = None) -> np.ndarray:
+    """Count, per candidate, the draws (rows of deltas) in which it is the unique winner.
 
     A draw's winner is the feasible candidate with the largest strictly
     positive improvement, lowest index on ties; draws without one go
@@ -72,15 +72,17 @@ def _attribute(deltas: np.ndarray, n_samples: int, feasible: np.ndarray | None =
     """
     n = deltas.shape[1]
     if n == 0:
-        return np.zeros(0), 0.0
+        return np.zeros(0, dtype=int)
     masked = deltas if feasible is None else np.where(feasible, deltas, -np.inf)
     winners = np.argmax(masked, axis=1)
     best = masked[np.arange(deltas.shape[0]), winners]
-    counted = best > 0.0
-    counts = np.bincount(winners[counted], minlength=n)
-    probs = counts / n_samples
-    improving_fraction = counts.sum() / n_samples
-    return probs, float(improving_fraction)
+    return np.bincount(winners[best > 0.0], minlength=n)
+
+
+def _attribute(deltas: np.ndarray, n_samples: int, feasible: np.ndarray | None = None):
+    """(winner probabilities, improving fraction) of n_samples draws; see _winner_counts."""
+    counts = _winner_counts(deltas, feasible)
+    return counts / n_samples, float(counts.sum() / n_samples)
 
 
 def _undominated_hvi(rows: np.ndarray, dominated: np.ndarray, front: ParetoFront) -> np.ndarray:
@@ -102,8 +104,11 @@ def estimate_qpmhi(post: Posterior, front: ParetoFront, n_samples: int, seed: in
 
     Improvements are measured against the fixed current front; the front is
     never updated within a draw, and only draws it does not strictly
-    dominate are scored, since no other draw can win. Those are copied out
-    and the draws released before scoring.
+    dominate are scored, since no other draw can win. The draws are taken
+    one block of SAMPLE_BLOCK at a time: each block is screened, its
+    undominated rows copied out and scored, and only per-candidate winner
+    and dominated counts are kept, so memory beside the posterior is one
+    block of draws whatever n_samples is.
 
     With `constraint_post` and `thresholds`, each draw also samples the
     constraints, and a candidate is eligible to win a draw only when every
@@ -117,28 +122,32 @@ def estimate_qpmhi(post: Posterior, front: ParetoFront, n_samples: int, seed: in
         raise ValueError(f"objective dimensions must match: {post.m} vs {front.m}")
     if (constraint_post is None) != (thresholds is None):
         raise ValueError("constraint_post and thresholds must be given together")
-    feasible = None
     if constraint_post is not None:
         thresholds = np.asarray(thresholds, dtype=float)
         if constraint_post.n != post.n:
             raise ValueError("constraint posterior must cover the same pool")
         if thresholds.size != constraint_post.m:
             raise ValueError("one threshold per constraint is required")
-        con_samples = constraint_post.sample(n_samples, derive_seed(seed, _CONSTRAINT_STREAM))
-        feasible = np.all(con_samples >= thresholds[None, None, :], axis=-1)
-    flat = post.sample(n_samples, seed).reshape(-1, post.m)
-    dominated = strictly_dominated_mask(flat, front)
-    undominated = flat[~dominated]
-    del flat
-    deltas = _undominated_hvi(undominated, dominated, front).reshape(n_samples, post.n)
-    del undominated
-    probs, improving_fraction = _attribute(deltas, n_samples, feasible=feasible)
-    membership = 1.0 - dominated.reshape(n_samples, post.n).mean(axis=0)
+        con_seed = derive_seed(seed, _CONSTRAINT_STREAM)
+    wins, dominated_draws = np.zeros(post.n, dtype=int), np.zeros(post.n, dtype=int)
+    for first in range(0, n_samples, SAMPLE_BLOCK):
+        size = min(SAMPLE_BLOCK, n_samples - first)
+        feasible = None
+        if constraint_post is not None:
+            feasible = np.all(constraint_post.sample(size, con_seed, first=first) >= thresholds, axis=-1)
+        flat = post.sample(size, seed, first=first).reshape(-1, post.m)
+        dominated = strictly_dominated_mask(flat, front)
+        undominated = flat[~dominated]
+        del flat
+        deltas = _undominated_hvi(undominated, dominated, front).reshape(size, post.n)
+        del undominated
+        wins += _winner_counts(deltas, feasible)
+        dominated_draws += dominated.reshape(size, post.n).sum(axis=0)
     return AcquisitionResult(
-        probs=probs,
-        pareto_membership=membership,
+        probs=wins / n_samples,
+        pareto_membership=1.0 - dominated_draws / n_samples,
         mean_hvi=hvi_many(post.mean, front),
-        improving_fraction=improving_fraction,
+        improving_fraction=float(wins.sum() / n_samples),
         n_samples=n_samples,
         seed=seed,
     )

@@ -469,37 +469,40 @@ class Posterior:
             self.jitter = self.cov.scale * np.array(jitter)[self.cov.group]
         return self.chol
 
-    def sample(self, n_samples: int, seed: int) -> np.ndarray:
-        """Draw joint samples, shape (n_samples, n, m).
+    def sample(self, n_samples: int, seed: int, first: int = 0) -> np.ndarray:
+        """Draw joint samples first ... first + n_samples - 1, shape (n_samples, n, m).
 
         Sample ell is generated from a stream derived from (seed, ell) and
         multiplied by each factor as column ell % SAMPLE_BLOCK of a
-        zero-padded block of SAMPLE_BLOCK columns. Every draw thus meets a
-        product of the same shape in the same column whatever n_samples is,
-        so any single draw is bitwise reproducible in isolation. The normals
-        are drawn one block at a time, and BLAS trmm multiplies each block in
-        place by the scaled factor's lower triangle. With every row stochastic
-        each product is added into a slice of the output in place.
+        zero-padded block of SAMPLE_BLOCK columns aligned on absolute draw
+        index. Every draw thus meets a product of the same shape in the same
+        column whatever range is asked for, so any single draw is bitwise
+        reproducible in isolation. The normals are drawn one block at a time,
+        and BLAS trmm multiplies each block in place by the scaled factor's
+        lower triangle. With every row stochastic each product is added into
+        a slice of the output in place.
         """
         if n_samples < 1:
             raise ValueError("n_samples must be at least 1")
+        if first < 0:
+            raise ValueError("first must be non-negative")
         factors = self._factors()
         u = self.cov.shape[1]
         idx = slice(None) if self.stochastic_idx is None else self.stochastic_idx
         out = np.repeat(self.mean[None, :, :], n_samples, axis=0)
         if u == 0:
             return out
-        w = SAMPLE_BLOCK
-        for start in range(0, n_samples, w):
-            stop = min(start + w, n_samples)
+        w, end = SAMPLE_BLOCK, first + n_samples
+        for block in range(first - first % w, end, w):
+            start, stop = max(block, first), min(block + w, end)
             zs = np.zeros((self.m, w, u))
             for ell in range(start, stop):
-                zs[:, ell - start] = child_rng(seed, ell).standard_normal((u, self.m)).T
+                zs[:, ell - block] = child_rng(seed, ell).standard_normal((u, self.m)).T
             for j in range(self.m):
                 # .T of each C-ordered array is F-ordered, so BLAS copies neither
                 blas.dtrmm(factors.scale[j], factors.blocks[factors.group[j]].T, zs[j].T,
                            lower=0, trans_a=1, overwrite_b=1)
-                out[start:stop, idx, j] += zs[j, :stop - start]
+                out[start - first:stop - first, idx, j] += zs[j, start - block:stop - block]
         return out
 
 

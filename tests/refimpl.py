@@ -5,7 +5,8 @@ from inclusion-exclusion or rejection sampling, Gaussian-process predictions
 from explicit matrix inversion, and acquisition probabilities from exhaustive
 enumeration of joint outcomes. The exceptions are kept as the library wrote
 them before a faster version replaced them, which must match them bit for
-bit: per_draw_qehvi_mc, the greedy select's per-draw loop;
+bit: whole_draw_qpmhi, qPMHI scoring all its draws at once;
+per_draw_qehvi_mc, the greedy select's per-draw loop;
 per_step_thompson, Thompson scoring every row against a growing FrontIndex;
 slab_recursion_boxes, the box decomposition that rebuilt each slab's front
 from scratch; pairwise_non_dominated_mask, the all-pairs test the two-objective sweep
@@ -305,15 +306,16 @@ class DiscretePosterior:
         ])
         self._cum = [np.cumsum(p) for p in self.atom_probs]
 
-    def sample(self, n_samples: int, seed: int) -> np.ndarray:
+    def sample(self, n_samples: int, seed: int, first: int = 0) -> np.ndarray:
+        """Draws first ... first + n_samples - 1, draw ell from its own stream."""
         out = np.empty((n_samples, self.n, self.m))
-        for ell in range(n_samples):
+        for ell in range(first, first + n_samples):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(ell,)))
             u = rng.random(self.n)
             for i in range(self.n):
                 k = min(int(np.searchsorted(self._cum[i], u[i], side="right")),
                         self.atom_probs[i].size - 1)
-                out[ell, i] = self.atom_values[i][k]
+                out[ell - first, i] = self.atom_values[i][k]
         return out
 
 
@@ -432,6 +434,40 @@ def greedy_joint_ehvi_trace(posterior: DiscretePosterior, q: int, front_points, 
                 best_idx, best_gain = i, gain
         selected.append(best_idx)
     return selected
+
+
+def whole_draw_qpmhi(post, front, n_samples: int, seed: int, constraint_post=None,
+                     thresholds=None):
+    """estimate_qpmhi holding all n_samples draws and their (n_samples, n)
+    improvements at once, attributing each draw to its winner as _attribute
+    did."""
+    from poolbo.acquisition import _CONSTRAINT_STREAM, AcquisitionResult, _undominated_hvi
+    from poolbo.pareto import hvi_many, strictly_dominated_mask
+    from poolbo.seeds import derive_seed
+
+    feasible = None
+    if constraint_post is not None:
+        thresholds = np.asarray(thresholds, dtype=float)
+        con_samples = constraint_post.sample(n_samples, derive_seed(seed, _CONSTRAINT_STREAM))
+        feasible = np.all(con_samples >= thresholds[None, None, :], axis=-1)
+    flat = post.sample(n_samples, seed).reshape(-1, post.m)
+    dominated = strictly_dominated_mask(flat, front)
+    deltas = _undominated_hvi(flat[~dominated], dominated, front).reshape(n_samples, post.n)
+    counts = np.zeros(post.n, dtype=int)
+    if post.n:
+        masked = deltas if feasible is None else np.where(feasible, deltas, -np.inf)
+        winners = np.argmax(masked, axis=1)
+        counted = masked[np.arange(n_samples), winners] > 0.0
+        counts = np.bincount(winners[counted], minlength=post.n)
+    membership = 1.0 - dominated.reshape(n_samples, post.n).mean(axis=0)
+    return AcquisitionResult(
+        probs=counts / n_samples,
+        pareto_membership=membership,
+        mean_hvi=hvi_many(post.mean, front),
+        improving_fraction=float(counts.sum() / n_samples),
+        n_samples=n_samples,
+        seed=seed,
+    )
 
 
 def per_draw_qehvi_mc(post, front, q: int, n_samples: int, seed: int) -> list:

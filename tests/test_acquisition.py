@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -29,6 +31,7 @@ from refimpl import (
     per_draw_qehvi_mc,
     per_step_thompson,
     tiered_batch,
+    whole_draw_qpmhi,
 )
 
 REF = np.array([0.0, 0.0])
@@ -389,6 +392,82 @@ class TestDominatedSkip:
             estimate_qpmhi(post, make_front(), 8, 1, constraint_post=deterministic([[0.0]]))
         with pytest.raises(ValueError):
             estimate_qpmhi(post, make_front(), 8, 1, thresholds=[0.0])
+
+
+def random_atoms(rng, n, m, low, high):
+    """DiscretePosterior over n candidates of one to three atoms each."""
+    sizes = rng.integers(1, 4, size=n)
+    return DiscretePosterior([rng.uniform(low, high, size=(k, m)) for k in sizes],
+                             [rng.dirichlet(np.ones(k)) for k in sizes])
+
+
+class TestDrawBlocks:
+    """estimate_qpmhi walks its draws one SAMPLE_BLOCK at a time."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "discrete"])
+    @pytest.mark.parametrize("constrained", [False, True])
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("n_samples", [1, 63, 64, 65, 200, 256])
+    def test_bitwise_equal_to_whole_draw_reference(self, kind, constrained, m, n_samples):
+        rng = np.random.default_rng(100 + m)
+        pts = rng.uniform(0.2, 1.0, size=(12, m))
+        front = build_front(pts, list(range(12)), np.zeros(m))
+        n, seed = 30, 23
+        con, thresholds = None, None
+        if kind == "gaussian":
+            post = gaussian(rng.uniform(0.3, 0.9, size=(n, m)), scale=0.05, seed=m)
+            if constrained:
+                con, thresholds = gaussian(rng.normal(size=(n, 1)), scale=0.3, seed=9), [0.0]
+        else:
+            post = random_atoms(rng, n, m, *{2: (0.3, 1.1), 3: (0.2, 0.9)}[m])
+            if constrained:
+                con, thresholds = random_atoms(rng, n, 2, -1.0, 1.0), [0.0, -0.5]
+        got = estimate_qpmhi(post, front, n_samples, seed, constraint_post=con,
+                             thresholds=thresholds)
+        want = whole_draw_qpmhi(post, front, n_samples, seed, constraint_post=con,
+                                thresholds=thresholds)
+        if n_samples > 1:
+            assert want.improving_fraction > 0.0 and 0.1 < want.pareto_membership.mean() < 0.9
+        for name in ("probs", "pareto_membership", "mean_hvi"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.improving_fraction == want.improving_fraction
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_no_candidates_match_the_reference(self, constrained, m):
+        post = Posterior(mean=np.zeros((0, m)), cov=np.zeros((m, 0, 0)))
+        con = Posterior(mean=np.zeros((0, 1)), cov=np.zeros((1, 0, 0))) if constrained else None
+        thresholds = [0.0] if constrained else None
+        front = build_front(np.ones((1, m)), ["a"], np.zeros(m))
+        for n_samples in (1, 65):
+            got = estimate_qpmhi(post, front, n_samples, 3, constraint_post=con,
+                                 thresholds=thresholds)
+            want = whole_draw_qpmhi(post, front, n_samples, 3, constraint_post=con,
+                                    thresholds=thresholds)
+            for name in ("probs", "pareto_membership", "mean_hvi"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert got.improving_fraction == want.improving_fraction == 0.0
+
+    def test_peak_memory_does_not_grow_with_the_draw_count(self):
+        # the (L, u, m) draws alone are 2.5 MB at L = 256 and 9.8 MB at
+        # L = 1,024; one block of them is 0.6 MB
+        rng = np.random.default_rng(6)
+        u, m = 600, 2
+        post = gaussian(rng.uniform(0.3, 0.9, size=(u, m)), scale=0.02, seed=6)
+        front = build_front(rng.uniform(0.2, 1.0, size=(20, m)), list(range(20)), np.zeros(m))
+        post.sample(1, 0)  # factor the covariance before measuring
+        peaks = []
+        tracemalloc.start()
+        try:
+            for n_samples in (256, 1024):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                res = estimate_qpmhi(post, front, n_samples, seed=4)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+                assert res.improving_fraction > 0.0
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
 
 
 @pytest.fixture(scope="module")

@@ -40,6 +40,7 @@ from poolbo.gp import (
 from poolbo.pareto import build_front
 from poolbo.seeds import child_rng
 from refimpl import (
+    DiscretePosterior,
     gp_posterior_oracle,
     lengthscale_lml,
     multistart_lengthscale,
@@ -716,6 +717,31 @@ class TestSampling:
         full = post.sample(2 * w + 3, seed=11)
         for n_samples in (1, w - 1, w, w + 1):
             np.testing.assert_array_equal(post.sample(n_samples, seed=11), full[:n_samples])
+
+    @pytest.mark.parametrize("case", ["open-1", "open-2", "open-3", "all-open", "u=0", "discrete"])
+    def test_draw_range_is_the_tail_of_the_longer_run(self, case):
+        if case.startswith("open"):
+            post = open_pool_posterior(int(case[-1]))
+        elif case == "all-open":
+            data = toy_dataset(seed=5, n=6, d=2, m=2)
+            post = posterior(fit(data), np.random.default_rng(5).normal(size=(30, 2)))
+            assert post.stochastic_idx is None
+        elif case == "u=0":
+            data = toy_dataset(seed=5, n=6, d=2, m=2)
+            post = pool_posterior(fit(data), data.features, np.arange(6), data.objectives)
+            assert post.cov.shape[1] == 0
+        else:
+            post = DiscretePosterior([[[0.0, 1.0], [1.0, 0.0]], [[0.5, 0.5]], [[2.0, 0.0], [0.0, 2.0]]],
+                                     [[0.3, 0.7], [1.0], [0.5, 0.5]])
+        w = SAMPLE_BLOCK
+        for first in (0, 1, w - 1, w, w + 1, 2 * w):
+            for n_samples in (1, w - 1, w, w + 1):
+                np.testing.assert_array_equal(post.sample(n_samples, 11, first=first),
+                                              post.sample(first + n_samples, 11)[first:])
+
+    def test_draw_range_rejects_a_negative_first(self):
+        with pytest.raises(ValueError, match="first"):
+            open_pool_posterior(1).sample(4, 11, first=-1)
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_draws_match_matrix_vector_reference(self, m):
