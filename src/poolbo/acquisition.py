@@ -79,12 +79,6 @@ def _winner_counts(deltas: np.ndarray, feasible: np.ndarray | None = None) -> np
     return np.bincount(winners[best > 0.0], minlength=n)
 
 
-def _attribute(deltas: np.ndarray, n_samples: int, feasible: np.ndarray | None = None):
-    """(winner probabilities, improving fraction) of n_samples draws; see _winner_counts."""
-    counts = _winner_counts(deltas, feasible)
-    return counts / n_samples, float(counts.sum() / n_samples)
-
-
 def _undominated_hvi(rows: np.ndarray, dominated: np.ndarray, front: ParetoFront) -> np.ndarray:
     """HVI of every point a dominance mask screened, given the rows it left.
 
@@ -164,14 +158,12 @@ def estimate_qpo(post: Posterior, best_observed: float, n_samples: int, seed: in
         raise ValueError(f"single-objective acquisition requires one objective, got {post.m}")
     best = float(best_observed)
     samples = post.sample(n_samples, seed)[:, :, 0]
-    deltas = np.maximum(0.0, samples - best)
-    probs, improving_fraction = _attribute(deltas, n_samples)
-    membership = (samples >= best).mean(axis=0)
+    wins = _winner_counts(np.maximum(0.0, samples - best))
     return AcquisitionResult(
-        probs=probs,
-        pareto_membership=membership,
+        probs=wins / n_samples,
+        pareto_membership=(samples >= best).mean(axis=0),
         mean_hvi=np.maximum(0.0, post.mean[:, 0] - best),
-        improving_fraction=improving_fraction,
+        improving_fraction=float(wins.sum() / n_samples),
         n_samples=n_samples,
         seed=seed,
     )

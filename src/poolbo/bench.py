@@ -21,6 +21,7 @@ from .campaign import (
     nadir_ref_point,
     run,
 )
+from .files import atomic_write
 from .generation import bit_strings, make_featurizer, read_pool
 from .gp import GpConfig
 from .oracles import LookupOracle
@@ -208,7 +209,7 @@ def aggregate(records_by_cell: dict) -> list:
 
 
 def write_summary_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SUMMARY_HEADER)
         writer.writeheader()
         writer.writerows(rows)

@@ -343,17 +343,17 @@ def _labeled(data: Dataset, pool: list) -> tuple:
     return known_idx, data.objectives[[labeled_row[pool[i].genome] for i in known_idx]]
 
 
-def select_next(state: CampaignState, cfg: CampaignConfig, pool: list, model=None,
+def select_next(state: CampaignState, cfg: CampaignConfig, pool: Pool, model=None,
                 kept: KeptCovariance | None = None) -> list:
     """Indices into `pool` of the batch that iteration state.iteration + 1 queries.
 
     Pool rows whose genome is already labeled are pinned at their observed
     objectives, and qpmhi and qpo estimate only the other rows (see
     _pool_scores). The surrogate is fitted on state.dataset unless `model`,
-    a fit of that same dataset, is given. `kept`, a static pool's
-    KeptCovariance (see kept_covariance), supplies the pool's feature matrix
-    and the arrays the pool posterior conditions; without it the rows'
-    features are stacked and the posterior is built fresh.
+    a fit of that same dataset, is given. The posterior is over the pool's
+    one feature matrix, `pool.features`; `kept`, a static pool's
+    KeptCovariance (see kept_covariance), supplies the arrays it conditions,
+    and without it the posterior is built fresh.
     """
     acq_seed = derive_seed(derive_seed(cfg.seed, state.iteration + 1), _STAGE_ACQUISITION)
     q = cfg.batch_size
@@ -361,8 +361,7 @@ def select_next(state: CampaignState, cfg: CampaignConfig, pool: list, model=Non
         return random_select(len(pool), q, acq_seed)
     if model is None:
         model = fit(state.dataset, cfg.gp)
-    features = np.stack([c.features for c in pool]) if kept is None else kept.features
-    post = pool_posterior(model, features, *_labeled(state.dataset, pool), kept)
+    post = pool_posterior(model, pool.features, *_labeled(state.dataset, pool), kept)
     if cfg.acquisition in ("qpmhi", "qpo"):
         return select_batch(_pool_scores(state, cfg, post, acq_seed), q)
     if cfg.acquisition == "qehvi_mc":
@@ -507,38 +506,36 @@ def save_checkpoint(path, state: CampaignState, cfg: CampaignConfig) -> None:
         fh.write(json.dumps(payload))  # one-shot: the C encoder, same bytes as json.dump
 
 
+def _record(cls, mapping):
+    """cls(**mapping), for a checkpoint mapping that holds exactly cls's
+    fields; any other mapping, or a field value of the wrong type, raises
+    ValueError naming cls."""
+    names = sorted(f.name for f in dataclasses.fields(cls))
+    if not isinstance(mapping, dict) or sorted(mapping) != names:
+        raise ValueError(f"checkpoint {cls.__name__} record must hold exactly {names}")
+    try:
+        return cls(**mapping)
+    except TypeError as exc:
+        raise ValueError(f"checkpoint {cls.__name__} record: {exc}") from None
+
+
 def load_checkpoint(path) -> tuple:
-    """Rebuild (state, config) from a checkpoint file."""
+    """Rebuild (state, config) from a checkpoint file; a malformed one raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a campaign checkpoint: {path}")
-    cfg = CampaignConfig.from_dict(payload["config"])
-    if config_hash(cfg) != payload["config_hash"]:
-        raise ValueError("checkpoint config hash mismatch; file may be corrupted")
-    ds = payload["dataset"]
-    dataset = Dataset(
-        ids=tuple(ds["ids"]),
-        features=np.asarray(ds["features"], dtype=float),
-        objectives=np.asarray(ds["objectives"], dtype=float),
-        feature_kind=ds["feature_kind"],
-        genomes=None if ds["genomes"] is None else tuple(ds["genomes"]),
-    )
-    history = [
-        MetricRecord(
-            iteration=rec["iteration"],
-            hv=rec["hv"],
-            relative_hvi=rec["relative_hvi"],
-            fraction_recovered=rec["fraction_recovered"],
-            batch_ids=tuple(rec["batch_ids"]),
+    try:
+        cfg = CampaignConfig.from_dict(payload["config"])
+        if config_hash(cfg) != payload["config_hash"]:
+            raise ValueError("checkpoint config hash mismatch; file may be corrupted")
+        state = CampaignState(
+            dataset=_record(Dataset, payload["dataset"]),
+            front=front_from_dict(payload["front"]),
+            iteration=int(payload["iteration"]),
+            hv_initial=float(payload["hv_initial"]),
+            history=[_record(MetricRecord, rec) for rec in payload["history"]],
         )
-        for rec in payload["history"]
-    ]
-    state = CampaignState(
-        dataset=dataset,
-        front=front_from_dict(payload["front"]),
-        iteration=int(payload["iteration"]),
-        hv_initial=float(payload["hv_initial"]),
-        history=history,
-    )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed checkpoint {path}: {exc!r}") from None
     return state, cfg

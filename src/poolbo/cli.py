@@ -3,8 +3,8 @@
 Subcommands: `run` drives a campaign from a JSON config, `hv` computes exact
 hypervolume for a saved front, `bench` runs the acquisition comparison grid,
 and `select` scores one pool against a checkpointed campaign. Exit codes: 0
-on success, 2 for bad configs or inputs, 1 for runtime failures (the last
-checkpoint is left on disk).
+on success, 2 for bad configs or inputs (a malformed checkpoint among them),
+1 for runtime failures (the last checkpoint is left on disk).
 """
 from __future__ import annotations
 

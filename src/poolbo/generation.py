@@ -10,7 +10,6 @@ genomes directly.
 from __future__ import annotations
 
 import csv
-import logging
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -19,8 +18,6 @@ import numpy as np
 from .gp import Dataset, GpModel, posterior_mean
 from .pareto import build_front, hvi_many, non_dominated_mask
 from .seeds import child_rng
-
-logger = logging.getLogger(__name__)
 
 ATTEMPT_CAP_FACTOR = 50
 

@@ -10,7 +10,6 @@ real features, Tanimoto for binary features.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,8 +17,6 @@ from scipy.linalg import blas, cho_solve, lapack, solve_triangular
 from scipy.optimize import minimize
 
 from .seeds import child_rng
-
-logger = logging.getLogger(__name__)
 
 LENGTHSCALE_BOUNDS = (1e-2, 1e3)
 SIGNAL_VARIANCE_BOUNDS = (1e-3, 1e3)
@@ -381,14 +378,13 @@ class ScaledBlocks:
     Each array keeps a lower factor in its lower triangle and, above it, the
     strict upper triangle of the symmetric matrix it factors. With `diag`,
     one vector per array, a block is that matrix with the diagonal restored
-    from `diag`; without, it is the factor, the lower triangle. By default
-    each block is one objective's, at scale 1 (exact).
+    from `diag`; without, it is the factor, the lower triangle.
     """
 
-    def __init__(self, blocks, scale=None, group=None, diag=None):
+    def __init__(self, blocks, scale, group, diag=None):
         self.blocks = blocks
-        self.scale = np.ones(len(blocks)) if scale is None else scale
-        self.group = np.arange(len(blocks)) if group is None else group
+        self.scale = scale
+        self.group = group
         self.diag = diag
 
     @property
@@ -420,9 +416,9 @@ class Posterior:
     full pool is stochastic. Rows outside the subset are deterministic at
     `mean`. `chol` holds the lower factors, scaled by the square roots of
     cov's scales, and `jitter` the diagonal jitter each block needed to
-    factorize. For a cov given as an array both are computed on first use,
-    the factors in place in cov's own copy of the blocks; posterior() gives
-    them with its ScaledBlocks.
+    factorize. A ScaledBlocks cov comes with its `chol`, as posterior()
+    gives them. A cov given as an array is factored when the posterior is
+    made, unless `chol` is given, in place in cov's own copy of the blocks.
     """
 
     mean: np.ndarray
@@ -438,11 +434,6 @@ class Posterior:
         shape = self.cov.shape if isinstance(self.cov, ScaledBlocks) else np.shape(self.cov)
         if len(shape) != 3 or shape[0] != self.mean.shape[1] or shape[1] != shape[2]:
             raise ValueError("cov must be one square block per objective")
-        if not isinstance(self.cov, ScaledBlocks):
-            blocks = [np.array(b, dtype=float, order="C") for b in np.asarray(self.cov)]
-            for b in blocks:
-                _mirror_lower(b)
-            self.cov = ScaledBlocks(blocks, diag=[b.diagonal().copy() for b in blocks])
         u = shape[1]
         if self.stochastic_idx is None:
             if u != self.mean.shape[0]:
@@ -451,6 +442,20 @@ class Posterior:
             self.stochastic_idx = np.asarray(self.stochastic_idx, dtype=int)
             if self.stochastic_idx.size != u:
                 raise ValueError("stochastic_idx length must match cov block size")
+        if isinstance(self.cov, ScaledBlocks):
+            if self.chol is None:
+                raise ValueError("a ScaledBlocks cov must come with its chol")
+            return
+        blocks = [np.array(b, dtype=float, order="C") for b in np.asarray(self.cov)]
+        for b in blocks:
+            _mirror_lower(b)
+        scale, group = np.ones(len(blocks)), np.arange(len(blocks))
+        self.cov = ScaledBlocks(blocks, scale, group, [b.diagonal().copy() for b in blocks])
+        if self.chol is None:
+            # an exactly-degenerate block keeps a zero factor, which reproduces the mean
+            self.jitter = np.array([_jittered_cholesky(b, (0.0,) + JITTER_LADDER)[1]
+                                    if b.any() else 0.0 for b in blocks])
+            self.chol = ScaledBlocks(blocks, scale, group)
 
     @property
     def n(self) -> int:
@@ -459,15 +464,6 @@ class Posterior:
     @property
     def m(self) -> int:
         return self.mean.shape[1]
-
-    def _factors(self) -> ScaledBlocks:
-        if self.chol is None:
-            # an exactly-degenerate block keeps a zero factor, which reproduces the mean
-            jitter = [_jittered_cholesky(b, (0.0,) + JITTER_LADDER)[1] if b.any() else 0.0
-                      for b in self.cov.blocks]
-            self.chol = ScaledBlocks(self.cov.blocks, np.sqrt(self.cov.scale), self.cov.group)
-            self.jitter = self.cov.scale * np.array(jitter)[self.cov.group]
-        return self.chol
 
     def sample(self, n_samples: int, seed: int, first: int = 0) -> np.ndarray:
         """Draw joint samples first ... first + n_samples - 1, shape (n_samples, n, m).
@@ -486,8 +482,7 @@ class Posterior:
             raise ValueError("n_samples must be at least 1")
         if first < 0:
             raise ValueError("first must be non-negative")
-        factors = self._factors()
-        u = self.cov.shape[1]
+        factors, u = self.chol, self.cov.shape[1]
         idx = slice(None) if self.stochastic_idx is None else self.stochastic_idx
         out = np.repeat(self.mean[None, :, :], n_samples, axis=0)
         if u == 0:

@@ -7,7 +7,6 @@ is maximized.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 import shlex
@@ -104,11 +103,6 @@ class LookupOracle:
         self.labels.flags.writeable = False
         self.row = dict(zip(genomes, range(len(self.labels))))
         self.m = self.labels.shape[1]
-
-    @functools.cached_property
-    def table(self) -> dict:
-        """Each genome's label row, in pool order."""
-        return dict(zip(self.row, self.labels))
 
     @classmethod
     def from_pool_csv(cls, path) -> "LookupOracle":

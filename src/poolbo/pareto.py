@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -19,8 +18,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .files import atomic_write
-
-logger = logging.getLogger(__name__)
 
 MAX_HV_DIM = 6
 

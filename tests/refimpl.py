@@ -439,8 +439,8 @@ def greedy_joint_ehvi_trace(posterior: DiscretePosterior, q: int, front_points, 
 def whole_draw_qpmhi(post, front, n_samples: int, seed: int, constraint_post=None,
                      thresholds=None):
     """estimate_qpmhi holding all n_samples draws and their (n_samples, n)
-    improvements at once, attributing each draw to its winner as _attribute
-    did."""
+    improvements at once, attributing each draw to its winner as _winner_counts
+    does."""
     from poolbo.acquisition import _CONSTRAINT_STREAM, AcquisitionResult, _undominated_hvi
     from poolbo.pareto import hvi_many, strictly_dominated_mask
     from poolbo.seeds import derive_seed

@@ -8,8 +8,8 @@ from poolbo import acquisition
 from poolbo.acquisition import (
     _CONSTRAINT_STREAM,
     AcquisitionResult,
-    _attribute,
     _least_margins,
+    _winner_counts,
     constrained_qpmhi,
     estimate_qpmhi,
     estimate_qpo,
@@ -173,7 +173,8 @@ class TestPartition:
     def test_attribution_counts_partition_draws(self, seed, n, rows):
         rng = np.random.default_rng(seed)
         deltas = rng.uniform(-1.0, 1.0, size=(rows, n))
-        probs, frac = _attribute(deltas, rows)
+        wins = _winner_counts(deltas)
+        probs, frac = wins / rows, float(wins.sum() / rows)
         counts = probs * rows
         assert np.allclose(counts, np.round(counts), atol=1e-12)
         assert counts.sum() == pytest.approx(frac * rows, abs=1e-9)
@@ -185,7 +186,7 @@ class TestPartition:
         deltas = rng.uniform(0.0, 1.0, size=(20, n))
         # candidate n-1 never exceeds candidate 0, which also wins index ties
         deltas[:, -1] = deltas[:, 0] - rng.uniform(0.0, 0.5, size=20)
-        probs, _ = _attribute(deltas, 20)
+        probs = _winner_counts(deltas) / 20
         assert probs[-1] == 0.0
 
 
@@ -376,7 +377,8 @@ class TestDominatedSkip:
             feasible = np.all(con_draws >= 0.0, axis=-1)
             assert 0.2 < feasible.mean() < 0.8
         deltas = hvi_many(flat, front).reshape(n_samples, n)
-        probs, improving_fraction = _attribute(deltas, n_samples, feasible=feasible)
+        wins = _winner_counts(deltas, feasible=feasible)
+        probs, improving_fraction = wins / n_samples, float(wins.sum() / n_samples)
         assert np.array_equal(res.probs, probs)
         assert res.improving_fraction == improving_fraction
         assert np.array_equal(res.pareto_membership,

@@ -260,6 +260,16 @@ class TestRunBench:
         assert (tmp_path / "out" / "summary.csv").read_bytes() == first
         assert (tmp_path / "out" / "cells" / "qpmhi_seed0.csv").read_bytes() == cell
 
+    def test_failed_summary_write_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        rows = [dict(zip(SUMMARY_HEADER, ("qpmhi", 0, 1.0, 0.0, 0.5, 0.0, 2)))]
+        bench.write_summary_csv(path, rows)
+        before = path.read_bytes()
+        with pytest.raises(ValueError):  # DictWriter rejects the unknown field mid-file
+            bench.write_summary_csv(path, [dict(rows[0], n_seeds=3), {"unknown": 1}])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
+
     def test_reads_once_plus_twice_per_cell_and_featurizes_once_per_cell(
             self, small_pool, tmp_path, monkeypatch):
         # one table for the bench; each cell reads the pool for its initial

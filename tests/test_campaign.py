@@ -29,7 +29,7 @@ from poolbo.campaign import (
     select_next,
 )
 from poolbo.acquisition import estimate_qpmhi, estimate_qpo, select_batch
-from poolbo.generation import Candidate, GeneratorConfig, load_pool, make_featurizer
+from poolbo.generation import GeneratorConfig, Pool, load_pool, make_featurizer
 from poolbo.gp import Dataset, GpConfig, KeptCovariance, Posterior
 from poolbo.bench import make_ablation_pool
 from poolbo.oracles import BuiltinOracle, LookupOracle, OracleError
@@ -309,12 +309,12 @@ class TestBuildInitialData:
     def test_from_genomes(self, tmp_path):
         pool = write_labeled_pool(tmp_path / "pool.csv")
         oracle = LookupOracle.from_pool_csv(pool)
-        genomes = list(oracle.table)[:3]
+        genomes = list(oracle.row)[:3]
         cfg = static_cfg(pool, init={"genomes": genomes})
         data = build_initial_data(cfg, oracle)
         assert data.ids == ("init-0", "init-1", "init-2")
         assert data.genomes == tuple(genomes)
-        assert np.array_equal(data.objectives[0], oracle.table[genomes[0]])
+        assert np.array_equal(data.objectives[0], oracle.labels[oracle.row[genomes[0]]])
 
     def test_duplicate_genomes_rejected(self, tmp_path):
         pool = write_labeled_pool(tmp_path / "pool.csv")
@@ -393,7 +393,7 @@ class TestBuildInitialData:
                                                                    monkeypatch, form):
         pool = write_labeled_pool(tmp_path / "pool.csv")
         oracle = LookupOracle.from_pool_csv(pool)
-        init = {"pool_sample": 4} if form == "pool_sample" else {"genomes": list(oracle.table)[:2]}
+        init = {"pool_sample": 4} if form == "pool_sample" else {"genomes": list(oracle.row)[:2]}
         reads, featurized = [], []
         read, identity = campaign_mod.read_pool, generation_mod._identity_features
         monkeypatch.setattr(campaign_mod, "read_pool", lambda p: reads.append(p) or read(p))
@@ -471,6 +471,28 @@ class TestRunLoop:
         assert state.iteration == 3
         assert state.dataset.n > 4
         assert len(oracle.genomes) == len(set(oracle.genomes))
+
+    def test_bred_pool_posterior_is_over_the_pool_matrix(self, monkeypatch):
+        # each bred Pool reaches pool_posterior as its own feature matrix,
+        # the object itself rather than a stack of its rows
+        cfg = gen_cfg(iterations=2)
+        oracle = BuiltinOracle("sphere_pair")
+        pools, matrices = [], []
+        propose, build = campaign_mod.propose_pool, campaign_mod.pool_posterior
+
+        def bred(*args):
+            pools.append(propose(*args))
+            return pools[-1]
+
+        def spy(model, features, *rest):
+            matrices.append(features)
+            return build(model, features, *rest)
+
+        monkeypatch.setattr(campaign_mod, "propose_pool", bred)
+        monkeypatch.setattr(campaign_mod, "pool_posterior", spy)
+        run(start(cfg, oracle), cfg, oracle=oracle)
+        assert len(pools) == len(matrices) == 2
+        assert all(features is pool.features for features, pool in zip(matrices, pools))
 
     def test_true_front_ids_populate_fraction(self, tmp_path):
         pool = write_labeled_pool(tmp_path / "pool.csv", n=10)
@@ -633,8 +655,7 @@ def open_row_campaign(acq):
     cfg = CampaignConfig(iterations=1, batch_size=3, mc_samples=64, n_objectives=m,
                          acquisition=acq, ref_rule="explicit", ref_point=(0.0,) * m,
                          pool_path="unread.csv", seed=7)
-    pool = [Candidate(id=f"p{i}", genome=g, features=FEAT([g])[0])
-            for i, g in enumerate(OPEN_ROW_POOL)]
+    pool = Pool([f"p{i}" for i in range(len(OPEN_ROW_POOL))], OPEN_ROW_POOL, FEAT(OPEN_ROW_POOL))
     return init_campaign(cfg, initial), cfg, pool
 
 

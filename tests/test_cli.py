@@ -439,6 +439,40 @@ class TestSelect:
         assert main(["select", str(pool_csv), str(tmp_path / "no.json"), "-q", "2"]) == 2
 
 
+# edits that leave a checkpoint's JSON valid and its records malformed, with
+# text each error message must hold
+MALFORMED_CHECKPOINTS = {
+    "null iteration": (lambda p: p.update(iteration=None), "malformed checkpoint"),
+    "null record iteration": (lambda p: p["history"][0].update(iteration=None), "MetricRecord"),
+    "dataset without genomes": (lambda p: p["dataset"].pop("genomes"), "Dataset"),
+    "unknown history field": (lambda p: p["history"][0].update(note=""), "MetricRecord"),
+    "dataset as a list": (lambda p: p.update(dataset=[]), "Dataset"),
+    "history entry as a list": (lambda p: p["history"].__setitem__(0, []), "MetricRecord"),
+}
+
+
+class TestMalformedCheckpoint:
+    """A malformed checkpoint is a bad input: `select` and `run --resume`
+    exit 2 with a message naming the record, not 1 with a traceback."""
+
+    @pytest.mark.parametrize("command", ["select", "resume"])
+    @pytest.mark.parametrize("case", list(MALFORMED_CHECKPOINTS))
+    def test_exits_2(self, tmp_path, pool_csv, capsys, command, case):
+        out = tmp_path / "camp"
+        cfg_path = write_json(tmp_path / "c.json", run_config(pool_csv, out, iterations=1))
+        assert main(["run", cfg_path]) == 0
+        ckpt = out / "checkpoint.json"
+        payload = json.loads(ckpt.read_text())
+        edit, named = MALFORMED_CHECKPOINTS[case]
+        edit(payload)
+        write_json(ckpt, payload)
+        capsys.readouterr()
+        argv = (["select", str(pool_csv), str(ckpt), "-q", "1"] if command == "select"
+                else ["run", cfg_path, "--resume"])
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         path = write_json(tmp_path / "f.json", {"points": [[1.0, 2.0], [2.0, 1.0]]})

@@ -873,6 +873,30 @@ class TestSampling:
         assert np.isfinite(draws).all()
         np.testing.assert_array_equal(draws, with_factors(lower).sample(SAMPLE_BLOCK + 3, seed=6))
 
+    def test_dense_cov_is_factored_when_made(self):
+        # one block factors with no jitter, a rank-one block needs the first
+        # rung, and an all-zero block keeps a zero factor; sampling keeps both
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(5, 5))
+        cov = np.stack([a @ a.T + np.eye(5), np.ones((5, 5)), np.zeros((5, 5))])
+        post = Posterior(mean=np.zeros((5, 3)), cov=cov)
+        np.testing.assert_array_equal(post.jitter, [0.0, JITTER_LADDER[0], 0.0])
+        for j, jitter in enumerate(post.jitter):
+            ref = cov[j] + jitter * np.eye(5)
+            if ref.any():
+                lapack.dpotrf(ref.T, lower=0, overwrite_a=1)
+            np.testing.assert_array_equal(post.chol[j], np.tril(ref))
+        np.testing.assert_array_equal(post.cov, cov)
+        chol, jitter = post.chol, post.jitter.copy()
+        post.sample(3, seed=1)
+        assert post.chol is chol
+        np.testing.assert_array_equal(post.jitter, jitter)
+
+    def test_scaled_blocks_cov_needs_its_factors(self):
+        base = open_pool_posterior(2)
+        with pytest.raises(ValueError, match="chol"):
+            Posterior(mean=base.mean, cov=base.cov, stochastic_idx=base.stochastic_idx)
+
     def test_invalid_count_rejected(self):
         post = Posterior(mean=np.zeros((1, 1)), cov=np.zeros((1, 1, 1)))
         with pytest.raises(ValueError):

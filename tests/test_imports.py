@@ -1,12 +1,15 @@
-"""Every module-level import in the library is used by its module, and every
-module-level private helper by the library.
+"""Every module-level import in the library is used by its module, every
+module-level logger logs, and every module-level private helper is used by
+the library.
 
 Standard library only: each module is parsed with ast, and an imported name
 counts as used when it appears as a name anywhere else in the module.
 `__future__` imports, package `__init__` re-exports and lines marked
-`# noqa: F401` are exempt. A `_`-prefixed module-level function or class
-counts as used when some library module names it, as a name, an attribute
-or an import, outside its own definition.
+`# noqa: F401` are exempt. A module-level name bound to a `getLogger(...)`
+call logs when some call in its module goes through it, as in
+`logger.info(...)`. A `_`-prefixed module-level function or class counts as
+used when some library module names it, as a name, an attribute or an
+import, outside its own definition.
 """
 import ast
 from pathlib import Path
@@ -50,6 +53,24 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def silent_loggers(source: str) -> list:
+    """The module-level names bound to a getLogger(...) call that no call in
+    the module goes through."""
+    tree = ast.parse(source)
+    bound = {target.id for node in tree.body if isinstance(node, ast.Assign)
+             and isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Attribute)
+             and node.value.func.attr == "getLogger"
+             for target in node.targets if isinstance(target, ast.Name)}
+    called = {n.func.value.id for n in ast.walk(tree) if isinstance(n, ast.Call)
+              and isinstance(n.func, ast.Attribute) and isinstance(n.func.value, ast.Name)}
+    return sorted(bound - called)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_silent_module_loggers(path):
+    assert silent_loggers(path.read_text(encoding="utf-8")) == []
+
+
 def dead_helpers(sources: dict) -> list:
     """The `_`-prefixed module-level functions and classes of {module: source}
     that no module names outside their own definition."""
@@ -81,3 +102,10 @@ def test_checker_flags_an_unused_import_and_honours_noqa():
     source = ("from __future__ import annotations\nimport csv\nimport json  # noqa: F401\n"
               "from os import (\n    path,\n    sep,\n)\nprint(sep)\n")
     assert unused_imports(source) == ["csv (line 2)", "path (line 5)"]
+
+
+def test_checker_flags_a_silent_logger():
+    source = ("import logging\nlogger = logging.getLogger(__name__)\n"
+              "log = logging.getLogger('a')\nquiet = logging.getLogger('b')\n"
+              "name = logger.name\n\ndef f():\n    log.info('x')\n")
+    assert silent_loggers(source) == ["logger", "quiet"]

@@ -148,7 +148,7 @@ class TestLookupOracle:
         write_pool(pool, ["a,ABCD,1.0,2.0", "b,ABAB,2.0,1.0", "c,ABCD,9.0,9.0"])
         oracle = LookupOracle.from_pool_csv(pool)
         assert oracle.m == 2
-        assert list(oracle.table) == ["ABCD", "ABAB"]
+        assert list(oracle.row) == ["ABCD", "ABAB"]
         out = oracle.evaluate([Candidate(id="x", genome="ABAB", features=[0.0])])
         assert out.tolist() == [[2.0, 1.0]]
         with pytest.raises(OracleError, match="no objective labels"):
