@@ -269,7 +269,7 @@ def thompson_hvi(post: Posterior, front: ParetoFront, q: int, seed: int) -> list
     q = _batch_size(q, post.n)
     if post.m != front.m:
         raise ValueError(f"objective dimensions must match: {post.m} vs {front.m}")
-    samples = post.sample(q, seed)
+    samples = post.sample(q, seed) if q else ()  # an empty pool has no slot to draw for
     taken = np.zeros(post.n, dtype=bool)
     selected: list = []
     for values in samples:

@@ -529,12 +529,20 @@ def load_checkpoint(path) -> tuple:
         cfg = CampaignConfig.from_dict(payload["config"])
         if config_hash(cfg) != payload["config_hash"]:
             raise ValueError("checkpoint config hash mismatch; file may be corrupted")
+        history = [_record(MetricRecord, rec) for rec in payload["history"]]
+        iteration, hv_initial = payload["iteration"], payload["hv_initial"]
+        if type(iteration) is not int or iteration != len(history):  # run() writes one per iteration
+            raise ValueError(f"malformed checkpoint {path}: 'iteration' must be the integer "
+                             f"{len(history)}, one per history record, got {iteration!r}")
+        if type(hv_initial) not in (int, float) or not 0 <= hv_initial < np.inf:
+            raise ValueError(f"malformed checkpoint {path}: 'hv_initial' must be a finite, "
+                             f"non-negative number, got {hv_initial!r}")
         state = CampaignState(
             dataset=_record(Dataset, payload["dataset"]),
             front=front_from_dict(payload["front"]),
-            iteration=int(payload["iteration"]),
-            hv_initial=float(payload["hv_initial"]),
-            history=[_record(MetricRecord, rec) for rec in payload["history"]],
+            iteration=iteration,
+            hv_initial=float(hv_initial),
+            history=history,
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed checkpoint {path}: {exc!r}") from None

@@ -417,8 +417,8 @@ class Posterior:
     `mean`. `chol` holds the lower factors, scaled by the square roots of
     cov's scales, and `jitter` the diagonal jitter each block needed to
     factorize. A ScaledBlocks cov comes with its `chol`, as posterior()
-    gives them. A cov given as an array is factored when the posterior is
-    made, unless `chol` is given, in place in cov's own copy of the blocks.
+    gives them. A cov given as an array comes without `chol`: it is factored
+    when the posterior is made, in place in cov's own copy of the blocks.
     """
 
     mean: np.ndarray
@@ -442,20 +442,19 @@ class Posterior:
             self.stochastic_idx = np.asarray(self.stochastic_idx, dtype=int)
             if self.stochastic_idx.size != u:
                 raise ValueError("stochastic_idx length must match cov block size")
+        if isinstance(self.cov, ScaledBlocks) != (self.chol is not None):
+            raise ValueError("chol comes with a ScaledBlocks cov, and never with an array cov")
         if isinstance(self.cov, ScaledBlocks):
-            if self.chol is None:
-                raise ValueError("a ScaledBlocks cov must come with its chol")
             return
         blocks = [np.array(b, dtype=float, order="C") for b in np.asarray(self.cov)]
         for b in blocks:
             _mirror_lower(b)
         scale, group = np.ones(len(blocks)), np.arange(len(blocks))
         self.cov = ScaledBlocks(blocks, scale, group, [b.diagonal().copy() for b in blocks])
-        if self.chol is None:
-            # an exactly-degenerate block keeps a zero factor, which reproduces the mean
-            self.jitter = np.array([_jittered_cholesky(b, (0.0,) + JITTER_LADDER)[1]
-                                    if b.any() else 0.0 for b in blocks])
-            self.chol = ScaledBlocks(blocks, scale, group)
+        # an exactly-degenerate block keeps a zero factor, which reproduces the mean
+        self.jitter = np.array([_jittered_cholesky(b, (0.0,) + JITTER_LADDER)[1]
+                                if b.any() else 0.0 for b in blocks])
+        self.chol = ScaledBlocks(blocks, scale, group)
 
     @property
     def n(self) -> int:

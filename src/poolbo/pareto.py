@@ -4,8 +4,8 @@ Every objective is maximized; callers with minimization targets negate before
 entry. A reference point bounds dominated volume from below, and only points
 that strictly exceed it in every coordinate enclose positive volume.
 Hypervolume and hypervolume improvement both come from one box decomposition
-of the region a front leaves undominated (FrontIndex), which each ParetoFront
-builds once.
+of the region a front leaves undominated (ParetoFront.boxes, built once); a
+front grows only through update_front, which returns a new front.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import csv
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ def _as_vector(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"objective vector must be 1-dimensional and non-empty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("objective vector contains non-finite entries")
     return arr
 
@@ -102,6 +103,12 @@ class ParetoFront:
 
     Points keep insertion order; ids run parallel to points and may be None
     when the source candidate is unknown.
+
+    The hypervolume improvement of y is the part of the box [ref, y] inside
+    the region the front leaves undominated, split into disjoint boxes: the
+    sum over boxes of prod_j clip(min(y_j, hi_j) - lo_j, 0). Every box starts
+    at front or reference coordinates, so points weakly dominated by the
+    front or not strictly above ref score exactly zero.
     """
 
     points: np.ndarray
@@ -134,29 +141,49 @@ class ParetoFront:
     def size(self) -> int:
         return self.points.shape[0]
 
+    @cached_property
+    def boxes(self) -> tuple:
+        """(lo, hi) of _boxes, behind hypervolume and gains, built on first use."""
+        return _boxes(self.points, self.ref)
+
+    def gains(self, points) -> np.ndarray:
+        """Hypervolume improvement of each row of points.
+
+        Rows go in blocks of about 2**16 box-row pairs, so memory stays flat
+        in the point count. A block is one _covered product in (boxes, rows)
+        views of the buffers' heads, at least two columns wide, so every gain
+        sums its boxes in order.
+        """
+        pts = np.asarray(points, dtype=float)
+        lo, hi = self.boxes
+        n, boxes = pts.shape[0], lo.shape[1]
+        rows = max(2, 2 ** 16 // boxes)
+        buffers = np.empty((2, boxes * max(2, min(rows, n))))
+        out = np.empty(n)
+        for start in range(0, n, rows):
+            block = pts[start:start + rows]
+            acc, side = buffers[:, :boxes * max(2, len(block))].reshape(2, boxes, -1)
+            out[start:start + len(block)] = _covered(block, lo[:, :, None], hi[:, :, None], acc, side)
+        return out
+
     def hypervolume(self) -> float:
-        """Exact dominated hypervolume, read off the cached box index."""
+        """Volume the front dominates above ref, as a sum of non-negative terms.
+
+        Along any line in objective 1 (0-based), the dominated part is
+        [ref_1, t) and the box holding height t has lo_1 = t. So the columns
+        under the boxes with lo_1 > ref_1, each (hi_0 - lo_0) x (lo_1 - ref_1)
+        x prod_{j>=2} (hi_j - lo_j), tile the dominated region; none of them
+        is unbounded. One objective gives lo_0 - ref_0.
+        """
         if self.m > MAX_HV_DIM:
             raise ValueError(f"hypervolume supports at most {MAX_HV_DIM} objectives, got {self.m}")
-        return self.index.hypervolume()
-
-    @cached_property
-    def index(self) -> "FrontIndex":
-        """Box decomposition behind hypervolume and hvi_many, built on first
-        use."""
-        return FrontIndex(self.points, self.ref)
-
-
-def _admitted(points: np.ndarray, y: np.ndarray, ref: np.ndarray):
-    """Mask of the incumbents that survive y's entry, or None if y is rejected.
-
-    y enters only if it strictly dominates ref and no incumbent weakly
-    dominates it, so equal duplicates are rejected; incumbents y weakly
-    dominates drop out.
-    """
-    if not (y > ref).all() or (points >= y).all(axis=1).any():
-        return None
-    return ~(y >= points).all(axis=1)
+        (lo, hi), ref = self.boxes, self.ref
+        if ref.size == 1:
+            return float(lo[0, 0] - ref[0])
+        cols = lo[1] > ref[1]
+        sides = hi[:, cols] - lo[:, cols]
+        sides[1] = lo[1, cols] - ref[1]
+        return float(np.prod(sides, axis=0).sum())
 
 
 def _unchecked_front(points: np.ndarray, ids: tuple, ref: np.ndarray) -> ParetoFront:
@@ -168,7 +195,8 @@ def _unchecked_front(points: np.ndarray, ids: tuple, ref: np.ndarray) -> ParetoF
 
 
 def update_front(front: ParetoFront, values, point_id=None) -> ParetoFront:
-    """Fold one point into a front, returning a new front.
+    """Fold one point into a front, returning a new front, or front itself
+    when the point is rejected.
 
     The point enters only if it strictly dominates the reference point and no
     incumbent weakly dominates it; equal duplicates of an incumbent are
@@ -177,11 +205,11 @@ def update_front(front: ParetoFront, values, point_id=None) -> ParetoFront:
     y = _as_vector(values)
     if y.size != front.m:
         raise ValueError(f"objective dimensions must match: {y.size} vs {front.m}")
-    keep = _admitted(front.points, y, front.ref)
-    if keep is None:
+    if not (y > front.ref).all() or (front.points >= y).all(axis=1).any():
         return front
+    keep = ~(y >= front.points).all(axis=1)
     return _unchecked_front(np.vstack([front.points[keep], y[None, :]]),
-                            tuple(i for i, k in zip(front.ids, keep) if k) + (point_id,), front.ref)
+                            tuple(compress(front.ids, keep)) + (point_id,), front.ref)
 
 
 def build_front(points, ids, ref) -> ParetoFront:
@@ -276,84 +304,23 @@ def _covered(points, lo, hi, acc, side) -> np.ndarray:
     return acc.sum(axis=0)[:points.shape[0]]
 
 
-class FrontIndex:
-    """The region a front leaves undominated, as disjoint boxes.
-
-    The hypervolume improvement of y is the part of the box [ref, y] inside
-    that region: the sum over boxes of prod_j clip(min(y_j, hi_j) - lo_j, 0).
-    Every box starts at front or reference coordinates, so points weakly
-    dominated by the front or not strictly above ref score exactly zero.
-    """
-
-    def __init__(self, points: np.ndarray, ref: np.ndarray):
-        self.points = points
-        self.ref = ref
-        self.lo, self.hi = _boxes(points, ref)
-
-    def gains(self, points) -> np.ndarray:
-        """Hypervolume improvement of each row of points.
-
-        Rows go in blocks of about 2**16 box-row pairs, so memory stays flat
-        in the point count. A block is one _covered product in (boxes, rows)
-        views of the buffers' heads, at least two columns wide, so every gain
-        sums its boxes in order.
-        """
-        pts = np.asarray(points, dtype=float)
-        n, boxes = pts.shape[0], self.lo.shape[1]
-        rows = max(2, 2 ** 16 // boxes)
-        buffers = np.empty((2, boxes * max(2, min(rows, n))))
-        lo, hi = self.lo[:, :, None], self.hi[:, :, None]
-        out = np.empty(n)
-        for start in range(0, n, rows):
-            block = pts[start:start + rows]
-            acc, side = buffers[:, :boxes * max(2, len(block))].reshape(2, boxes, -1)
-            out[start:start + len(block)] = _covered(block, lo, hi, acc, side)
-        return out
-
-    def hypervolume(self) -> float:
-        """Volume the front dominates above ref, as a sum of non-negative terms.
-
-        Along any line in objective 1 (0-based), the dominated part is
-        [ref_1, t) and the box holding height t has lo_1 = t. So the columns
-        under the boxes with lo_1 > ref_1, each (hi_0 - lo_0) x (lo_1 - ref_1)
-        x prod_{j>=2} (hi_j - lo_j), tile the dominated region; none of them
-        is unbounded. One objective gives lo_0 - ref_0.
-        """
-        lo, hi, ref = self.lo, self.hi, self.ref
-        if ref.size == 1:
-            return float(lo[0, 0] - ref[0])
-        cols = lo[1] > ref[1]
-        sides = hi[:, cols] - lo[:, cols]
-        sides[1] = lo[1, cols] - ref[1]
-        return float(np.prod(sides, axis=0).sum())
-
-    def insert(self, values) -> "FrontIndex":
-        """Index of the front with one point folded in by update_front's rules."""
-        y = np.asarray(values, dtype=float)
-        keep = _admitted(self.points, y, self.ref)
-        if keep is None:
-            return self
-        return FrontIndex(np.vstack([self.points[keep], y[None, :]]), self.ref)
-
-
 class FrontStack:
     """One front per Monte Carlo draw, each starting at front and grown by
     the draw's own values.
 
     boxes is one (m, B, draws) lo/hi pair: column ell holds draw ell's boxes
-    in FrontIndex order, then pad boxes at lo = hi = +inf. gains is one
-    _covered product with at least two buffer columns, so each per-draw gain
-    is bitwise FrontIndex.gains of that draw's value alone. At m = 2 an
-    accepted point is spliced into every draw's column at once; other m
-    rebuild each changed draw's FrontIndex.
+    in ParetoFront.boxes order, then pad boxes at lo = hi = +inf. gains is
+    one _covered product with at least two buffer columns, so each per-draw
+    gain is bitwise ParetoFront.gains of that draw's value alone. At m = 2 an
+    accepted point is spliced into every draw's column at once; other m keep
+    each draw's ParetoFront in fronts and grow a changed one by update_front.
     """
 
     def __init__(self, front: ParetoFront, n_draws: int):
-        index = front.index
-        self.ref = index.ref
-        self.indexes = None if index.ref.size == 2 else [index] * n_draws
-        self.boxes = np.repeat(np.stack((index.lo, index.hi))[..., None], n_draws, axis=3)
-        self.buffers = np.empty((2, index.lo.shape[1], max(2, n_draws)))
+        self.ref = front.ref
+        self.fronts = None if front.m == 2 else [front] * n_draws
+        self.boxes = np.repeat(np.stack(front.boxes)[..., None], n_draws, axis=3)
+        self.buffers = np.empty((2, self.boxes.shape[2], max(2, n_draws)))
 
     def gains(self, values) -> np.ndarray:
         """Hypervolume improvement of values[ell] against draw ell's front."""
@@ -363,18 +330,18 @@ class FrontStack:
         """Fold values[ell] into draw ell's front by update_front's rules,
         rewriting only changed draws' columns; B grows only when a changed
         draw needs more boxes."""
-        if self.indexes is None:
+        if self.fronts is None:
             return self._splice(values)
-        sizes = [index.points.shape[0] for index in self.indexes]
+        sizes = [front.size for front in self.fronts]
         owner = np.repeat(np.arange(len(sizes)), sizes)
-        points = np.concatenate([index.points for index in self.indexes])
-        # _admitted's rejection test for every draw at once
+        points = np.concatenate([front.points for front in self.fronts])
+        # update_front's rejection test for every draw at once
         covered = np.bincount(owner[(points >= values[owner]).all(axis=1)], minlength=len(sizes))
         for ell in np.flatnonzero((covered == 0) & (values > self.ref).all(axis=1)):
-            index = self.indexes[ell] = self.indexes[ell].insert(values[ell])
-            b = index.lo.shape[1]
+            front = self.fronts[ell] = update_front(self.fronts[ell], values[ell])
+            b = front.boxes[0].shape[1]
             self._reserve(b)
-            self.boxes[:, :, :b, ell] = index.lo, index.hi
+            self.boxes[:, :, :b, ell] = front.boxes
             self.boxes[:, :, b:, ell] = np.inf
 
     def _reserve(self, b: int) -> None:
@@ -410,7 +377,7 @@ class FrontStack:
 
 def hvi_many(points, front: ParetoFront) -> np.ndarray:
     """Hypervolume improvement of each point against a fixed front."""
-    return front.index.gains(_as_matrix(points, m=front.m))
+    return front.gains(_as_matrix(points, m=front.m))
 
 
 def strictly_dominated_mask(points, front: ParetoFront) -> np.ndarray:

@@ -7,7 +7,7 @@ enumeration of joint outcomes. The exceptions are kept as the library wrote
 them before a faster version replaced them, which must match them bit for
 bit: whole_draw_qpmhi, qPMHI scoring all its draws at once;
 per_draw_qehvi_mc, the greedy select's per-draw loop;
-per_step_thompson, Thompson scoring every row against a growing FrontIndex;
+per_step_thompson, Thompson scoring every row against a growing ParetoFront;
 slab_recursion_boxes, the box decomposition that rebuilt each slab's front
 from scratch; pairwise_non_dominated_mask, the all-pairs test the two-objective sweep
 replaced; folded_front, build_front as one update_front per point;
@@ -471,17 +471,17 @@ def whole_draw_qpmhi(post, front, n_samples: int, seed: int, constraint_post=Non
 
 
 def per_draw_qehvi_mc(post, front, q: int, n_samples: int, seed: int) -> list:
-    """qehvi_mc with one FrontIndex.gains call per draw per re-evaluation."""
+    """qehvi_mc with one ParetoFront.gains call per draw per re-evaluation."""
     from poolbo.acquisition import _batch_size, _undominated_hvi
-    from poolbo.pareto import strictly_dominated_mask
+    from poolbo.pareto import strictly_dominated_mask, update_front
 
     q = _batch_size(q, post.n)
     if post.m != front.m:
         raise ValueError(f"objective dimensions must match: {post.m} vs {front.m}")
     n = post.n
     samples = post.sample(n_samples, seed)
-    # one index per draw; a draw's index is replaced as its batch grows
-    fronts = [front.index] * n_samples
+    # one front per draw; a draw's front is replaced as its batch grows
+    fronts = [front] * n_samples
     flat = samples.reshape(-1, post.m)
     dominated = strictly_dominated_mask(flat, front)
     gains = _undominated_hvi(flat[~dominated], dominated, front).reshape(n_samples, n).mean(axis=0)
@@ -501,37 +501,37 @@ def per_draw_qehvi_mc(post, front, q: int, n_samples: int, seed: int) -> list:
             stamp[i] = step - 1
             heapq.heappush(heap, (-fresh, i))
         for ell in range(n_samples):
-            fronts[ell] = fronts[ell].insert(samples[ell, selected[-1]])
+            fronts[ell] = update_front(fronts[ell], samples[ell, selected[-1]])
     return selected
 
 
 def per_step_thompson(post, front, q: int, seed: int) -> list:
     """thompson_hvi scoring every pool row of each step's draw with
-    FrontIndex.gains, and growing the fantasy front by FrontIndex.insert."""
+    ParetoFront.gains, and growing the fantasy front by update_front."""
     from poolbo.acquisition import _batch_size, _least_margins
+    from poolbo.pareto import update_front
 
     q = _batch_size(q, post.n)
     if post.m != front.m:
         raise ValueError(f"objective dimensions must match: {post.m} vs {front.m}")
     samples = post.sample(q, seed)
-    index = front.index
     taken = np.zeros(post.n, dtype=bool)
     selected: list = []
     for values in samples:
-        deltas = index.gains(values)
+        deltas = front.gains(values)
         deltas[taken] = -np.inf
         if deltas.max() > 0:
             pick = int(np.argmax(deltas))
         else:
-            if index.points.shape[0]:
-                margins = _least_margins(values, index.points)
+            if front.size:
+                margins = _least_margins(values, front.points)
             else:
                 margins = (values - front.ref[None, :]).max(axis=1)
             margins[taken] = -np.inf
             pick = int(np.argmax(margins))
         selected.append(pick)
         taken[pick] = True
-        index = index.insert(values[pick])
+        front = update_front(front, values[pick])
     return selected
 
 

@@ -302,6 +302,19 @@ class TestNoCandidates:
             assert res.improving_fraction == 0.0
             assert (res.n_samples, res.seed) == (16, 3)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("maker", ["select_batch", "qehvi_mc", "thompson_hvi", "random_select"])
+    def test_batch_makers_return_empty_batches(self, m, maker):
+        post = Posterior(mean=np.zeros((0, m)), cov=np.zeros((m, 0, 0)))
+        front = build_front(np.ones((1, m)), ["a"], np.zeros(m))
+        make = {
+            "select_batch": lambda: select_batch(estimate_qpmhi(post, front, n_samples=16, seed=3), 4),
+            "qehvi_mc": lambda: qehvi_mc(post, front, q=4, n_samples=16, seed=3),
+            "thompson_hvi": lambda: thompson_hvi(post, front, q=4, seed=3),
+            "random_select": lambda: random_select(post.n, q=4, seed=3),
+        }[maker]
+        assert make() == []
+
 
 class TestConstrained:
     def objective(self):

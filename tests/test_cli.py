@@ -448,6 +448,15 @@ MALFORMED_CHECKPOINTS = {
     "unknown history field": (lambda p: p["history"][0].update(note=""), "MetricRecord"),
     "dataset as a list": (lambda p: p.update(dataset=[]), "Dataset"),
     "history entry as a list": (lambda p: p["history"].__setitem__(0, []), "MetricRecord"),
+    # each scalar is named with its file; run() writes one history record per iteration
+    "string iteration": (lambda p: p.update(iteration="3"), "checkpoint.json: 'iteration'"),
+    "fractional iteration": (lambda p: p.update(iteration=2.7), "checkpoint.json: 'iteration'"),
+    "boolean iteration": (lambda p: p.update(iteration=True), "checkpoint.json: 'iteration'"),
+    "iteration past the history": (lambda p: p.update(iteration=5), "checkpoint.json: 'iteration'"),
+    "string hv_initial": (lambda p: p.update(hv_initial="x"), "checkpoint.json: 'hv_initial'"),
+    "null hv_initial": (lambda p: p.update(hv_initial=None), "checkpoint.json: 'hv_initial'"),
+    "negative hv_initial": (lambda p: p.update(hv_initial=-1.0), "checkpoint.json: 'hv_initial'"),
+    "infinite hv_initial": (lambda p: p.update(hv_initial=float("inf")), "checkpoint.json: 'hv_initial'"),
 }
 
 

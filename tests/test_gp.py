@@ -897,6 +897,15 @@ class TestSampling:
         with pytest.raises(ValueError, match="chol"):
             Posterior(mean=base.mean, cov=base.cov, stochastic_idx=base.stochastic_idx)
 
+    @pytest.mark.parametrize("chol", ["array", "scaled blocks"])
+    def test_dense_cov_takes_no_factors(self, chol):
+        # a dense cov is always factored by the posterior itself
+        cov = np.stack([np.eye(3), 2.0 * np.eye(3)])
+        given = (np.stack([np.eye(3), np.sqrt(2.0) * np.eye(3)]) if chol == "array"
+                 else Posterior(mean=np.zeros((3, 2)), cov=cov).chol)
+        with pytest.raises(ValueError, match="never with an array cov"):
+            Posterior(mean=np.zeros((3, 2)), cov=cov, chol=given)
+
     def test_invalid_count_rejected(self):
         post = Posterior(mean=np.zeros((1, 1)), cov=np.zeros((1, 1, 1)))
         with pytest.raises(ValueError):

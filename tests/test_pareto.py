@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from poolbo import pareto
 from poolbo.pareto import (
-    FrontIndex,
     FrontStack,
     MetricRecord,
     ParetoFront,
@@ -411,12 +411,12 @@ class TestHypervolume:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_front_hypervolume_builds_the_index_hvi_reuses(self, m):
         front = ParetoFront.empty(np.zeros(m)) if m > 1 else build_front([(0.7,)], ["a"], (0.0,))
-        assert "index" not in vars(front)
+        assert "boxes" not in vars(front)
         assert front.hypervolume() == (0.7 if m == 1 else 0.0)
-        index = vars(front)["index"]
+        boxes = vars(front)["boxes"]
         hvi_many(np.ones((3, m)), front)
         assert hvi_many([np.ones(m)], front)[0] > 0.0
-        assert front.index is index
+        assert front.boxes is boxes
 
     @given(point_lists(3, max_points=6), st.tuples(coord, coord, coord))
     def test_adding_point_never_decreases(self, pts, extra):
@@ -519,30 +519,31 @@ def in_order_sum(terms):
     return out
 
 
-def in_order_gains(index, pts):
-    """FrontIndex gains as an explicit in-order sum over its boxes."""
-    terms = np.ones((index.lo.shape[1], pts.shape[0]))
+def in_order_gains(front, pts):
+    """ParetoFront gains as an explicit in-order sum over its boxes."""
+    lo, hi = front.boxes
+    terms = np.ones((lo.shape[1], pts.shape[0]))
     for j in range(pts.shape[1]):
-        terms *= np.clip(np.minimum(pts[:, j], index.hi[j][:, None]) - index.lo[j][:, None], 0.0, None)
+        terms *= np.clip(np.minimum(pts[:, j], hi[j][:, None]) - lo[j][:, None], 0.0, None)
     return in_order_sum(terms)
 
 
 class TestFrontIndex:
+    """A front's boxes and the gains read off them."""
+
     @given(point_lists(2, max_points=10), st.lists(st.tuples(coord, coord), max_size=30))
     def test_two_objectives_bitwise_equal_to_staircase(self, pts, queries):
         front = build_front(pts, range(len(pts)), (-9.0, -9.0))
         queries = np.asarray(queries, dtype=float).reshape(len(queries), 2)
-        assert np.array_equal(FrontIndex(front.points, front.ref).gains(queries),
-                              staircase_gains(front, queries))
+        assert np.array_equal(front.gains(queries), staircase_gains(front, queries))
 
     def test_two_objectives_bitwise_across_chunks(self):
         rng = np.random.default_rng(12)
         x = rng.uniform(0.0, 1.0, 300)
         front = build_front(np.c_[x, 1.0 - x ** 2], range(300), (0.0, 0.0))
         queries = rng.uniform(-0.1, 1.1, size=(5000, 2))
-        index = FrontIndex(front.points, front.ref)
-        assert 5000 * index.lo.shape[1] > 2 ** 17
-        assert np.array_equal(index.gains(queries), staircase_gains(front, queries))
+        assert 5000 * front.boxes[0].shape[1] > 2 ** 17
+        assert np.array_equal(front.gains(queries), staircase_gains(front, queries))
         assert np.array_equal(hvi_many(queries, front), staircase_gains(front, queries))
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -552,7 +553,7 @@ class TestFrontIndex:
         pts = data.draw(unit_arrays(m, 5))
         front = build_front(pts, range(len(pts)), np.zeros(m))
         queries = data.draw(unit_arrays(m, 6))
-        got = FrontIndex(front.points, front.ref).gains(queries)
+        got = front.gains(queries)
         for y, value in zip(queries, got):
             assert value == pytest.approx(
                 hvi_by_inclusion_exclusion(y, front.points, front.ref), rel=1e-12, abs=1e-12)
@@ -564,13 +565,13 @@ class TestFrontIndex:
         pts = data.draw(unit_arrays(m, 8))
         queries = data.draw(unit_arrays(m, 10))
         ref = np.zeros(m)
-        index = FrontIndex(np.empty((0, m)), ref)
+        front = ParetoFront.empty(ref)
         for y in pts:
-            index = index.insert(y)
-        built = FrontIndex(build_front(pts, range(len(pts)), ref).points, ref)
-        assert np.array_equal(index.points, built.points)
-        assert np.array_equal(index.lo, built.lo) and np.array_equal(index.hi, built.hi)
-        assert np.array_equal(index.gains(queries), built.gains(queries))
+            front = update_front(front, y)
+        built = build_front(pts, range(len(pts)), ref)
+        assert np.array_equal(front.points, built.points)
+        assert all(np.array_equal(a, b) for a, b in zip(front.boxes, built.boxes))
+        assert np.array_equal(front.gains(queries), built.gains(queries))
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     @settings(max_examples=30)
@@ -584,14 +585,14 @@ class TestFrontIndex:
         below = boundary.copy()
         below[:, -1] = -0.5
         queries = np.vstack([front.points, front.points - shrink, boundary, below])
-        assert np.all(FrontIndex(front.points, front.ref).gains(queries) == 0.0)
+        assert np.all(front.gains(queries) == 0.0)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_empty_front_gives_box_volume(self, m):
         rng = np.random.default_rng(m)
         ref = rng.uniform(-1.0, 0.0, m)
         queries = rng.uniform(0.0, 2.0, size=(20, m))
-        got = FrontIndex(np.empty((0, m)), ref).gains(queries)
+        got = ParetoFront.empty(ref).gains(queries)
         assert got.tolist() == [math.prod(y - ref) for y in queries]
 
     @pytest.mark.parametrize("m", [3, 4, 5])
@@ -607,10 +608,34 @@ class TestFrontIndex:
 
     def test_front_builds_its_index_once(self):
         front = build_front([(1.0, 2.0, 3.0), (3.0, 2.0, 1.0)], ["a", "b"], (0.0, 0.0, 0.0))
-        assert front.index is front.index
-        assert front.index.insert((0.5, 0.5, 0.5)) is front.index
-        grown = front.index.insert((2.0, 2.5, 2.0))
-        assert grown is not front.index and front.index.points.shape == (2, 3)
+        assert front.boxes is front.boxes
+        assert update_front(front, (0.5, 0.5, 0.5)) is front
+        grown = update_front(front, (2.0, 2.5, 2.0))
+        assert grown is not front and front.points.shape == (2, 3)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_boxes_are_built_once_and_a_rejected_point_keeps_the_front(self, m, monkeypatch):
+        """hypervolume, gains, hvi_many and a FrontStack all read one box
+        build; a point update_front rejects (an incumbent, one it weakly
+        dominates, one not above ref) returns the same front, boxes and all."""
+        built = []
+        boxes = pareto._boxes
+        # above three objectives _boxes recurses into its slabs at m - 1
+        monkeypatch.setattr(pareto, "_boxes", lambda pts, ref: built.append(ref.size) or boxes(pts, ref))
+        rng = np.random.default_rng(60 + m)
+        front = build_front(rng.uniform(0.5, 2.0, size=(6, m)), range(6), np.zeros(m))
+        front.hypervolume()
+        front.gains(rng.uniform(0.0, 2.5, size=(9, m)))
+        hvi_many(rng.uniform(0.0, 2.5, size=(4, m)), front)
+        FrontStack(front, 5)
+        cached = front.boxes
+        assert built.count(m) == 1
+        edge = front.points[0].copy()
+        edge[-1] = 0.0
+        corner = np.minimum(front.points[0], front.points[-1])
+        for y in (front.points[0], front.points[-1] - 0.25, corner, edge):
+            assert update_front(front, y) is front
+        assert front.boxes is cached and built.count(m) == 1
 
 
 class TestSlabBoxes:
@@ -620,10 +645,10 @@ class TestSlabBoxes:
     @staticmethod
     def assert_same_boxes(points, ref):
         want = slab_recursion_boxes(points, ref)
-        index = FrontIndex(points, ref)
-        for got, expected in zip((index.lo, index.hi), want):
+        front = ParetoFront(points=points, ids=(None,) * len(points), ref=ref)
+        for got, expected in zip(front.boxes, want):
             assert got.shape == expected.shape and np.array_equal(got, expected)
-        return index
+        return front
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     @pytest.mark.parametrize("kind", ["random", "grid", "sphere"])
@@ -651,7 +676,7 @@ class TestSlabBoxes:
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     def test_empty_single_point_and_repeated_rows_match_slab_recursion(self, m):
         ref = np.zeros(m)
-        assert self.assert_same_boxes(np.empty((0, m)), ref).lo.shape == (m, 1)
+        assert self.assert_same_boxes(np.empty((0, m)), ref).boxes[0].shape == (m, 1)
         self.assert_same_boxes(np.full((1, m), 0.5), ref)
         # a validated front may hold equal rows; each counts once
         rng = np.random.default_rng(80 + m)
@@ -668,56 +693,55 @@ class TestSlabBoxes:
         grid = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
         for _ in range(150):
             front = build_front(grid[rng.integers(0, 6, size=(8, m))], range(8), np.full(m, -2.0))
-            index = self.assert_same_boxes(front.points, front.ref)
-            old = object.__new__(FrontIndex)
-            old.points, old.ref = index.points, index.ref
-            old.lo, old.hi = slab_recursion_boxes(index.points, index.ref)
+            front = self.assert_same_boxes(front.points, front.ref)
+            old = ParetoFront(points=front.points, ids=front.ids, ref=front.ref)
+            vars(old)["boxes"] = slab_recursion_boxes(front.points, front.ref)
             queries = grid[rng.integers(0, 6, size=(50, m))]
-            assert np.float64(index.hypervolume()).tobytes() == np.float64(old.hypervolume()).tobytes()
-            assert index.gains(queries).tobytes() == old.gains(queries).tobytes()
+            assert np.float64(front.hypervolume()).tobytes() == np.float64(old.hypervolume()).tobytes()
+            assert front.gains(queries).tobytes() == old.gains(queries).tobytes()
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     def test_fronts_grown_by_inserts_match_slab_recursion(self, m):
         rng = np.random.default_rng(90 + m)
         for _ in range(3):
-            index = FrontIndex(np.empty((0, m)), np.zeros(m))
+            front = ParetoFront.empty(np.zeros(m))
             for step in range(10 if m < 5 else 6):
                 y = rng.uniform(0.0, 2.0, size=m)
                 if step % 2:  # half-step grid: ties with incumbents
                     y = rng.integers(1, 5, size=m) / 2.0
-                index = index.insert(y)
-                self.assert_same_boxes(index.points, index.ref)
+                front = update_front(front, y)
+                self.assert_same_boxes(front.points, front.ref)
 
 
 def grown_stack(m, n_draws, steps, seed):
     """A FrontStack whose draws were grown by independent random points, so
-    their fronts differ in size and box count, and each draw's index grown
-    alone by FrontIndex.insert. Every other step draws from a half-step grid
+    their fronts differ in size and box count, and each draw's front grown
+    alone by update_front. Every other step draws from a half-step grid
     that includes the reference, so values tie with incumbents and with ref."""
     rng = np.random.default_rng(seed)
     stack = FrontStack(ParetoFront.empty(np.zeros(m)), n_draws)
-    alone = [FrontIndex(np.empty((0, m)), np.zeros(m))] * n_draws
+    alone = [ParetoFront.empty(np.zeros(m))] * n_draws
     for step in range(steps):
         values = rng.uniform(0.0, 2.5, size=(n_draws, m))
         if step % 2:
             values = rng.integers(0, 6, size=(n_draws, m)) / 2.0
         stack.insert(values)
-        alone = [index.insert(y) for index, y in zip(alone, values)]
+        alone = [update_front(front, y) for front, y in zip(alone, values)]
     return stack, alone
 
 
 def sphere_stack(m, n_draws, n_points, seed):
     """A FrontStack whose draws each took n_points distinct points of the
     positive unit sphere, so every point joins its front and the box count
-    grows with each insert, and each draw's index grown alone."""
+    grows with each insert, and each draw's front grown alone."""
     rng = np.random.default_rng(seed)
     stack = FrontStack(ParetoFront.empty(np.zeros(m)), n_draws)
-    alone = [FrontIndex(np.empty((0, m)), np.zeros(m))] * n_draws
+    alone = [ParetoFront.empty(np.zeros(m))] * n_draws
     for _ in range(n_points):
         values = np.abs(rng.normal(size=(n_draws, m)))
         values /= np.linalg.norm(values, axis=1, keepdims=True)
         stack.insert(values)
-        alone = [index.insert(y) for index, y in zip(alone, values)]
+        alone = [update_front(front, y) for front, y in zip(alone, values)]
     return stack, alone
 
 
@@ -739,7 +763,7 @@ class TestReductionOrder:
     def test_one_row_gains_and_one_draw_stack_sum_in_order(self, m):
         rng = np.random.default_rng(40 + m)
         stack, (index,) = sphere_stack(m, 1, n_points=40, seed=m)
-        assert index.lo.shape[1] > 40
+        assert index.boxes[0].shape[1] > 40
         for y in rng.uniform(0.0, 1.2, size=(200, 1, m)):
             expected = in_order_gains(index, y)
             assert np.array_equal(index.gains(y), expected)
@@ -749,7 +773,7 @@ class TestReductionOrder:
     def test_gains_sum_in_order_across_blocks(self, m):
         rng = np.random.default_rng(50 + m)
         _, (index,) = sphere_stack(m, 1, n_points=60, seed=10 + m)
-        rows = 2 ** 16 // index.lo.shape[1]
+        rows = 2 ** 16 // index.boxes[0].shape[1]
         # the last block holds one row
         queries = rng.uniform(0.0, 1.2, size=(2 * rows + 1, m))
         assert np.array_equal(index.gains(queries), in_order_gains(index, queries))
@@ -763,7 +787,7 @@ class TestFrontStack:
         draw scored alone and the explicit in-order sum."""
         stack, alone = grown_stack(m, n_draws, steps=12, seed=m * 1000 + n_draws)
         if n_draws > 7:
-            assert len({index.lo.shape[1] for index in alone}) > 2
+            assert len({index.boxes[0].shape[1] for index in alone}) > 2
         queries = np.random.default_rng(n_draws).uniform(0.0, 3.0, size=(20, n_draws, m))
         for k, values in enumerate(queries):
             expected = [index.gains(y[None, :])[0] for index, y in zip(alone, values)]
@@ -776,29 +800,29 @@ class TestFrontStack:
     def test_each_column_holds_its_draws_boxes_then_pad(self, m):
         for n_draws in (1, 64):
             stack, alone = grown_stack(m, n_draws, steps=8, seed=m)
-            boxes = max(index.lo.shape[1] for index in alone)
+            boxes = max(index.boxes[0].shape[1] for index in alone)
             assert stack.boxes.shape == (2, m, boxes, n_draws)
             if m == 3:
                 assert all(np.array_equal(index.points, single.points)
-                           for index, single in zip(stack.indexes, alone))
+                           for index, single in zip(stack.fronts, alone))
             for ell, single in enumerate(alone):
-                b = single.lo.shape[1]
-                assert np.array_equal(stack.boxes[0, :, :b, ell], single.lo)
-                assert np.array_equal(stack.boxes[1, :, :b, ell], single.hi)
+                b = single.boxes[0].shape[1]
+                assert np.array_equal(stack.boxes[0, :, :b, ell], single.boxes[0])
+                assert np.array_equal(stack.boxes[1, :, :b, ell], single.boxes[1])
                 assert np.all(stack.boxes[:, :, b:, ell] == np.inf)
 
     @pytest.mark.parametrize("n_draws", [1, 2, 63, 64, 65, 256])
     def test_two_objective_splice_equals_each_draw_grown_alone(self, n_draws):
         """At m = 2 an insert splices every draw's column at once. After each
         one the box array is bitwise each draw's boxes grown alone by
-        FrontIndex.insert, padded with +inf, and B is the most boxes any draw
+        update_front, padded with +inf, and B is the most boxes any draw
         has held, so it never shrinks. Values tie: half-integer levels, the
         reference, a duplicate, one coordinate of a front point, or the
         corner of a run of front points, which it weakly dominates."""
         rng = np.random.default_rng(n_draws)
         ref = np.zeros(2)
         stack = FrontStack(ParetoFront.empty(ref), n_draws)
-        alone = [FrontIndex(np.empty((0, 2)), ref)] * n_draws
+        alone = [ParetoFront.empty(ref)] * n_draws
         most = 1
         for _ in range(60):
             # half-integer levels near x + y = 8.5, the reference among them
@@ -818,15 +842,30 @@ class TestFrontStack:
                     else:  # the corner of a run of two or three points
                         values[ell] = pts[k:k + 2 + (rng.random() < 0.2)].max(axis=0)
             stack.insert(values)
-            alone = [index.insert(y) for index, y in zip(alone, values)]
+            alone = [update_front(index, y) for index, y in zip(alone, values)]
             b = stack.boxes.shape[2]
             assert b >= most
-            most = max(most, *(index.lo.shape[1] for index in alone))
+            most = max(most, *(index.boxes[0].shape[1] for index in alone))
             assert b == most
             expected = np.full((2, 2, b, n_draws), np.inf)
             for ell, index in enumerate(alone):
-                expected[:, :, :index.lo.shape[1], ell] = index.lo, index.hi
+                expected[:, :, :index.boxes[0].shape[1], ell] = index.boxes
             assert np.array_equal(stack.boxes, expected)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("n_draws", [1, 7, 64])
+    def test_each_draws_front_is_its_values_folded_by_update_front(self, m, n_draws):
+        """Above two objectives each draw keeps a ParetoFront: the one
+        update_front folds that draw's values into, in points, ids and
+        boxes, and the box array's column is those boxes."""
+        stack, alone = grown_stack(m, n_draws, steps=12, seed=20 * m + n_draws)
+        assert len(stack.fronts) == n_draws
+        for ell, (got, want) in enumerate(zip(stack.fronts, alone)):
+            assert isinstance(got, ParetoFront)
+            assert np.array_equal(got.points, want.points) and got.ids == want.ids
+            assert all(np.array_equal(a, b) for a, b in zip(got.boxes, want.boxes))
+            b = want.boxes[0].shape[1]
+            assert np.array_equal(stack.boxes[:, :, :b, ell], np.stack(want.boxes))
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_insert_that_changes_no_front_rebuilds_nothing(self, m):
@@ -834,14 +873,14 @@ class TestFrontStack:
         queries = np.random.default_rng(m).uniform(0.0, 3.0, size=(10, 32, m))
         before = [stack.gains(values) for values in queries]
         # at m = 2 the box array is the only per-draw state
-        indexes, boxes, copied = list(stack.indexes or ()), stack.boxes, stack.boxes.copy()
+        fronts, boxes, copied = list(stack.fronts or ()), stack.boxes, stack.boxes.copy()
         # each value equals or is dominated by a point of its own draw's
         # front, or sits on the reference in its first objective
         edge = np.full(m, 10.0)
         edge[0] = 0.0
         stack.insert(np.stack([(index.points[0], index.points[0] * 0.5, edge)[ell % 3]
                                for ell, index in enumerate(alone)]))
-        assert all(a is b for a, b in zip(stack.indexes or (), indexes))
+        assert all(a is b for a, b in zip(stack.fronts or (), fronts))
         assert stack.boxes is boxes and np.array_equal(boxes, copied)
         for values, gains in zip(queries, before):
             assert np.array_equal(stack.gains(values), gains)
