@@ -67,6 +67,8 @@ class BenchSpec:
             raise ValueError(f"unknown acquisition(s): {sorted(unknown)}")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be non-empty and distinct")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be non-negative, got {list(self.seeds)}")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if self.batch_size < 1:

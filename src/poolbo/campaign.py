@@ -142,6 +142,8 @@ class CampaignConfig:
             raise ValueError("init must be a mapping")
         if self.oracle is not None and not isinstance(self.oracle, (str, dict)):
             raise ValueError("oracle spec must be a string or dict")
+        if self.seed < 0:  # derive_seed's rule, checked before any design is labeled
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def pool_featurizer(self) -> str:

@@ -53,12 +53,12 @@ def cmd_run(args) -> int:
         raise ValueError("run config needs an output_dir")
     true_ids = payload.pop("true_front_ids", None)
     cfg = CampaignConfig.from_dict(payload)
+    oracle = resolve_oracle(cfg)
     os.makedirs(output_dir, exist_ok=True)
     metrics_path = os.path.join(output_dir, "metrics.csv")
     checkpoint_path = os.path.join(output_dir, "checkpoint.json")
     front_path = os.path.join(output_dir, "front.json")
 
-    oracle = resolve_oracle(cfg)
     if args.resume:
         if not os.path.exists(checkpoint_path):
             raise ValueError(f"nothing to resume: {checkpoint_path} does not exist")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -75,7 +76,12 @@ class GeneratorConfig:
             raise ValueError("random_fraction must lie in [0, 1]")
         if self.elite_fraction + self.random_fraction > 1.0 + 1e-12:
             raise ValueError("elite_fraction + random_fraction must not exceed 1")
+        if isinstance(self.constraints, str):
+            raise ValueError(f"constraints must be a list of 'name:args' strings, "
+                             f"got the string {self.constraints!r}")
         object.__setattr__(self, "constraints", tuple(self.constraints))
+        for text in self.constraints:  # fails here, not at the first pool; kept unparsed to pickle
+            parse_predicate(text)
         make_featurizer(self.featurizer)  # a bad name fails here, not at the first pool
 
 
@@ -179,38 +185,31 @@ def make_featurizer(name: str, alphabet: str = "01"):
 # ---------------------------------------------------------------------------
 # constraint predicates
 
-def _bit_equals(pos: int, value: str):
-    def predicate(genome: str) -> bool:
-        return pos < len(genome) and genome[pos] == value
-    return predicate
-
-
-def _min_ones(k: int):
-    return lambda genome: genome.count("1") >= k
-
-
-def _max_ones(k: int):
-    return lambda genome: genome.count("1") <= k
-
-
-def _starts_with(prefix: str):
-    return lambda genome: genome.startswith(prefix)
-
-
-PREDICATE_FACTORIES = {
-    "bit_equals": lambda pos, value: _bit_equals(int(pos), value),
-    "min_ones": lambda k: _min_ones(int(k)),
-    "max_ones": lambda k: _max_ones(int(k)),
-    "starts_with": _starts_with,
+PREDICATES = {  # name: (argument types, test of the converted arguments and a genome)
+    "bit_equals": ((int, str), lambda pos, symbol, genome: pos < len(genome) and genome[pos] == symbol),
+    "min_ones": ((int,), lambda k, genome: genome.count("1") >= k),
+    "max_ones": ((int,), lambda k, genome: genome.count("1") <= k),
+    "starts_with": ((str,), lambda prefix, genome: genome.startswith(prefix)),
 }
 
 
 def parse_predicate(text: str):
-    """Turn "name:arg1:arg2" into a genome predicate from the registry."""
+    """Turn "name:arg1:arg2" into a genome predicate from PREDICATES; a
+    non-string, an unknown name, a wrong argument count or an argument that
+    does not convert raises ValueError naming the constraint."""
+    if not isinstance(text, str):
+        raise ValueError(f"constraint must be a 'name:args' string, got {text!r}")
     name, *args = text.split(":")
-    if name not in PREDICATE_FACTORIES:
-        raise ValueError(f"unknown constraint predicate: {name}")
-    return PREDICATE_FACTORIES[name](*args)
+    if name not in PREDICATES:
+        raise ValueError(f"unknown constraint predicate {name!r} in {text!r}")
+    types, test = PREDICATES[name]
+    if len(args) != len(types):
+        raise ValueError(f"constraint {text!r} needs {len(types)} argument(s), got {len(args)}")
+    try:
+        values = [convert(arg) for convert, arg in zip(types, args)]
+    except ValueError as exc:
+        raise ValueError(f"constraint {text!r}: {exc}") from None
+    return partial(test, *values)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +390,7 @@ def propose_pool(data: Dataset, model: GpModel | None, cfg: GeneratorConfig, see
         raise ValueError("pool generation needs at least one labeled design")
     if data.genomes is None:
         raise ValueError("dataset must carry genomes to breed from")
-    predicates = [parse_predicate(c) if isinstance(c, str) else c for c in cfg.constraints]
+    predicates = [parse_predicate(c) for c in cfg.constraints]
     genomes = list(data.genomes)
     alphabet = genome_alphabet(genomes)
     bitstring = alphabet == "01"

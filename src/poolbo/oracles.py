@@ -28,6 +28,10 @@ class OracleError(RuntimeError):
         super().__init__(message)
 
 
+class PoolLabelError(OracleError, ValueError):
+    """A lookup pool with no rows or no labels: bad input, not a failed evaluation."""
+
+
 def _bits(genome: str, oracle_name: str) -> list:
     if not genome:
         raise OracleError(f"{oracle_name} oracle needs a non-empty genome")
@@ -112,9 +116,9 @@ class LookupOracle:
     def from_rows(cls, pool) -> "LookupOracle":
         """Table of read_pool's columns; every row must carry labels."""
         if not pool.ids:
-            raise OracleError("labeled pool is empty")
+            raise PoolLabelError("labeled pool is empty")
         if not pool.labels.shape[1]:  # the header fixes one objective count for every row
-            raise OracleError(f"pool row {pool.ids[0]!r} has no objective labels")
+            raise PoolLabelError(f"pool row {pool.ids[0]!r} has no objective labels")
         return cls(pool.genomes, pool.labels)
 
     def evaluate(self, candidates) -> np.ndarray:

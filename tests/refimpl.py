@@ -742,7 +742,7 @@ def string_propose_pool(data, model, cfg, seed: int) -> list:
         w = np.exp(z)
         return w / w.sum()
 
-    predicates = [parse_predicate(c) if isinstance(c, str) else c for c in cfg.constraints]
+    predicates = [parse_predicate(c) for c in cfg.constraints]
     genomes = list(data.genomes)
     alphabet = genome_alphabet(genomes)
     bitstring = alphabet == "01"

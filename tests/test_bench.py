@@ -67,6 +67,7 @@ class TestBenchSpec:
         (dict(init_size=1), "init_size"),
         (dict(ref_rule="explicit"), "ref_rule"),
         (dict(featurizer="onehot"), "featurizer"),
+        (dict(seeds=(0, -3)), "non-negative"),
     ])
     def test_bad_values_rejected(self, small_pool, tmp_path, over, msg):
         with pytest.raises(ValueError, match=msg):

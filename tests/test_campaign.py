@@ -168,7 +168,7 @@ class TestConfig:
 
     def test_generator_config_round_trips(self):
         cfg = gen_cfg(generator=GeneratorConfig(
-            pool_size=8, constraints=("g[0] == '1'",), parent_selection="surrogate_weighted",
+            pool_size=8, constraints=("bit_equals:0:1",), parent_selection="surrogate_weighted",
         ))
         rebuilt = CampaignConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert rebuilt.generator == cfg.generator
@@ -208,6 +208,7 @@ class TestConfig:
         (dict(batch_size=11), "exceed"),
         (dict(init="four"), "mapping"),
         (dict(oracle=7), "string or dict"),
+        (dict(seed=-1), "seed must be non-negative, got -1"),
     ])
     def test_bad_values_rejected(self, over, msg):
         with pytest.raises(ValueError, match=msg):

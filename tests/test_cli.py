@@ -1,6 +1,7 @@
 """Command line behavior and exit codes."""
 import dataclasses
 import json
+import shlex
 import subprocess
 import sys
 
@@ -49,6 +50,30 @@ def run_config(pool, out_dir, **over):
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def counted_bred_config(tmp_path, out_dir, **over):
+    """A one-iteration bred run config whose external oracle command appends
+    one line to the returned file per call."""
+    calls = tmp_path / "calls.txt"
+    script = tmp_path / "oracle.py"
+    script.write_text(
+        "import json, sys\n"
+        f"open({str(calls)!r}, 'a').write('call\\n')\n"
+        "for line in sys.stdin:\n"
+        "    req = json.loads(line)\n"
+        "    ones = req['genome'].count('1') / len(req['genome'])\n"
+        "    print(json.dumps({'id': req['id'], 'objectives': [ones, 1 - ones]}))\n"
+    )
+    command = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+    payload = run_config(
+        None, out_dir, iterations=1, pool_path=None,
+        oracle={"kind": "external", "command": command, "m": 2},
+        generator={"pool_size": 10, "constraints": ["min_ones:1"]},
+        init={"genomes": ["00000011", "11000000", "00111100", "10101010", "01010101"]},
+    )
+    payload.update(over)
+    return payload, calls
 
 
 def spy_on_posteriors(monkeypatch):
@@ -260,6 +285,53 @@ class TestRun:
         assert calls == []
         assert not out.exists()  # rejected with the config, before the run sets up
 
+    def test_counted_bred_run_calls_its_oracle_per_batch(self, tmp_path, capsys):
+        out = tmp_path / "camp"
+        payload, calls = counted_bred_config(tmp_path, out)
+        assert main(["run", write_json(tmp_path / "c.json", payload)]) == 0
+        assert calls.read_text() == "call\n" * 2  # the initial designs, then one batch
+        assert (out / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize("over,named", [
+        (dict(constraints=["nope:1"]), "'nope:1'"),
+        (dict(constraints=["bit_equals:3"]), "'bit_equals:3'"),
+        (dict(constraints=["min_ones:x"]), "'min_ones:x'"),
+        (dict(constraints=[5]), "got 5"),
+        (dict(constraints="min_ones:2"), "'min_ones:2'"),
+        (dict(seed=-1), "got -1"),
+    ])
+    def test_malformed_config_exits_2_before_any_evaluation(self, tmp_path, capsys, over,
+                                                            named):
+        out = tmp_path / "camp"
+        payload, calls = counted_bred_config(tmp_path, out)
+        if "seed" in over:
+            payload.update(over)
+        else:
+            payload["generator"].update(over)
+        assert main(["run", write_json(tmp_path / "c.json", payload)]) == 2
+        assert named in capsys.readouterr().err
+        assert not calls.exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ("id,genome,obj_1,obj_2\n", "labeled pool is empty"),
+        ("id,genome\na,01010101\nb,11110000\n", "pool row 'a' has no objective labels"),
+    ])
+    def test_lookup_pool_without_labels_exits_2(self, tmp_path, pool_csv, capsys, text,
+                                                message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        out = tmp_path / "camp"
+        payload = run_config(pool_csv, out, oracle=f"lookup:{bad}")
+        assert main(["run", write_json(tmp_path / "c.json", payload)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        spec = {"pool_path": str(bad), "output_dir": str(tmp_path / "bench"),
+                "batch_size": 3, "init_size": 4, "seeds": [0], "iterations": 1}
+        assert main(["bench", write_json(tmp_path / "spec.json", spec)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
+
     def test_missing_output_dir(self, tmp_path, pool_csv, capsys):
         payload = run_config(pool_csv, tmp_path / "camp")
         del payload["output_dir"]
@@ -314,6 +386,13 @@ class TestBench:
                 "batch_size": 3, "init_size": 4, "seeds": [0], "iterations": 1}
         assert main(["bench", write_json(tmp_path / "spec.json", spec), "--workers", "0"]) == 2
         assert "workers must be at least 1" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, tmp_path, pool_csv, capsys):
+        spec = {"pool_path": str(pool_csv), "output_dir": str(tmp_path / "b"),
+                "batch_size": 3, "init_size": 4, "seeds": [0, -1], "iterations": 1}
+        assert main(["bench", write_json(tmp_path / "spec.json", spec)]) == 2
+        assert "seeds must be non-negative, got [0, -1]" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
 
     def test_bad_spec_field(self, tmp_path, pool_csv, capsys):
         spec = {"pool_path": str(pool_csv), "output_dir": str(tmp_path / "b"),

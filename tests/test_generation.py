@@ -1,4 +1,5 @@
 import csv
+import pickle
 import sys
 from itertools import product
 
@@ -337,6 +338,45 @@ class TestPredicates:
         with pytest.raises(ValueError):
             parse_predicate("divisible_by:3")
 
+    @pytest.mark.parametrize("text,definition", [
+        ("bit_equals:3:1", lambda g: len(g) > 3 and g[3] == "1"),
+        ("bit_equals:0:0", lambda g: len(g) > 0 and g[0] == "0"),
+        ("min_ones:2", lambda g: g.count("1") >= 2),
+        ("max_ones:1", lambda g: g.count("1") <= 1),
+        ("starts_with:10", lambda g: g[:2] == "10"),
+    ])
+    def test_each_predicate_keeps_its_definition(self, text, definition):
+        # a bit_equals position past the genome's end is False, not an error
+        genomes = ["".join(bits) for n in range(7) for bits in product("01", repeat=n)]
+        pred = parse_predicate(text)
+        assert [pred(g) for g in genomes] == [definition(g) for g in genomes]
+
+    @pytest.mark.parametrize("bad,named", [
+        ("nope:1", "'nope:1'"),
+        ("bit_equals:3", "'bit_equals:3'"),
+        ("bit_equals:x:1", "'bit_equals:x:1'"),
+        ("min_ones:x", "'min_ones:x'"),
+        ("min_ones:1:2", "'min_ones:1:2'"),
+        ("starts_with", "'starts_with'"),
+        (5, "5"),
+        (None, "None"),
+    ])
+    def test_malformed_constraint_fails_when_the_config_is_made(self, bad, named):
+        with pytest.raises(ValueError) as direct:
+            parse_predicate(bad)
+        with pytest.raises(ValueError) as config:
+            GeneratorConfig(pool_size=4, constraints=("min_ones:0", bad))
+        assert named in str(direct.value) and str(config.value) == str(direct.value)
+
+    def test_a_bare_string_is_not_a_constraint_list(self):
+        with pytest.raises(ValueError, match="'min_ones:2'"):
+            GeneratorConfig(pool_size=4, constraints="min_ones:2")
+
+    def test_config_holds_the_strings_and_pickles(self):
+        cfg = GeneratorConfig(pool_size=4, constraints=["bit_equals:0:1", "max_ones:3"])
+        assert cfg.constraints == ("bit_equals:0:1", "max_ones:3")
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+
     def test_filter_empty_list_is_identity(self):
         data = bit_dataset(["110000", "000011", "111100"], [[3.0, 1.0], [1.0, 3.0], [2.0, 2.5]])
         free = GeneratorConfig(pool_size=12, mutation_rate=0.2, random_fraction=0.5)
@@ -551,6 +591,19 @@ class TestArrayBreeding:
             got = propose_pool(data, model, cfg, seed)
             assert_same_pool(got, string_propose_pool(data, model, cfg, seed))
             assert max(int(c.id.rsplit("-", 1)[1]) for c in got if c.id.startswith("gen-")) > 40
+
+    @pytest.mark.parametrize("constraint", ["bit_equals:3:1", "min_ones:9", "max_ones:7",
+                                            "starts_with:1"])
+    def test_each_predicate_breeds_the_string_breeders_pool(self, constraint):
+        data = self.bit_data("identity")
+        cfg = GeneratorConfig(pool_size=30, mutation_rate=0.1, random_fraction=0.3,
+                              constraints=(constraint,), parent_selection="surrogate_weighted")
+        model = fit(data)
+        pred = parse_predicate(constraint)
+        for seed in range(5):
+            got = propose_pool(data, model, cfg, seed)
+            assert_same_pool(got, string_propose_pool(data, model, cfg, seed))
+            assert all(pred(c.genome) for c in got)
 
     @pytest.mark.parametrize("alphabet", ["ABCD", "\u00e9\u00df\u4e2d\U0001f600"])
     @pytest.mark.parametrize("rate", [0.0, 0.01, 0.5, 1.0])
